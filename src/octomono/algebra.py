@@ -416,12 +416,34 @@ def as_coord_array(values: Iterable[Octonion]) -> np.ndarray:
     return np.array([v.coords for v in values], dtype=np.float64)
 
 
-def mul_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Componentwise octonion product of coordinate arrays, broadcasting.
+def _product_terms() -> tuple[tuple[tuple[int, int, bool], ...], ...]:
+    # _TERMS[k] lists, for i = 0..7, the (i, j, negative) with a_i * b_j
+    # landing on coordinate k; MUL_IDX[i] is a permutation, so one j per i.
+    terms = [[(0, 0, False)] * 8 for _ in range(8)]
+    for i in range(8):
+        for j in range(8):
+            terms[MUL_IDX[i, j]][i] = (i, j, bool(MUL_SGN[i, j] < 0.0))
+    return tuple(tuple(row) for row in terms)
 
-    The float dtype is preserved (and promoted across operands), so
-    identity checks can run in extended precision where the structure
-    constants need to be separated from double roundoff.
+
+_TERMS = _product_terms()
+
+
+def mul_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Componentwise octonion product of (..., 8) coordinate arrays, broadcasting.
+
+    The float dtype is preserved (and promoted across operands; other
+    dtypes become float64), so identity checks can run in extended
+    precision where the structure constants need to be separated from
+    double roundoff.
+
+    Layout and bit-identity contract: the operands are moved to
+    coordinate-major (8, ...) arrays, and each output coordinate ``k`` is
+    one contiguous row summing its eight signed products ``a_i * b_j`` in
+    the order ``i = 0..7``, starting from ``+0.0`` (the closing
+    ``row += 0.0`` turns a ``-0.0`` sum into ``+0.0``).  Every bit, zero
+    signs included, therefore matches the plain row-major table loop.
+    The result is a C-contiguous (..., 8) array.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -429,12 +451,26 @@ def mul_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a = a.astype(np.float64)
     if b.dtype.kind != "f":
         b = b.astype(np.float64)
-    out_shape = np.broadcast_shapes(a.shape, b.shape)
-    out = np.zeros(out_shape, dtype=np.result_type(a, b))
-    for i in range(8):
-        # MUL_IDX[i] is a permutation of 0..7, so fancy += has no collisions.
-        out[..., MUL_IDX[i]] += MUL_SGN[i] * (a[..., i, None] * b)
-    return out
+    dtype = np.result_type(a, b)
+    shape = np.broadcast_shapes(a.shape, b.shape)[:-1]
+    # A single (8,) row is already contiguous and is not copied.
+    ac = np.ascontiguousarray(np.moveaxis(a, -1, 0), dtype=dtype)
+    bc = np.ascontiguousarray(np.moveaxis(b, -1, 0), dtype=dtype)
+    out = np.empty((8,) + shape, dtype=dtype)
+    term = np.empty(shape, dtype=dtype)
+    for k, terms in enumerate(_TERMS):
+        row = out[k, ...]  # a view even when the batch shape is ()
+        # i = 0 is the real unit: a_0 * b_k with sign +1
+        np.multiply(ac[0], bc[k], out=row)
+        for i, j, negative in terms[1:]:
+            np.multiply(ac[i], bc[j], out=term)
+            if negative:
+                np.subtract(row, term, out=row)
+            else:
+                np.add(row, term, out=row)
+        row += 0.0
+    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
+
 
 def conj_many(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)

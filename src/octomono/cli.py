@@ -242,6 +242,9 @@ def _cmd_trig(args, t0) -> int:
         raise DomainError("points must be >= 1")
     if args.tail_tol <= 0.0:
         raise DomainError("tail_tol must be positive")
+    if not 0.0 < args.fd_step < math.inf:
+        # a zero step makes every difference quotient 0/0 = NaN
+        raise DomainError("fd_step must be positive and finite")
     policy = TruncationPolicy(tail_tol=args.tail_tol)
     rng = np.random.default_rng(args.seed)
     pts = _trig_points(rng, args.points)

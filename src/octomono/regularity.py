@@ -15,13 +15,26 @@ from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
-from .algebra import Octonion, mul_many
+from .algebra import MUL_IDX, MUL_SGN, Octonion
 from .errors import SingularityError
 
 ArrayFn = Callable[[np.ndarray], np.ndarray]
 PointLike = Union[Octonion, np.ndarray]
 
 _BASIS = np.eye(8, dtype=np.float64)
+
+
+def _unit_product_gather(idx: np.ndarray, sgn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Multiplying row i by a unit maps coordinate j to idx[i, j] with sign
+    # sgn[i, j]; invert that permutation so output k reads source src[i, k].
+    src = np.argsort(idx, axis=1)
+    return src, np.take_along_axis(sgn, src, axis=1)
+
+
+_ROWS = np.arange(8)[:, None]
+# (e_i * r)_k = _L_SGN[i, k] * r[_L_SRC[i, k]];  (r * e_i)_k likewise with _R_*.
+_L_SRC, _L_SGN = _unit_product_gather(MUL_IDX, MUL_SGN)
+_R_SRC, _R_SGN = _unit_product_gather(MUL_IDX.T, MUL_SGN.T)
 
 
 @dataclass(frozen=True)
@@ -121,7 +134,10 @@ def apply_D_left(f: ArrayFn, z: PointLike, h: float = 1e-5) -> PointLike:
     """df/dx0 + sum_i ei * (df/dxi) by central differences."""
     zc = _as_coords(z)
     rows = _jacobian_rows(f, zc, h)
-    out = mul_many(_BASIS, rows).sum(axis=0)
+    # sum_i e_i * rows[i]; a sum started at +0.0 gives a zero the sign the
+    # mul_many(_BASIS, rows) form gives it, so for finite rows both agree
+    # bit for bit (an inf row gives inf here where 0 * inf made NaN there)
+    out = (_L_SGN * rows[_ROWS, _L_SRC]).sum(axis=0, initial=0.0)
     if isinstance(z, Octonion):
         return Octonion(*out)
     return out
@@ -131,7 +147,7 @@ def apply_D_right(f: ArrayFn, z: PointLike, h: float = 1e-5) -> PointLike:
     """df/dx0 + sum_i (df/dxi) * ei by central differences."""
     zc = _as_coords(z)
     rows = _jacobian_rows(f, zc, h)
-    out = mul_many(rows, _BASIS).sum(axis=0)
+    out = (_R_SGN * rows[_ROWS, _R_SRC]).sum(axis=0, initial=0.0)
     if isinstance(z, Octonion):
         return Octonion(*out)
     return out
@@ -158,9 +174,10 @@ def o_regularity_residual(
         isinstance(points, np.ndarray) and points.ndim == 1
     ):
         points = [points]
-    worst = 0.0
+    norms = []
     for z in points:
         image = apply(f, z, h)
         arr = image.to_array() if isinstance(image, Octonion) else np.asarray(image)
-        worst = max(worst, float(np.sqrt(np.sum(arr * arr))))
-    return worst
+        norms.append(np.sqrt(np.sum(arr * arr)))
+    # np.max keeps a NaN norm, where the builtin max(0.0, nan) would drop it
+    return float(np.max(norms, initial=0.0))

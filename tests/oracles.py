@@ -147,3 +147,38 @@ MUL_TABLE = {
     (7, 1): (-1, 6), (7, 2): (1, 5), (7, 3): (-1, 4), (7, 4): (1, 3),
     (7, 5): (-1, 2), (7, 6): (1, 1), (7, 7): (-1, 0),
 }
+
+
+def _table_arrays() -> tuple[np.ndarray, np.ndarray]:
+    """MUL_TABLE as 8x8 (index, sign) arrays, real unit included."""
+    idx = np.zeros((8, 8), dtype=np.intp)
+    sgn = np.ones((8, 8))
+    idx[0, :] = np.arange(8)
+    idx[:, 0] = np.arange(8)
+    for (i, j), (s, k) in MUL_TABLE.items():
+        idx[i, j] = k
+        sgn[i, j] = s
+    return idx, sgn
+
+
+_REF_IDX, _REF_SGN = _table_arrays()
+
+
+def mul_many_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The original fancy-index product loop, kept as a bit-level oracle.
+
+    Row-major: for each left coordinate i = 0..7 the signed products
+    a_i * b_j are added into a (..., 8) accumulator that starts at +0.0.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.dtype.kind != "f":
+        a = a.astype(np.float64)
+    if b.dtype.kind != "f":
+        b = b.astype(np.float64)
+    out_shape = np.broadcast_shapes(a.shape, b.shape)
+    out = np.zeros(out_shape, dtype=np.result_type(a, b))
+    for i in range(8):
+        # _REF_IDX[i] is a permutation of 0..7, so fancy += has no collisions.
+        out[..., _REF_IDX[i]] += _REF_SGN[i] * (a[..., i, None] * b)
+    return out

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 
 from conftest import octonions
-from oracles import MUL_TABLE
+from oracles import MUL_TABLE, mul_many_reference
 from octomono.algebra import (
     Octonion,
     associator,
@@ -148,6 +148,72 @@ class TestBatchHelpers:
         a = random_octonions(np.random.default_rng(5), 16)
         b = random_octonions(np.random.default_rng(5), 16)
         assert np.array_equal(a, b)
+
+
+def assert_same_bits(got, want):
+    """Equal values, NaNs and zero signs; raw bits where the format has no padding."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    if got.dtype.itemsize in (4, 8) and got.dtype != np.longdouble:
+        uint = np.dtype(f"u{got.dtype.itemsize}")
+        assert np.array_equal(got.view(uint), want.view(uint))
+
+
+class TestMulManyBitIdentity:
+    """mul_many against the original row-major loop in oracles.py."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble, np.float32])
+    def test_batches(self, rng, dtype):
+        a = rng.uniform(-5, 5, (300, 8)).astype(dtype)
+        b = rng.uniform(-5, 5, (300, 8)).astype(dtype)
+        got = mul_many(a, b)
+        assert got.dtype == dtype and got.flags.c_contiguous
+        assert_same_bits(got, mul_many_reference(a, b))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    @pytest.mark.parametrize(
+        "a_shape,b_shape",
+        [((8,), (40, 8)), ((40, 8), (8,)), ((6, 1, 8), (5, 8)), ((8,), (8,)), ((2, 3, 8), (3, 8))],
+    )
+    def test_broadcast_shapes(self, rng, dtype, a_shape, b_shape):
+        a = rng.standard_normal(a_shape).astype(dtype)
+        b = rng.standard_normal(b_shape).astype(dtype)
+        assert_same_bits(mul_many(a, b), mul_many_reference(a, b))
+
+    def test_non_contiguous_views(self, rng):
+        a = rng.standard_normal((60, 8))
+        b = rng.standard_normal((120, 8))
+        cases = [
+            (a[::-1], b[::2]),
+            (a[:, ::-1][:, ::-1], np.asfortranarray(b[:60])),
+            (b[1::2, :], a),
+            (a[7], b[::-3][:40]),
+        ]
+        for x, y in cases:
+            assert_same_bits(mul_many(x, y), mul_many_reference(x, y))
+
+    def test_integer_inputs_promote_to_float64(self, rng):
+        a = rng.integers(-4, 5, (30, 8))
+        b = rng.integers(-4, 5, (30, 8))
+        got = mul_many(a, b)
+        assert got.dtype == np.float64
+        assert_same_bits(got, mul_many_reference(a, b))
+        assert_same_bits(mul_many(a, b.astype(np.float32)), mul_many_reference(a, b.astype(np.float32)))
+
+    def test_signed_zeros(self, rng):
+        a = rng.choice([0.0, -0.0, 1.5, -2.0], size=(400, 8))
+        b = rng.choice([0.0, -0.0, 3.0, -0.5], size=(400, 8))
+        assert_same_bits(mul_many(a, b), mul_many_reference(a, b))
+        zeros = np.zeros(8)
+        assert_same_bits(mul_many(-zeros, -zeros), mul_many_reference(-zeros, -zeros))
+        assert not np.signbit(mul_many(-zeros, zeros)).any()
+
+    def test_basis_by_rows(self, rng):
+        rows = rng.choice([0.0, -0.0, 1.0, -3.0], size=(8, 8))
+        eye = np.eye(8)
+        assert_same_bits(mul_many(eye, rows), mul_many_reference(eye, rows))
+        assert_same_bits(mul_many(rows, eye), mul_many_reference(rows, eye))
 
 
 class TestParseFormat:

@@ -255,6 +255,16 @@ class TestUsageErrors:
     def test_nonpositive_tail_tol(self, capsys):
         assert run_cli(capsys, "trig", "--tail-tol", "0")[0] == 2
 
+    @pytest.mark.parametrize("step", ["0", "-1e-5", "nan", "inf"])
+    def test_bad_fd_step_is_usage_error(self, capsys, step):
+        # a zero step used to report every oregularity residual as 0.0
+        code = main(["trig", "--points", "2", f"--fd-step={step}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_undersized_mc_run(self, capsys):
         code, _ = run_cli(
             capsys, "reproduce", "--experiment", "cauchy_ball", "--samples", "500"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import q0_inline
-from octomono.algebra import Octonion
+from octomono.algebra import Octonion, mul_many
 from octomono.errors import SingularityError
 from octomono.functions import (
     linear_monogenic,
@@ -137,6 +137,31 @@ class TestFiniteDifferenceOperator:
         rg = apply_D_right(g.eval_batch, z)
         assert (lg - Octonion.basis(5) * 2.0).norm() < 1e-9
         assert (rg + Octonion.basis(5) * 2.0).norm() < 1e-9
+
+    def test_nan_image_is_not_dropped(self):
+        # max(0.0, nan) is 0.0; the residual must carry the NaN instead
+        z = Octonion(1.0, 1.0)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(o_regularity_residual(q0_many, [z, z], h=0.0))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_operators_match_general_product_form(self, rng, side):
+        # the gather tables must give the bits of sum_i e_i * rows[i]
+        # (rows[i] * e_i on the right), zero signs included: a signed
+        # permutation at the origin has Jacobian rows full of +-0.0
+        h = 1e-5
+        eye = np.eye(8)
+        perm = rng.permutation(8)
+        scale = np.array([0.0, -0.0, 1.0, -2.0, -0.0, 3.0, -1.0, 0.0])
+        cases = [(q0_many, z) for z in _points_away_from_origin(rng, 10)]
+        cases.append((lambda p: p[..., perm] * scale, np.zeros(8)))
+        for f, z in cases:
+            rows = (f(z + h * eye) - f(z - h * eye)) / (2.0 * h)
+            if side == "left":
+                got, want = apply_D_left(f, z, h), mul_many(eye, rows).sum(axis=0)
+            else:
+                got, want = apply_D_right(f, z, h), mul_many(rows, eye).sum(axis=0)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestFunctionHandles:
