@@ -3,8 +3,8 @@
 DomainError covers inputs outside an operation's domain (non-invertible
 element, point outside a kernel's region, malformed literal).
 SingularityError marks evaluation too close to a pole of a kernel or
-series term.  PolicyError signals that a truncation policy cannot be
-satisfied within its term budget.
+series term.  PolicyError signals that a truncation policy is invalid
+or cannot be satisfied within its term budget.
 """
 
 
@@ -17,4 +17,4 @@ class SingularityError(DomainError):
 
 
 class PolicyError(RuntimeError):
-    """A truncation policy's term budget is too small for the request."""
+    """A truncation policy is invalid or its term budget is too small."""

@@ -16,11 +16,15 @@ Closed-form kernels (ball, half-space) return plain octonions and
 raise only on singular arguments; the reproduction integrals need them
 on the closures of their domains, so no interior check is applied.
 Strip entry points validate domains and return a :class:`KernelEval`
-carrying the truncation tail bound.  The ``*_values`` batch helpers
-evaluate the same sums on arrays of combined arguments ``u`` without
-interior checks; the Monte Carlo layer uses them, including at exterior
-evaluation points where the reproduction integral must vanish instead
-of reproducing.
+carrying the truncation tail bound.  The strip ``*_values`` helpers take
+a batch of combined arguments ``u`` (n, 8) straight to the lattice-sum
+engine of :mod:`octomono.trig_series` at step ``2d``: the Szego kernel
+is the alternating sum, the Bergman kernel ``-2`` times the derivative
+sum, and one tail bound covers every row.  They apply no interior
+checks, only the pole guard; the Monte Carlo layer uses them, including
+at exterior evaluation points where the reproduction integral must
+vanish instead of reproducing.  The other ``*_values`` helpers are the
+batched closed forms.
 """
 
 from __future__ import annotations
@@ -32,10 +36,9 @@ from typing import Union
 import numpy as np
 
 from .algebra import Octonion, mul, mul_many
-from .errors import DomainError, PolicyError, SingularityError
+from .errors import DomainError, SingularityError
 from .regularity import FiniteDiffConfig, dq0_dx0, q0_many
 from .trig_series import (
-    POLE_GUARD,
     PeriodizedSumSpec,
     TruncationPolicy,
     periodized_deriv_sum,
@@ -322,17 +325,6 @@ def strip_relation_residual(
 # Batch evaluation on combined arguments (used by the Monte Carlo layer)
 
 
-def _batch_terms(u: np.ndarray, step: float, policy: TruncationPolicy, margin: float) -> int:
-    norms = np.sqrt(np.einsum("ij,ij->i", u, u))
-    max_norm = float(norms.max()) if norms.size else 0.0
-    n = int(math.floor((max_norm + margin) / step)) + 1
-    if n > policy.max_terms:
-        raise PolicyError(
-            f"batch periodized sum needs {n} one-sided terms, policy allows {policy.max_terms}"
-        )
-    return n
-
-
 def szego_strip_values(
     u: np.ndarray, d: float, policy: TruncationPolicy = TruncationPolicy()
 ) -> tuple[np.ndarray, float]:
@@ -341,64 +333,16 @@ def szego_strip_values(
     Returns (values, tail_bound).  No interior checks; only the pole
     guard is enforced, so exterior combined arguments are allowed.
     """
-    u = np.asarray(u, dtype=np.float64)
-    step = 2.0 * d
-    margin = (1.0 / (3.0 * step * policy.tail_tol)) ** (1.0 / 6.0)
-    n_side = _batch_terms(u, step, policy, margin)
-    u0 = u[:, 0]
-    uim = u[:, 1:]
-    s2 = np.einsum("ij,ij->i", uim, uim)
-    acc_re = np.zeros_like(u0)
-    acc_im = np.zeros_like(u0)
-    min_r2 = math.inf
-    for k in range(-n_side, n_side + 1):
-        t = u0 + step * k
-        r2 = t * t + s2
-        min_r2 = min(min_r2, float(r2.min()))
-        r8 = (r2 * r2) ** 2
-        sign = -1.0 if (k % 2) else 1.0
-        acc_re += sign * t / r8
-        acc_im += sign / r8
-    if min_r2 < POLE_GUARD * POLE_GUARD:
-        raise SingularityError("a combined argument lies on the singular lattice")
-    out = np.empty_like(u)
-    out[:, 0] = acc_re
-    out[:, 1:] = -uim * acc_im[:, None]
-    norms = np.sqrt(u0 * u0 + s2)
-    tail = (1.0 / (3.0 * step)) * (step * n_side - float(norms.max())) ** -6
-    return out, tail
+    res = periodized_sum(u, PeriodizedSumSpec(2.0 * d, alternating=True), policy)
+    return res.value, res.tail_bound
 
 
 def bergman_strip_values(
     u: np.ndarray, d: float, policy: TruncationPolicy = TruncationPolicy()
 ) -> tuple[np.ndarray, float]:
     """Volume kernel -2 sum_n d/dx0 q0(u + 2dn) on combined arguments u."""
-    u = np.asarray(u, dtype=np.float64)
-    step = 2.0 * d
-    margin = (18.0 / (7.0 * step * policy.tail_tol)) ** (1.0 / 7.0)
-    n_side = _batch_terms(u, step, policy, margin)
-    u0 = u[:, 0]
-    uim = u[:, 1:]
-    s2 = np.einsum("ij,ij->i", uim, uim)
-    acc_re = np.zeros_like(u0)
-    acc_im = np.zeros_like(u0)
-    min_r2 = math.inf
-    for k in range(-n_side, n_side + 1):
-        t = u0 + step * k
-        r2 = t * t + s2
-        min_r2 = min(min_r2, float(r2.min()))
-        r8 = (r2 * r2) ** 2
-        r10 = r8 * r2
-        acc_re += 1.0 / r8 - 8.0 * t * t / r10
-        acc_im += 8.0 * t / r10
-    if min_r2 < POLE_GUARD * POLE_GUARD:
-        raise SingularityError("a combined argument lies on the singular lattice")
-    out = np.empty_like(u)
-    out[:, 0] = -2.0 * acc_re
-    out[:, 1:] = -2.0 * uim * acc_im[:, None]
-    norms = np.sqrt(u0 * u0 + s2)
-    tail = 2.0 * (18.0 / (7.0 * step)) * (step * n_side - float(norms.max())) ** -7
-    return out, tail
+    res = periodized_deriv_sum(u, PeriodizedSumSpec(2.0 * d), policy)
+    return res.value * -2.0, 2.0 * res.tail_bound
 
 
 def szego_half_space_values(u: np.ndarray) -> np.ndarray:

@@ -60,6 +60,13 @@ class McConfig:
     chunk: int = 131_072
     threads: int = 1
 
+    def __post_init__(self) -> None:
+        for name in ("samples", "chunk", "threads"):
+            if getattr(self, name) < 1:
+                raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 < self.radius < math.inf:
+            raise DomainError(f"radius must be positive and finite, got {self.radius}")
+
 
 @dataclass(frozen=True)
 class SampleBatch:
@@ -176,6 +183,16 @@ def half_space_boundary_region(radius: float) -> Region:
     return Region("half_space_boundary", "boundary", sampler)
 
 
+def _chunk_batch(region: Region, cfg: McConfig, i: int) -> SampleBatch:
+    """Chunk i's samples, drawn from its own substream (cfg.seed, i)."""
+    start = i * cfg.chunk
+    count = min(cfg.chunk, cfg.samples - start)
+    rng = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,)))
+    )
+    return region.sampler(rng, count, start, cfg.samples)
+
+
 def sample(region: Region, cfg: McConfig):
     """Yield the deterministic sample batches of a run, one per chunk.
 
@@ -183,16 +200,8 @@ def sample(region: Region, cfg: McConfig):
     (cfg.seed, chunk index), so the stream is identical to what the
     estimators consume and independent of the thread count.
     """
-    if cfg.samples < 1:
-        raise DomainError("samples must be positive")
-    n_chunks = -(-cfg.samples // cfg.chunk)
-    for i in range(n_chunks):
-        start = i * cfg.chunk
-        count = min(cfg.chunk, cfg.samples - start)
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,)))
-        )
-        yield region.sampler(rng, count, start, cfg.samples)
+    for i in range(-(-cfg.samples // cfg.chunk)):
+        yield _chunk_batch(region, cfg, i)
 
 
 # ---------------------------------------------------------------------------
@@ -202,17 +211,8 @@ def sample(region: Region, cfg: McConfig):
 def _accumulate(
     region: Region, integrand: Integrand, cfg: McConfig
 ) -> tuple[np.ndarray, float, float]:
-    if cfg.samples < 1:
-        raise DomainError("samples must be positive")
-    n_chunks = -(-cfg.samples // cfg.chunk)
-
     def work(i: int) -> tuple[np.ndarray, float, float]:
-        start = i * cfg.chunk
-        count = min(cfg.chunk, cfg.samples - start)
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,)))
-        )
-        batch = region.sampler(rng, count, start, cfg.samples)
+        batch = _chunk_batch(region, cfg, i)
         values, aux = integrand(batch)
         weighted = batch.weights[:, None] * values
         part_a = weighted.sum(axis=0)
@@ -221,6 +221,7 @@ def _accumulate(
         )
         return part_a, part_b, aux
 
+    n_chunks = -(-cfg.samples // cfg.chunk)
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             parts = list(pool.map(work, range(n_chunks)))
@@ -229,11 +230,11 @@ def _accumulate(
 
     total_a = np.zeros(8)
     total_b = 0.0
-    aux_max = 0.0
-    for part_a, part_b, aux in parts:  # fixed chunk order
+    for part_a, part_b, _ in parts:  # fixed chunk order
         total_a = total_a + part_a
         total_b += part_b
-        aux_max = max(aux_max, aux)
+    # np.max keeps a NaN shell statistic, where max(0.0, nan) would drop it
+    aux_max = float(np.max([aux for _, _, aux in parts], initial=0.0))
     return total_a, total_b, aux_max
 
 

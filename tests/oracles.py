@@ -52,6 +52,71 @@ def brute_deriv_sum(z: np.ndarray, step: float, n_terms: int) -> np.ndarray:
     ) / (2.0 * h)
 
 
+def _strip_batch_terms(u: np.ndarray, step: float, margin: float) -> int:
+    norms = np.sqrt(np.einsum("ij,ij->i", u, u))
+    return int(np.floor((float(norms.max()) + margin) / step)) + 1
+
+
+def szego_strip_values_reference(
+    u: np.ndarray, d: float, tail_tol: float = 1e-12
+) -> tuple[np.ndarray, float]:
+    """The original per-k loop for the Szego strip kernel, kept as a bit-level oracle.
+
+    Each row's terms are added in the order k = -n..n into accumulators
+    that start at +0.0.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    step = 2.0 * d
+    margin = (1.0 / (3.0 * step * tail_tol)) ** (1.0 / 6.0)
+    n_side = _strip_batch_terms(u, step, margin)
+    u0 = u[:, 0]
+    uim = u[:, 1:]
+    s2 = np.einsum("ij,ij->i", uim, uim)
+    acc_re = np.zeros_like(u0)
+    acc_im = np.zeros_like(u0)
+    for k in range(-n_side, n_side + 1):
+        t = u0 + step * k
+        r2 = t * t + s2
+        r8 = (r2 * r2) ** 2
+        sign = -1.0 if (k % 2) else 1.0
+        acc_re += sign * t / r8
+        acc_im += sign / r8
+    out = np.empty_like(u)
+    out[:, 0] = acc_re
+    out[:, 1:] = -uim * acc_im[:, None]
+    norms = np.sqrt(u0 * u0 + s2)
+    tail = (1.0 / (3.0 * step)) * (step * n_side - float(norms.max())) ** -6
+    return out, tail
+
+
+def bergman_strip_values_reference(
+    u: np.ndarray, d: float, tail_tol: float = 1e-12
+) -> tuple[np.ndarray, float]:
+    """The original per-k loop for the Bergman strip kernel, kept as a bit-level oracle."""
+    u = np.asarray(u, dtype=np.float64)
+    step = 2.0 * d
+    margin = (18.0 / (7.0 * step * tail_tol)) ** (1.0 / 7.0)
+    n_side = _strip_batch_terms(u, step, margin)
+    u0 = u[:, 0]
+    uim = u[:, 1:]
+    s2 = np.einsum("ij,ij->i", uim, uim)
+    acc_re = np.zeros_like(u0)
+    acc_im = np.zeros_like(u0)
+    for k in range(-n_side, n_side + 1):
+        t = u0 + step * k
+        r2 = t * t + s2
+        r8 = (r2 * r2) ** 2
+        r10 = r8 * r2
+        acc_re += 1.0 / r8 - 8.0 * t * t / r10
+        acc_im += 8.0 * t / r10
+    out = np.empty_like(u)
+    out[:, 0] = -2.0 * acc_re
+    out[:, 1:] = -2.0 * uim * acc_im[:, None]
+    norms = np.sqrt(u0 * u0 + s2)
+    tail = 2.0 * (18.0 / (7.0 * step)) * (step * n_side - float(norms.max())) ** -7
+    return out, tail
+
+
 def lambda_sum(s: float, terms: int = 200_000) -> float:
     """sum over odd k >= 1 of k^-s."""
     k = np.arange(1, 2 * terms, 2, dtype=np.float64)

@@ -9,6 +9,12 @@ TOP_KEYS = ["command", "params", "seed", "results", "elapsed_ms"]
 ROW_KEYS = ["name", "value", "target", "residual", "tolerance", "tail_bound", "pass"]
 
 
+STRIP_EVAL = [
+    "eval-kernel", "--kernel", "szego_strip", "--z", "0.5", "--w", "0.5", "--d", "1"
+]
+STRIP_MC = ["reproduce", "--experiment", "szego_strip", "--samples", "1000"]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -255,15 +261,39 @@ class TestUsageErrors:
     def test_nonpositive_tail_tol(self, capsys):
         assert run_cli(capsys, "trig", "--tail-tol", "0")[0] == 2
 
-    @pytest.mark.parametrize("step", ["0", "-1e-5", "nan", "inf"])
-    def test_bad_fd_step_is_usage_error(self, capsys, step):
-        # a zero step used to report every oregularity residual as 0.0
-        code = main(["trig", "--points", "2", f"--fd-step={step}"])
+    @staticmethod
+    def assert_usage_error(capsys, argv):
+        code = main(argv)
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("step", ["0", "-1e-5", "nan", "inf"])
+    def test_bad_fd_step_is_usage_error(self, capsys, step):
+        # a zero step used to report every oregularity residual as 0.0
+        self.assert_usage_error(capsys, ["trig", "--points", "2", f"--fd-step={step}"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--tail-tol=0", *STRIP_EVAL],
+            ["--tail-tol=-1", *STRIP_EVAL],
+            ["--tail-tol=nan", *STRIP_EVAL],
+            ["--tail-tol=nan", "trig", "--points", "2"],
+            ["--tail-tol=0", "limit-study", "--d-values", "2,4"],
+            ["--radius=0", *STRIP_MC],
+            ["--radius=-1", *STRIP_MC],
+            ["--threads=0", *STRIP_MC],
+            ["--threads=-1", *STRIP_MC],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_bad_policy_or_mc_config_is_usage_error(self, capsys, argv):
+        # these used to exit 1 with a traceback, or to run on a negative
+        # measure (--radius -1) or with no worker (--threads 0)
+        self.assert_usage_error(capsys, argv)
 
     def test_undersized_mc_run(self, capsys):
         code, _ = run_cli(

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import octonions
-from oracles import brute_deriv_sum, brute_lattice_sum, lambda_sum
+from oracles import (
+    bergman_strip_values_reference,
+    brute_deriv_sum,
+    brute_lattice_sum,
+    lambda_sum,
+    szego_strip_values_reference,
+)
 from octomono.algebra import Octonion, conj, mul
 from octomono.errors import DomainError, SingularityError
 from octomono.kernels import (
@@ -27,7 +33,7 @@ from octomono.kernels import (
     szego_unit_ball,
 )
 from octomono.regularity import partial_derivative, q0_many
-from octomono.trig_series import TruncationPolicy
+from octomono.trig_series import _BLOCK_ROWS, TruncationPolicy
 
 TIGHT = TruncationPolicy(tail_tol=1e-14)
 
@@ -282,6 +288,42 @@ class TestDomainChecks:
     def test_strip_bad_method(self):
         with pytest.raises(ValueError):
             szego_strip(Octonion(0.5), Octonion(0.5), StripDomain(1.0), method="x")
+
+
+def _strip_combined_args(rng, n, d, radius=2.0):
+    # u = z + conj(w) for z at mid-strip and w sampled on the truncated
+    # walls and inside the strip, as the Monte Carlo estimators form it
+    u = np.empty((n, 8))
+    u[:, 0] = 0.5 * d + rng.uniform(0.0, d, n)
+    dirs = rng.normal(size=(n, 7))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    u[:, 1:] = dirs * (radius * rng.uniform(size=n) ** (1.0 / 7.0))[:, None]
+    return u
+
+
+class TestStripValuesBitIdentity:
+    """The lattice-sum engine reproduces the per-k loop bit for bit, so
+    Monte Carlo reports keep their bytes at every batch size."""
+
+    @pytest.mark.parametrize(
+        "n", [1, 2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 82_496, 131_072]
+    )
+    @pytest.mark.parametrize(
+        "engine, reference",
+        [
+            (szego_strip_values, szego_strip_values_reference),
+            (bergman_strip_values, bergman_strip_values_reference),
+        ],
+        ids=["szego", "bergman"],
+    )
+    def test_matches_per_k_loop(self, rng, n, engine, reference):
+        for d in (1.0, 0.7):
+            u = _strip_combined_args(rng, n, d)
+            got, got_tail = engine(u, d)
+            want, want_tail = reference(u, d)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            tails = np.array([got_tail, want_tail])
+            assert tails.view(np.int64)[0] == tails.view(np.int64)[1]
 
 
 class TestBatchHelpers:

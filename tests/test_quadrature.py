@@ -155,6 +155,25 @@ class TestSampling:
             list(sample(sphere_region(1.0), McConfig(samples=0)))
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"samples": 0},
+            {"chunk": 0},
+            {"threads": 0},
+            {"threads": -1},
+            {"radius": 0.0},
+            {"radius": -1.0},
+            {"radius": math.nan},
+            {"radius": math.inf},
+        ],
+    )
+    def test_rejects_values_it_cannot_honour(self, kwargs):
+        with pytest.raises(DomainError):
+            McConfig(**kwargs)
+
+
 class TestEngine:
     def test_hardy_identity_has_zero_variance(self):
         got = inner_product_hardy_ball(ONE, ONE, McConfig(seed=1, samples=100_000))
@@ -306,6 +325,15 @@ class TestFlatReproduction:
         cfg = McConfig(seed=5, samples=60_000, radius=1.1)
         with pytest.warns(UserWarning, match="increase radius"):
             szego_reproduce_strip(f, Octonion(0.5), dom, cfg)
+
+    def test_nan_integrand_gives_nan_tail_estimate(self):
+        # the shell statistic of a NaN integrand is NaN; the chunk
+        # reduction must keep it rather than report a zero tail
+        dom = StripDomain(1.0)
+        nan_fn = lambda pts: np.full(np.shape(pts), np.nan)  # noqa: E731
+        cfg = McConfig(seed=5, samples=2_000, radius=2.0)
+        r = szego_reproduce_strip(nan_fn, Octonion(0.5), dom, cfg)
+        assert math.isnan(r.tail_est)
 
     def test_comfortable_radius_is_silent(self):
         dom = StripDomain(1.0)

@@ -114,6 +114,66 @@ class TestPeriodizedSum:
             assert np.abs(got - fd).max() < 1e-6
 
 
+class TestBatches:
+    """A batch (n, 8) gives each row its single-point value within the
+    two tail bounds; the batch may sum more terms than a lone point."""
+
+    @pytest.mark.parametrize("fn", [cot, csc, tan, sec])
+    def test_trig_rows_match_single_points(self, rng, fn):
+        pts = _generic_points(rng, 12)
+        batch = fn(pts, TIGHT)
+        assert batch.value.shape == pts.shape
+        for p, row in zip(pts, batch.value):
+            single = fn(p, TIGHT)
+            assert single.terms <= batch.terms
+            gap = np.abs(row - single.value).max()
+            assert gap <= batch.tail_bound + single.tail_bound + 1e-13
+
+    @pytest.mark.parametrize("alternating", [False, True])
+    def test_deriv_rows_match_single_points(self, rng, alternating):
+        spec = PeriodizedSumSpec(step=2.0, alternating=alternating)
+        pts = _generic_points(rng, 12)
+        batch = periodized_deriv_sum(pts, spec, TIGHT)
+        for p, row in zip(pts, batch.value):
+            single = periodized_deriv_sum(p, spec, TIGHT)
+            gap = np.abs(row - single.value).max()
+            assert gap <= batch.tail_bound + single.tail_bound + 1e-13
+
+    def test_identity_residuals_per_row(self, rng):
+        pts = _generic_points(rng, 6)
+        dup = duplication_residual(pts, TIGHT)
+        combined = combined_relation_residuals(pts, TIGHT)
+        assert dup.shape == combined.against_two_cot.shape == (6,)
+        for i, p in enumerate(pts):
+            assert abs(dup[i] - duplication_residual(p, TIGHT)) < 1e-10
+            single = combined_relation_residuals(p, TIGHT)
+            assert abs(combined.against_two_cot[i] - single.against_two_cot) < 1e-10
+            assert abs(
+                combined.against_duplication[i] - single.against_duplication
+            ) < 1e-9
+
+    def test_octonion_in_octonion_out(self):
+        res = cot(Octonion(0.4, 1.0), TIGHT)
+        assert isinstance(res.value, Octonion)
+        assert isinstance(tan(Octonion(0.4, 1.0), TIGHT).value, Octonion)
+
+
+class TestPolicyValidation:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tail_tol": 0.0},
+            {"tail_tol": -1.0},
+            {"tail_tol": math.nan},
+            {"tail_tol": math.inf},
+            {"max_terms": 0},
+        ],
+    )
+    def test_rejects_values_it_cannot_honour(self, kwargs):
+        with pytest.raises(PolicyError):
+            TruncationPolicy(**kwargs)
+
+
 class TestSymmetries:
     def test_cot_periodic_with_pi(self, rng):
         for p in _generic_points(rng, 5):
