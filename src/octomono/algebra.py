@@ -25,6 +25,7 @@ with conjugation ``(conj(A), -B)``.
 from __future__ import annotations
 
 import json
+import math
 import re
 from typing import Iterable, Sequence
 
@@ -309,8 +310,17 @@ def parse_octonion(text: str) -> Octonion:
       * a bare real number: ``1.5`` (so ``3e1`` is the real 30.0)
       * a sum of terms: ``1.5 + 2 e1 - 0.5*e7``; a coefficient and a
         unit must be separated by whitespace or ``*``.
+
+    A coordinate that is not finite (``nan``, ``inf``, an overflow) is
+    rejected in every form.
     """
-    s = text.strip()
+    value = _parse_literal(text.strip())
+    if not all(math.isfinite(c) for c in value.coords):
+        raise DomainError(f"octonion literal has a non-finite coordinate: {text!r}")
+    return value
+
+
+def _parse_literal(s: str) -> Octonion:
     if not s:
         raise DomainError("empty octonion literal")
     if s.startswith("["):

@@ -44,7 +44,7 @@ from .quadrature import (
     szego_reproduce_ball,
     szego_reproduce_strip,
 )
-from .regularity import o_regularity_residual
+from .regularity import FiniteDiffConfig, o_regularity_residual
 from .trig_series import (
     TruncationPolicy,
     combined_relation_residuals,
@@ -119,9 +119,13 @@ def _scalarize(value) -> str:
 def _emit(report: dict, csv_path: str | None) -> None:
     rows = report["results"]
     d_col = [r.pop("_d") for r in rows]
-    print(json.dumps(report, indent=2))
     if csv_path:
-        with open(csv_path, "w", newline="") as fh:
+        # written before the JSON, so a path that cannot be opened leaves stdout empty
+        try:
+            fh = open(csv_path, "w", newline="")
+        except OSError as exc:
+            raise DomainError(f"cannot write CSV: {exc}") from None
+        with fh:
             writer = csv.writer(fh)
             writer.writerow(["name", "d", "value", "target", "residual"])
             for r, d in zip(rows, d_col):
@@ -134,6 +138,7 @@ def _emit(report: dict, csv_path: str | None) -> None:
                         "" if r["residual"] is None else repr(float(r["residual"])),
                     ]
                 )
+    print(json.dumps(report, indent=2))
 
 
 def _finish(command, params, seed, rows, t0, csv_path) -> int:
@@ -240,9 +245,7 @@ def _trig_points(rng: np.random.Generator, count: int) -> np.ndarray:
 def _cmd_trig(args, t0) -> int:
     if args.points < 1:
         raise DomainError("points must be >= 1")
-    if not 0.0 < args.fd_step < math.inf:
-        # a zero step makes every difference quotient 0/0 = NaN
-        raise DomainError("fd_step must be positive and finite")
+    fd = FiniteDiffConfig(args.fd_step)
     policy = TruncationPolicy(tail_tol=args.tail_tol)
     rng = np.random.default_rng(args.seed)
     pts = _trig_points(rng, args.points)
@@ -280,7 +283,7 @@ def _cmd_trig(args, t0) -> int:
 
     for name, fn in (("cot", cot), ("tan", tan), ("csc", csc), ("sec", sec)):
         resid = o_regularity_residual(
-            lambda a, fn=fn: fn(a, policy).value, list(pts), h=args.fd_step
+            lambda a, fn=fn: fn(a, policy).value, list(pts), h=fd.h
         )
         rows.append(_check_row(f"oregularity_{name}", resid, 0.0, resid, 1e-6))
 

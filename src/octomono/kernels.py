@@ -58,8 +58,8 @@ class StripDomain:
     d: float
 
     def __post_init__(self) -> None:
-        if not self.d > 0.0:
-            raise DomainError(f"strip width must be positive, got {self.d}")
+        if not 0.0 < self.d < math.inf:
+            raise DomainError(f"strip width must be positive and finite, got {self.d}")
 
     def contains(self, z: PointLike, margin: float = 0.0) -> bool:
         x0 = z.real if isinstance(z, Octonion) else float(np.asarray(z)[..., 0])

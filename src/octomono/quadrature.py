@@ -1,5 +1,12 @@
 """Seeded Monte Carlo verification of the reproducing identities.
 
+Each estimator is one call of the engine ``_estimate``, which reduces an
+integrand's (n, 8) value rows chunk by chunk, computes the truncation
+tail and raises the one warning.  All integrands but the two Cauchy
+checks are the pairing (L conj(nu)) (nu f) of ``_paired``: L is conj(g)
+or a kernel section, nu is w on the unit sphere, w/|w| in the ball and 1
+on the flat regions, where the pairing is L f.
+
 Determinism contract: for a fixed (seed, samples, chunk) the result is
 bit-identical at any thread count.  Sample index space is split into
 fixed-size chunks; chunk i draws from its own counter-based substream
@@ -10,9 +17,10 @@ floating-point operation.
 Sampling is plain uniform Monte Carlo over each region (no importance
 sampling, no low-discrepancy sequences, no adaptivity).  Unbounded
 regions (strip boundary planes, strip volume, half-space boundary) are
-truncated at ``radius`` in the imaginary directions; estimators report
-a truncation tail estimate calibrated from the outermost samples, and
-warn when it is not small against the result.
+truncated at ``radius`` in the imaginary directions; their estimators
+name the integrand's decay exponent, the engine extrapolates a tail
+estimate from the outermost samples and warns when it is not small
+against the result, or when the estimate is not finite.
 """
 
 from __future__ import annotations
@@ -64,8 +72,12 @@ class McConfig:
         for name in ("samples", "chunk", "threads"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0.0 < self.radius < math.inf:
-            raise DomainError(f"radius must be positive and finite, got {self.radius}")
+        try:  # radius**7 raises OverflowError past the float range
+            finite = math.isfinite(ball7_volume(self.radius))
+        except OverflowError:
+            finite = False
+        if not (self.radius > 0.0 and finite):
+            raise DomainError(f"radius must be positive with a finite measure, got {self.radius}")
 
 
 @dataclass(frozen=True)
@@ -90,14 +102,18 @@ class MCResult:
     samples: int
 
 
-Integrand = Callable[[SampleBatch], tuple[np.ndarray, float]]
-
-
 def _directions(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     g = rng.standard_normal((count, dim))
     n = np.sqrt(np.einsum("ij,ij->i", g, g))
     n[n == 0.0] = 1.0
     return g / n[:, None]
+
+
+def _uniform_ball(rng: np.random.Generator, count: int, dim: int, radius: float) -> np.ndarray:
+    """Uniform points of the centred dim-ball: directions drawn first, then radii."""
+    dirs = _directions(rng, count, dim)
+    r = radius * rng.uniform(size=count) ** (1.0 / dim)
+    return r[:, None] * dirs
 
 
 def sphere_region(radius: float = 1.0, center: Octonion = Octonion()) -> Region:
@@ -117,10 +133,8 @@ def ball_region(radius: float = 1.0, center: Octonion = Octonion()) -> Region:
     c = center.to_array()
 
     def sampler(rng, count, start, total):
-        dirs = _directions(rng, count, 8)
-        r = radius * rng.uniform(size=count) ** 0.125
-        weights = np.full(count, volume / total)
-        return SampleBatch(c + r[:, None] * dirs, weights, None)
+        pts = c + _uniform_ball(rng, count, 8, radius)
+        return SampleBatch(pts, np.full(count, volume / total), None)
 
     return Region("ball", "volume", sampler)
 
@@ -133,10 +147,8 @@ def strip_boundary_region(domain: StripDomain, radius: float) -> Region:
     def sampler(rng, count, start, total):
         if total < 2:
             raise DomainError("strip boundary sampling needs at least 2 samples")
-        dirs = _directions(rng, count, 7)
-        r = radius * rng.uniform(size=count) ** (1.0 / 7.0)
         pts = np.zeros((count, 8))
-        pts[:, 1:] = r[:, None] * dirs
+        pts[:, 1:] = _uniform_ball(rng, count, 7, radius)
         idx = start + np.arange(count)
         on_top = (idx % 2) == 1
         pts[on_top, 0] = domain.d
@@ -154,14 +166,10 @@ def strip_volume_region(domain: StripDomain, radius: float) -> Region:
     measure = domain.d * ball7_volume(radius)
 
     def sampler(rng, count, start, total):
-        dirs = _directions(rng, count, 7)
-        r = radius * rng.uniform(size=count) ** (1.0 / 7.0)
-        x0 = rng.uniform(0.0, domain.d, size=count)
         pts = np.empty((count, 8))
-        pts[:, 0] = x0
-        pts[:, 1:] = r[:, None] * dirs
-        weights = np.full(count, measure / total)
-        return SampleBatch(pts, weights, None)
+        pts[:, 1:] = _uniform_ball(rng, count, 7, radius)
+        pts[:, 0] = rng.uniform(0.0, domain.d, size=count)
+        return SampleBatch(pts, np.full(count, measure / total), None)
 
     return Region("strip_volume", "volume", sampler)
 
@@ -171,10 +179,8 @@ def half_space_boundary_region(radius: float) -> Region:
     plane_measure = ball7_volume(radius)
 
     def sampler(rng, count, start, total):
-        dirs = _directions(rng, count, 7)
-        r = radius * rng.uniform(size=count) ** (1.0 / 7.0)
         pts = np.zeros((count, 8))
-        pts[:, 1:] = r[:, None] * dirs
+        pts[:, 1:] = _uniform_ball(rng, count, 7, radius)
         normals = np.zeros((count, 8))
         normals[:, 0] = -1.0
         weights = np.full(count, plane_measure / total)
@@ -208,18 +214,40 @@ def sample(region: Region, cfg: McConfig):
 # Engine
 
 
-def _accumulate(
-    region: Region, integrand: Integrand, cfg: McConfig
-) -> tuple[np.ndarray, float, float]:
+def _estimate(
+    region: Region,
+    integrand: Callable[[SampleBatch], np.ndarray],
+    cfg: McConfig,
+    const: float = REPRO_CONST,
+    decay: int = 0,
+    width: float = 0.0,
+) -> MCResult:
+    """const times the weighted sum of the integrand's (n, 8) value rows.
+
+    A nonzero ``decay`` declares that the integrand falls off like
+    |Im w|^-decay beyond the truncation radius, across a region of
+    transverse ``width``; the tail estimate integrates that law from the
+    largest shell statistic of any chunk.  Warns, at the estimator's
+    caller, when the estimate is not finite or the tail is not small
+    against it.
+    """
+
     def work(i: int) -> tuple[np.ndarray, float, float]:
         batch = _chunk_batch(region, cfg, i)
-        values, aux = integrand(batch)
+        values = integrand(batch)
         weighted = batch.weights[:, None] * values
         part_a = weighted.sum(axis=0)
         part_b = float(
             (batch.weights**2 * np.einsum("ij,ij->i", values, values)).sum()
         )
-        return part_a, part_b, aux
+        shell = 0.0  # max |value| * |Im w|^decay over the outer calibration shell
+        if decay:
+            y = np.sqrt(np.einsum("ij,ij->i", batch.points[:, 1:], batch.points[:, 1:]))
+            mask = y > SHELL_FRACTION * cfg.radius
+            if mask.any():
+                mags = np.sqrt(np.einsum("ij,ij->i", values[mask], values[mask]))
+                shell = float((mags * y[mask] ** decay).max())
+        return part_a, part_b, shell
 
     n_chunks = -(-cfg.samples // cfg.chunk)
     if cfg.threads > 1:
@@ -233,57 +261,72 @@ def _accumulate(
     for part_a, part_b, _ in parts:  # fixed chunk order
         total_a = total_a + part_a
         total_b += part_b
-    # np.max keeps a NaN shell statistic, where max(0.0, nan) would drop it
-    aux_max = float(np.max([aux for _, _, aux in parts], initial=0.0))
-    return total_a, total_b, aux_max
+    tail_est = 0.0
+    if decay:
+        # np.max keeps a NaN shell statistic, where max(0.0, nan) would drop it
+        shell_c = float(np.max([shell for _, _, shell in parts], initial=0.0))
+        # integral of shell_c * r^-decay over the truncated exterior,
+        # area element ~ SPHERE6_AREA r^6 dr, extra transverse width folded in.
+        tail_est = (
+            REPRO_CONST
+            * shell_c
+            * SPHERE6_AREA
+            * width
+            * cfg.radius ** (7 - decay)
+            / (decay - 7)
+        )
 
-
-def _result(
-    total_a: np.ndarray,
-    total_b: float,
-    cfg: McConfig,
-    const: float,
-    tail_est: float = 0.0,
-) -> MCResult:
     var = max(total_b - float(total_a @ total_a) / cfg.samples, 0.0)
     value = Octonion(*(const * total_a))
     result = MCResult(value, const * math.sqrt(var), tail_est, cfg.samples)
-    if tail_est > 0.1 * (value.norm() + result.std_err):
-        warnings.warn(
+    size = f"|{value.norm():.3e}| +/- {result.std_err:.3e}"
+    if not np.isfinite([*value.coords, result.std_err, tail_est]).all():
+        problem = f"estimate {size} with truncation tail {tail_est:.3e} is not finite"
+    elif tail_est > 0.1 * (value.norm() + result.std_err):
+        problem = (
             f"truncation tail estimate {tail_est:.3e} is not small against the "
-            f"result |{value.norm():.3e}| +/- {result.std_err:.3e}; increase radius",
-            stacklevel=3,
+            f"result {size}; increase radius"
         )
+    else:
+        return result
+    warnings.warn(problem, stacklevel=3)
     return result
-
-
-def _shell_stat(
-    values: np.ndarray, points: np.ndarray, radius: float, decay: int
-) -> float:
-    """max |integrand| * |Im w|^decay over the outer calibration shell."""
-    y = np.sqrt(np.einsum("ij,ij->i", points[:, 1:], points[:, 1:]))
-    mask = y > SHELL_FRACTION * radius
-    if not mask.any():
-        return 0.0
-    mags = np.sqrt(np.einsum("ij,ij->i", values[mask], values[mask]))
-    return float((mags * y[mask] ** decay).max())
-
-
-def _tail_estimate(shell_c: float, radius: float, decay: int, width: float) -> float:
-    # integral of shell_c * r^-decay over the truncated exterior,
-    # area element ~ SPHERE6_AREA r^6 dr, extra transverse width folded in.
-    return (
-        REPRO_CONST
-        * shell_c
-        * SPHERE6_AREA
-        * width
-        * radius ** (7 - decay)
-        / (decay - 7)
-    )
 
 
 def _as_handle(f) -> Callable[[np.ndarray], np.ndarray]:
     return f if callable(f) else f.eval_batch
+
+
+def _paired(left, f, twist=None) -> Callable[[SampleBatch], np.ndarray]:
+    """Integrand (L conj(nu)) (nu f) of an inner product, or L f without a twist.
+
+    ``left`` maps sample points to the rows of L (``conj(g)`` or a kernel
+    section) and ``twist`` maps them to the rows of nu.
+    """
+    fn = _as_handle(f)
+
+    def integrand(batch: SampleBatch) -> np.ndarray:
+        lhs = left(batch.points)
+        if twist is None:
+            return mul_many(lhs, fn(batch.points))
+        nu = twist(batch.points)
+        return mul_many(mul_many(lhs, conj_many(nu)), mul_many(nu, fn(batch.points)))
+
+    return integrand
+
+
+def _conj_of(g) -> Callable[[np.ndarray], np.ndarray]:
+    gn = _as_handle(g)
+    return lambda points: conj_many(gn(points))
+
+
+def _unit_rows(points: np.ndarray) -> np.ndarray:
+    n = np.sqrt(np.einsum("ij,ij->i", points, points))
+    unit = np.zeros_like(points)
+    safe = n > 1e-12
+    unit[safe] = points[safe] / n[safe, None]
+    unit[~safe, 0] = 1.0  # measure-zero center; continuity value
+    return unit
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +339,9 @@ def cauchy_theorem_check(f, cfg: McConfig, radius: float = 1.0) -> MCResult:
     fn = _as_handle(f)
 
     def integrand(batch: SampleBatch):
-        return mul_many(batch.normals, fn(batch.points)), 0.0
+        return mul_many(batch.normals, fn(batch.points))
 
-    a, b, _ = _accumulate(sphere_region(radius), integrand, cfg)
-    return _result(a, b, cfg, 1.0)
+    return _estimate(sphere_region(radius), integrand, cfg, const=1.0)
 
 
 def cauchy_formula_reproduce(
@@ -323,13 +365,10 @@ def cauchy_formula_reproduce(
     def integrand(batch: SampleBatch):
         kernel = q0_many(batch.points - zc)
         if grouping == "normal_first":
-            vals = mul_many(kernel, mul_many(batch.normals, fn(batch.points)))
-        else:
-            vals = mul_many(mul_many(kernel, batch.normals), fn(batch.points))
-        return vals, 0.0
+            return mul_many(kernel, mul_many(batch.normals, fn(batch.points)))
+        return mul_many(mul_many(kernel, batch.normals), fn(batch.points))
 
-    a, b, _ = _accumulate(sphere_region(1.0), integrand, cfg)
-    return _result(a, b, cfg, REPRO_CONST)
+    return _estimate(sphere_region(1.0), integrand, cfg)
 
 
 def szego_reproduce_ball(f, z: Octonion, cfg: McConfig) -> MCResult:
@@ -337,38 +376,13 @@ def szego_reproduce_ball(f, z: Octonion, cfg: McConfig) -> MCResult:
 
     No interior check: exterior z targets 0.
     """
-    fn = _as_handle(f)
-
-    def integrand(batch: SampleBatch):
-        kernel = szego_ball_values(z, batch.points)
-        left = mul_many(kernel, conj_many(batch.points))
-        right = mul_many(batch.points, fn(batch.points))
-        return mul_many(left, right), 0.0
-
-    a, b, _ = _accumulate(sphere_region(1.0), integrand, cfg)
-    return _result(a, b, cfg, REPRO_CONST)
+    kernel = lambda points: szego_ball_values(z, points)  # noqa: E731
+    return _estimate(sphere_region(1.0), _paired(kernel, f, lambda p: p), cfg)
 
 
 def inner_product_hardy_ball(f, g, cfg: McConfig) -> MCResult:
     """(f, g) = (3/pi^4) integral of (conj(g) conj(w)) (w f) over the unit sphere."""
-    fn, gn = _as_handle(f), _as_handle(g)
-
-    def integrand(batch: SampleBatch):
-        left = mul_many(conj_many(gn(batch.points)), conj_many(batch.points))
-        right = mul_many(batch.points, fn(batch.points))
-        return mul_many(left, right), 0.0
-
-    a, b, _ = _accumulate(sphere_region(1.0), integrand, cfg)
-    return _result(a, b, cfg, REPRO_CONST)
-
-
-def _unit_rows(points: np.ndarray) -> np.ndarray:
-    n = np.sqrt(np.einsum("ij,ij->i", points, points))
-    unit = np.zeros_like(points)
-    safe = n > 1e-12
-    unit[safe] = points[safe] / n[safe, None]
-    unit[~safe, 0] = 1.0  # measure-zero center; continuity value
-    return unit
+    return _estimate(sphere_region(1.0), _paired(_conj_of(g), f, lambda p: p), cfg)
 
 
 def bergman_reproduce_ball(f, z: Octonion, cfg: McConfig) -> MCResult:
@@ -376,35 +390,18 @@ def bergman_reproduce_ball(f, z: Octonion, cfg: McConfig) -> MCResult:
 
     No interior check: exterior z targets 0.
     """
-    fn = _as_handle(f)
-
-    def integrand(batch: SampleBatch):
-        unit = _unit_rows(batch.points)
-        kernel = bergman_ball_values(z, batch.points)
-        left = mul_many(kernel, conj_many(unit))
-        right = mul_many(unit, fn(batch.points))
-        return mul_many(left, right), 0.0
-
-    a, b, _ = _accumulate(ball_region(1.0), integrand, cfg)
-    return _result(a, b, cfg, REPRO_CONST)
+    kernel = lambda points: bergman_ball_values(z, points)  # noqa: E731
+    return _estimate(ball_region(1.0), _paired(kernel, f, _unit_rows), cfg)
 
 
 def inner_product_bergman_ball(f, g, cfg: McConfig) -> MCResult:
     """(f, g) = (3/pi^4) integral of (conj(g) conj(w/|w|)) ((w/|w|) f) over the ball."""
-    fn, gn = _as_handle(f), _as_handle(g)
-
-    def integrand(batch: SampleBatch):
-        unit = _unit_rows(batch.points)
-        left = mul_many(conj_many(gn(batch.points)), conj_many(unit))
-        right = mul_many(unit, fn(batch.points))
-        return mul_many(left, right), 0.0
-
-    a, b, _ = _accumulate(ball_region(1.0), integrand, cfg)
-    return _result(a, b, cfg, REPRO_CONST)
+    return _estimate(ball_region(1.0), _paired(_conj_of(g), f, _unit_rows), cfg)
 
 
 # ---------------------------------------------------------------------------
-# Strip and half-space estimators
+# Strip and half-space estimators; each names its integrand's decay
+# exponent in |Im w| and its region's transverse width once
 
 
 def szego_reproduce_strip(
@@ -419,19 +416,10 @@ def szego_reproduce_strip(
     No interior check on z: for z outside the closed strip the estimate
     targets 0 instead of f(z).
     """
-    fn = _as_handle(f)
     zc = z.to_array()
-
-    def integrand(batch: SampleBatch):
-        u = zc + conj_many(batch.points)
-        kernel, _ = szego_strip_values(u, domain.d, policy)
-        vals = mul_many(kernel, fn(batch.points))
-        return vals, _shell_stat(vals, batch.points, cfg.radius, 14)
-
+    kernel = lambda p: szego_strip_values(zc + conj_many(p), domain.d, policy)[0]  # noqa: E731
     region = strip_boundary_region(domain, cfg.radius)
-    a, b, shell_c = _accumulate(region, integrand, cfg)
-    tail = _tail_estimate(shell_c, cfg.radius, 14, 2.0)
-    return _result(a, b, cfg, REPRO_CONST, tail)
+    return _estimate(region, _paired(kernel, f), cfg, decay=14, width=2.0)
 
 
 def bergman_reproduce_strip(
@@ -442,67 +430,33 @@ def bergman_reproduce_strip(
     policy: TruncationPolicy = TruncationPolicy(),
 ) -> MCResult:
     """(3/pi^4) integral of B(z, w) f(w) over the truncated strip volume."""
-    fn = _as_handle(f)
     zc = z.to_array()
-
-    def integrand(batch: SampleBatch):
-        u = zc + conj_many(batch.points)
-        kernel, _ = bergman_strip_values(u, domain.d, policy)
-        vals = mul_many(kernel, fn(batch.points))
-        return vals, _shell_stat(vals, batch.points, cfg.radius, 15)
-
+    kernel = lambda p: bergman_strip_values(zc + conj_many(p), domain.d, policy)[0]  # noqa: E731
     region = strip_volume_region(domain, cfg.radius)
-    a, b, shell_c = _accumulate(region, integrand, cfg)
-    tail = _tail_estimate(shell_c, cfg.radius, 15, domain.d)
-    return _result(a, b, cfg, REPRO_CONST, tail)
+    return _estimate(region, _paired(kernel, f), cfg, decay=15, width=domain.d)
 
 
 def inner_product_strip_boundary(
     f, g, domain: StripDomain, cfg: McConfig
 ) -> MCResult:
     """(f, g) = (3/pi^4) integral of conj(g) f over both truncated walls."""
-    fn, gn = _as_handle(f), _as_handle(g)
-
-    def integrand(batch: SampleBatch):
-        vals = mul_many(conj_many(gn(batch.points)), fn(batch.points))
-        return vals, _shell_stat(vals, batch.points, cfg.radius, 14)
-
     region = strip_boundary_region(domain, cfg.radius)
-    a, b, shell_c = _accumulate(region, integrand, cfg)
-    tail = _tail_estimate(shell_c, cfg.radius, 14, 2.0)
-    return _result(a, b, cfg, REPRO_CONST, tail)
+    return _estimate(region, _paired(_conj_of(g), f), cfg, decay=14, width=2.0)
 
 
 def inner_product_strip_volume(
     f, g, domain: StripDomain, cfg: McConfig
 ) -> MCResult:
     """(f, g) = (3/pi^4) integral of conj(g) f over the truncated strip volume."""
-    fn, gn = _as_handle(f), _as_handle(g)
-
-    def integrand(batch: SampleBatch):
-        vals = mul_many(conj_many(gn(batch.points)), fn(batch.points))
-        return vals, _shell_stat(vals, batch.points, cfg.radius, 14)
-
     region = strip_volume_region(domain, cfg.radius)
-    a, b, shell_c = _accumulate(region, integrand, cfg)
-    tail = _tail_estimate(shell_c, cfg.radius, 14, domain.d)
-    return _result(a, b, cfg, REPRO_CONST, tail)
+    return _estimate(region, _paired(_conj_of(g), f), cfg, decay=14, width=domain.d)
 
 
 def szego_reproduce_half_space(f, z: Octonion, cfg: McConfig) -> MCResult:
     """(3/pi^4) integral of S(z, w) f(w) over the truncated wall Re = 0."""
     if z.real <= 0.0:
         raise DomainError("evaluation point must have positive real part")
-    fn = _as_handle(f)
     zc = z.to_array()
-
-    def integrand(batch: SampleBatch):
-        u = zc + conj_many(batch.points)
-        kernel = szego_half_space_values(u)
-        vals = mul_many(kernel, fn(batch.points))
-        return vals, _shell_stat(vals, batch.points, cfg.radius, 14)
-
+    kernel = lambda p: szego_half_space_values(zc + conj_many(p))  # noqa: E731
     region = half_space_boundary_region(cfg.radius)
-    a, b, shell_c = _accumulate(region, integrand, cfg)
-    tail = _tail_estimate(shell_c, cfg.radius, 14, 1.0)
-    return _result(a, b, cfg, REPRO_CONST, tail)
+    return _estimate(region, _paired(kernel, f), cfg, decay=14, width=1.0)

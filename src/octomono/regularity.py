@@ -10,13 +10,14 @@ rather than at zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
 from .algebra import MUL_IDX, MUL_SGN, Octonion
-from .errors import SingularityError
+from .errors import DomainError, SingularityError
 
 ArrayFn = Callable[[np.ndarray], np.ndarray]
 PointLike = Union[Octonion, np.ndarray]
@@ -42,6 +43,11 @@ class FiniteDiffConfig:
     """Step size for central differences."""
 
     h: float = 1e-5
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.h < math.inf:
+            # a zero step makes every difference quotient 0/0 = NaN
+            raise DomainError(f"finite-difference step must be positive and finite, got {self.h}")
 
 
 @dataclass(frozen=True)
@@ -125,9 +131,12 @@ def partial_derivative(f: ArrayFn, z: PointLike, axis: int, h: float = 1e-5) -> 
 
 def _jacobian_rows(f: ArrayFn, zc: np.ndarray, h: float) -> np.ndarray:
     # rows[i] = df/dxi at zc, shape (8, 8); one batched call per sign.
-    plus = f(zc[None, :] + h * _BASIS)
-    minus = f(zc[None, :] - h * _BASIS)
-    return (plus - minus) / (2.0 * h)
+    up, down = zc[None, :] + h * _BASIS, zc[None, :] - h * _BASIS
+    if h != 0.0 and (np.any(np.diagonal(up) == zc) or np.any(np.diagonal(down) == zc)):
+        # z + h == z would make that difference quotient exactly 0, a silent
+        # pass; a zero step gives 0/0 = NaN, which the residual keeps
+        raise DomainError(f"step {h:g} leaves a coordinate of the point unchanged")
+    return (f(up) - f(down)) / (2.0 * h)
 
 
 def apply_D_left(f: ArrayFn, z: PointLike, h: float = 1e-5) -> PointLike:

@@ -3,14 +3,31 @@
 Everything here is deliberately written from scratch against plain
 numpy/scipy: brute-force lattice sums with an inline kernel, and
 deterministic Simpson quadrature for the flat-domain reproduction
-integrals (reduced to 1-D/2-D by rotational symmetry).  Nothing imports
-the package's own series or quadrature code.
+integrals (reduced to 1-D/2-D by rotational symmetry).  Only the Monte
+Carlo section at the end uses the package's own code: it feeds the
+package's products and kernel values through copies of the earlier
+samplers, per-estimator integrands and chunk reduction, as a bit-level
+oracle for the estimator engine.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.integrate import simpson
+
+from octomono.algebra import Octonion, conj_many, mul_many
+from octomono.kernels import (
+    bergman_ball_values,
+    bergman_strip_values,
+    szego_ball_values,
+    szego_half_space_values,
+    szego_strip_values,
+)
+from octomono.quadrature import SampleBatch
+from octomono.regularity import q0_many
+from octomono.trig_series import TruncationPolicy
 
 SPHERE6_AREA = 16.0 * np.pi**3 / 15.0
 REPRO_CONST = 3.0 / np.pi**4
@@ -247,3 +264,269 @@ def mul_many_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # _REF_IDX[i] is a permutation of 0..7, so fancy += has no collisions.
         out[..., _REF_IDX[i]] += _REF_SGN[i] * (a[..., i, None] * b)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo estimators as written before the single estimator engine:
+# each integrand returns (values, shell statistic), and every estimator
+# runs its own reduction, tail formula and warning test.
+
+_SHELL_FRACTION = 0.8
+
+
+def _directions_reference(rng, count, dim):
+    g = rng.standard_normal((count, dim))
+    n = np.sqrt(np.einsum("ij,ij->i", g, g))
+    n[n == 0.0] = 1.0
+    return g / n[:, None]
+
+
+def sphere_sampler_reference(radius):
+    area = np.pi**4 / 3.0 * radius**7
+
+    def sampler(rng, count, start, total):
+        dirs = _directions_reference(rng, count, 8)
+        return SampleBatch(np.zeros(8) + radius * dirs, np.full(count, area / total), dirs)
+
+    return sampler
+
+
+def ball_sampler_reference(radius):
+    volume = np.pi**4 / 24.0 * radius**8
+
+    def sampler(rng, count, start, total):
+        dirs = _directions_reference(rng, count, 8)
+        r = radius * rng.uniform(size=count) ** 0.125
+        return SampleBatch(np.zeros(8) + r[:, None] * dirs, np.full(count, volume / total), None)
+
+    return sampler
+
+
+def _ball7_volume_reference(radius):
+    return 16.0 * np.pi**3 * radius**7 / 105.0
+
+
+def strip_boundary_sampler_reference(d, radius):
+    plane_measure = _ball7_volume_reference(radius)
+
+    def sampler(rng, count, start, total):
+        dirs = _directions_reference(rng, count, 7)
+        r = radius * rng.uniform(size=count) ** (1.0 / 7.0)
+        pts = np.zeros((count, 8))
+        pts[:, 1:] = r[:, None] * dirs
+        on_top = ((start + np.arange(count)) % 2) == 1
+        pts[on_top, 0] = d
+        normals = np.zeros((count, 8))
+        normals[:, 0] = np.where(on_top, 1.0, -1.0)
+        n_bottom, n_top = (total + 1) // 2, total // 2
+        weights = np.where(on_top, plane_measure / n_top, plane_measure / n_bottom)
+        return SampleBatch(pts, weights, normals)
+
+    return sampler
+
+
+def strip_volume_sampler_reference(d, radius):
+    measure = d * _ball7_volume_reference(radius)
+
+    def sampler(rng, count, start, total):
+        dirs = _directions_reference(rng, count, 7)
+        r = radius * rng.uniform(size=count) ** (1.0 / 7.0)
+        x0 = rng.uniform(0.0, d, size=count)
+        pts = np.empty((count, 8))
+        pts[:, 0] = x0
+        pts[:, 1:] = r[:, None] * dirs
+        return SampleBatch(pts, np.full(count, measure / total), None)
+
+    return sampler
+
+
+def half_space_sampler_reference(radius):
+    plane_measure = _ball7_volume_reference(radius)
+
+    def sampler(rng, count, start, total):
+        dirs = _directions_reference(rng, count, 7)
+        r = radius * rng.uniform(size=count) ** (1.0 / 7.0)
+        pts = np.zeros((count, 8))
+        pts[:, 1:] = r[:, None] * dirs
+        normals = np.zeros((count, 8))
+        normals[:, 0] = -1.0
+        return SampleBatch(pts, np.full(count, plane_measure / total), normals)
+
+    return sampler
+
+
+def _accumulate_reference(sampler, integrand, cfg):
+    parts = []
+    for i in range(-(-cfg.samples // cfg.chunk)):  # chunk order
+        start = i * cfg.chunk
+        seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,))
+        rng = np.random.Generator(np.random.Philox(seed))
+        batch = sampler(rng, min(cfg.chunk, cfg.samples - start), start, cfg.samples)
+        values, aux = integrand(batch)
+        weighted = batch.weights[:, None] * values
+        part_a = weighted.sum(axis=0)
+        part_b = float((batch.weights**2 * np.einsum("ij,ij->i", values, values)).sum())
+        parts.append((part_a, part_b, aux))
+    total_a = np.zeros(8)
+    total_b = 0.0
+    for part_a, part_b, _ in parts:
+        total_a = total_a + part_a
+        total_b += part_b
+    aux_max = float(np.max([aux for _, _, aux in parts], initial=0.0))
+    return total_a, total_b, aux_max
+
+
+def _result_reference(total_a, total_b, cfg, const, tail_est=0.0):
+    """(value coordinates, std_err, tail_est, warning text or None)."""
+    var = max(total_b - float(total_a @ total_a) / cfg.samples, 0.0)
+    value = Octonion(*(const * total_a))
+    std_err = const * math.sqrt(var)
+    norm = value.norm()
+    message = None
+    if tail_est > 0.1 * (norm + std_err):
+        message = (
+            f"truncation tail estimate {tail_est:.3e} is not small against the "
+            f"result |{norm:.3e}| +/- {std_err:.3e}; increase radius"
+        )
+    return value.to_array(), std_err, tail_est, message
+
+
+def _shell_stat_reference(values, points, radius, decay):
+    y = np.sqrt(np.einsum("ij,ij->i", points[:, 1:], points[:, 1:]))
+    mask = y > _SHELL_FRACTION * radius
+    if not mask.any():
+        return 0.0
+    mags = np.sqrt(np.einsum("ij,ij->i", values[mask], values[mask]))
+    return float((mags * y[mask] ** decay).max())
+
+
+def _flat_reference(sampler, integrand, cfg, decay, width):
+    def with_shell(batch):
+        vals = integrand(batch)
+        return vals, _shell_stat_reference(vals, batch.points, cfg.radius, decay)
+
+    a, b, shell_c = _accumulate_reference(sampler, with_shell, cfg)
+    tail = (
+        REPRO_CONST * shell_c * SPHERE6_AREA * width * cfg.radius ** (7 - decay) / (decay - 7)
+    )
+    return _result_reference(a, b, cfg, REPRO_CONST, tail)
+
+
+def _unit_rows_reference(points):
+    n = np.sqrt(np.einsum("ij,ij->i", points, points))
+    unit = np.zeros_like(points)
+    safe = n > 1e-12
+    unit[safe] = points[safe] / n[safe, None]
+    unit[~safe, 0] = 1.0
+    return unit
+
+
+def cauchy_theorem_check_reference(f, cfg, radius=1.0):
+    def integrand(batch):
+        return mul_many(batch.normals, f(batch.points)), 0.0
+
+    a, b, _ = _accumulate_reference(sphere_sampler_reference(radius), integrand, cfg)
+    return _result_reference(a, b, cfg, 1.0)
+
+
+def cauchy_formula_reproduce_reference(f, z, cfg, grouping="normal_first"):
+    zc = z.to_array()
+
+    def integrand(batch):
+        kernel = q0_many(batch.points - zc)
+        if grouping == "normal_first":
+            vals = mul_many(kernel, mul_many(batch.normals, f(batch.points)))
+        else:
+            vals = mul_many(mul_many(kernel, batch.normals), f(batch.points))
+        return vals, 0.0
+
+    a, b, _ = _accumulate_reference(sphere_sampler_reference(1.0), integrand, cfg)
+    return _result_reference(a, b, cfg, REPRO_CONST)
+
+
+def _ball_pairing_reference(sampler, left_fn, twist_fn, f, cfg):
+    def integrand(batch):
+        unit = twist_fn(batch.points)
+        left = mul_many(left_fn(batch.points), conj_many(unit))
+        right = mul_many(unit, f(batch.points))
+        return mul_many(left, right), 0.0
+
+    a, b, _ = _accumulate_reference(sampler, integrand, cfg)
+    return _result_reference(a, b, cfg, REPRO_CONST)
+
+
+def szego_reproduce_ball_reference(f, z, cfg):
+    return _ball_pairing_reference(
+        sphere_sampler_reference(1.0), lambda p: szego_ball_values(z, p), lambda p: p, f, cfg
+    )
+
+
+def inner_product_hardy_ball_reference(f, g, cfg):
+    return _ball_pairing_reference(
+        sphere_sampler_reference(1.0), lambda p: conj_many(g(p)), lambda p: p, f, cfg
+    )
+
+
+def bergman_reproduce_ball_reference(f, z, cfg):
+    return _ball_pairing_reference(
+        ball_sampler_reference(1.0),
+        lambda p: bergman_ball_values(z, p),
+        _unit_rows_reference,
+        f,
+        cfg,
+    )
+
+
+def inner_product_bergman_ball_reference(f, g, cfg):
+    return _ball_pairing_reference(
+        ball_sampler_reference(1.0), lambda p: conj_many(g(p)), _unit_rows_reference, f, cfg
+    )
+
+
+def szego_reproduce_strip_reference(f, z, domain, cfg, policy=TruncationPolicy()):
+    zc = z.to_array()
+
+    def integrand(batch):
+        kernel, _ = szego_strip_values(zc + conj_many(batch.points), domain.d, policy)
+        return mul_many(kernel, f(batch.points))
+
+    sampler = strip_boundary_sampler_reference(domain.d, cfg.radius)
+    return _flat_reference(sampler, integrand, cfg, 14, 2.0)
+
+
+def bergman_reproduce_strip_reference(f, z, domain, cfg, policy=TruncationPolicy()):
+    zc = z.to_array()
+
+    def integrand(batch):
+        kernel, _ = bergman_strip_values(zc + conj_many(batch.points), domain.d, policy)
+        return mul_many(kernel, f(batch.points))
+
+    sampler = strip_volume_sampler_reference(domain.d, cfg.radius)
+    return _flat_reference(sampler, integrand, cfg, 15, domain.d)
+
+
+def inner_product_strip_boundary_reference(f, g, domain, cfg):
+    def integrand(batch):
+        return mul_many(conj_many(g(batch.points)), f(batch.points))
+
+    sampler = strip_boundary_sampler_reference(domain.d, cfg.radius)
+    return _flat_reference(sampler, integrand, cfg, 14, 2.0)
+
+
+def inner_product_strip_volume_reference(f, g, domain, cfg):
+    def integrand(batch):
+        return mul_many(conj_many(g(batch.points)), f(batch.points))
+
+    sampler = strip_volume_sampler_reference(domain.d, cfg.radius)
+    return _flat_reference(sampler, integrand, cfg, 14, domain.d)
+
+
+def szego_reproduce_half_space_reference(f, z, cfg):
+    zc = z.to_array()
+
+    def integrand(batch):
+        kernel = szego_half_space_values(zc + conj_many(batch.points))
+        return mul_many(kernel, f(batch.points))
+
+    sampler = half_space_sampler_reference(cfg.radius)
+    return _flat_reference(sampler, integrand, cfg, 14, 1.0)

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
+import math
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from octomono.cli import main
 
@@ -13,6 +17,7 @@ STRIP_EVAL = [
     "eval-kernel", "--kernel", "szego_strip", "--z", "0.5", "--w", "0.5", "--d", "1"
 ]
 STRIP_MC = ["reproduce", "--experiment", "szego_strip", "--samples", "1000"]
+BALL_MC = ["reproduce", "--experiment", "cauchy_ball", "--samples", "1000"]
 
 
 def run_cli(capsys, *argv):
@@ -270,9 +275,10 @@ class TestUsageErrors:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
-    @pytest.mark.parametrize("step", ["0", "-1e-5", "nan", "inf"])
+    @pytest.mark.parametrize("step", ["0", "-1e-5", "nan", "inf", "1e-300"])
     def test_bad_fd_step_is_usage_error(self, capsys, step):
-        # a zero step used to report every oregularity residual as 0.0
+        # a zero step, or one too small to move a coordinate (z + h == z),
+        # used to report every oregularity residual as 0.0
         self.assert_usage_error(capsys, ["trig", "--points", "2", f"--fd-step={step}"])
 
     @pytest.mark.parametrize(
@@ -287,13 +293,40 @@ class TestUsageErrors:
             ["--radius=-1", *STRIP_MC],
             ["--threads=0", *STRIP_MC],
             ["--threads=-1", *STRIP_MC],
+            ["--radius=1e300", *STRIP_MC],
+            pytest.param([*STRIP_EVAL[:-1], "inf"], id="eval-kernel --d=inf"),
+            pytest.param(
+                ["eval-kernel", "--kernel", "szego_ball", "--z", "nan", "--w", "0.5"],
+                id="eval-kernel --z=nan",
+            ),
+            pytest.param(
+                [*BALL_MC, "--csv", "/nonexistent/x.csv"], id="reproduce --csv=/nonexistent"
+            ),
         ],
         ids=lambda argv: " ".join(argv[:2]),
     )
     def test_bad_policy_or_mc_config_is_usage_error(self, capsys, argv):
         # these used to exit 1 with a traceback, or to run on a negative
-        # measure (--radius -1) or with no worker (--threads 0)
+        # measure (--radius -1) or with no worker (--threads 0); an
+        # infinite width or a NaN literal printed NaN tokens and exited 0,
+        # and an unwritable CSV path printed the report before failing
         self.assert_usage_error(capsys, argv)
+
+    @pytest.mark.parametrize(
+        "literal",
+        [
+            "inf",
+            "-inf",
+            "1e400",
+            "[NaN,0,0,0,0,0,0,0]",
+            "[0,Infinity,0,0,0,0,0,0]",
+            "1e308 + 1e308",
+        ],
+    )
+    def test_non_finite_literal_is_usage_error(self, capsys, literal):
+        self.assert_usage_error(
+            capsys, ["eval-kernel", "--kernel", "szego_ball", "--z", "0.5", f"--w={literal}"]
+        )
 
     def test_undersized_mc_run(self, capsys):
         code, _ = run_cli(
@@ -359,3 +392,104 @@ class TestCsvOutput:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "name,d,value,target,residual"
         assert len(lines) > 1
+
+
+# Every flag value is drawn from a fixed list that mixes valid values with
+# the invalid ones that used to slip through; sizes stay small so that one
+# example runs in milliseconds.
+LITERALS = ["0.5", "0.25 + 0.1 e1", "[0.5,0,0,0,0,0,0,0]", "1.5", "nan", "-inf", "1e400"]
+GLOBAL_FLAGS = {
+    "--seed": ["42", "7"],
+    "--threads": ["-1", "0", "1", "2"],
+    "--tail-tol": ["1e-12", "1e-6", "0", "-1", "nan"],
+    "--radius": ["2", "50", "0", "-1", "nan", "inf", "1e300"],
+    "--fd-step": ["1e-5", "1e-4", "0", "nan", "inf", "1e-300"],
+    "--samples": ["1000", "2000", "500", "0"],
+}
+COMMAND_FLAGS = {
+    "algebra": {"--trials": ["1", "100", "0"]},
+    "trig": {"--points": ["1", "3", "0"]},
+    "eval-kernel": {
+        "--kernel": [
+            "szego_ball",
+            "bergman_ball",
+            "szego_halfspace",
+            "bergman_halfspace",
+            "szego_strip",
+            "bergman_strip",
+        ],
+        "--z": LITERALS,
+        "--w": LITERALS,
+        "--d": ["1", "2", "0", "-1", "inf", "nan"],
+        "--method": ["series", "closed_form", "both"],
+    },
+    "reproduce": {
+        "--experiment": [
+            "cauchy_ball",
+            "szego_ball",
+            "bergman_ball",
+            "szego_strip",
+            "bergman_strip",
+        ],
+        "--d": ["1", "0.5", "0", "inf"],
+    },
+    "limit-study": {
+        "--d-values": ["2,4,8", "2", "", "2,-4", "2,inf", "nan"],
+        "--z": LITERALS,
+        "--w": LITERALS,
+    },
+}
+# required flags, and the sizes whose defaults (1e6 samples, 1e4 trials,
+# 50 points) would make one example take seconds
+ALWAYS = {
+    "--kernel", "--z", "--w", "--experiment", "--d-values", "--samples", "--trials", "--points"
+}
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite JSON token {token}")
+
+
+def _draw_flag(draw, argv, flag, values):
+    choice = st.sampled_from(values)
+    value = draw(choice if flag in ALWAYS else st.none() | choice)
+    if value is not None:
+        argv.append(f"{flag}={value}")
+
+
+@st.composite
+def invocations(draw, csv_ok: str):
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    argv = []
+    flags = {**GLOBAL_FLAGS, "--csv": [csv_ok, "/nonexistent/x.csv"]}
+    for flag, values in flags.items():
+        _draw_flag(draw, argv, flag, values)
+    argv.append(command)
+    for flag, values in COMMAND_FLAGS[command].items():
+        _draw_flag(draw, argv, flag, values)
+    if command == "limit-study" and draw(st.booleans()):
+        argv.append("--no-scale-with-d")
+    return argv
+
+
+class TestFuzz:
+    # derandomized, so a Tier-1 run is repeatable; widen by hand with
+    # more examples when the flag lists change
+    @settings(max_examples=100, derandomize=True)
+    @given(data=st.data())
+    def test_any_flag_combination_exits_cleanly(self, tmp_path_factory, data):
+        csv_ok = str(tmp_path_factory.getbasetemp() / "fuzz.csv")
+        argv = data.draw(invocations(csv_ok))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            return
+        report = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        for row in report["results"]:
+            if row["pass"] is True:
+                assert math.isfinite(row["residual"])

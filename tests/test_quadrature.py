@@ -4,10 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from oracles import (
     half_space_szego_wall_integral,
     strip_szego_wall_integral,
 )
+from octomono import quadrature
 from octomono.algebra import Octonion
 from octomono.errors import DomainError
 from octomono.functions import (
@@ -328,11 +330,13 @@ class TestFlatReproduction:
 
     def test_nan_integrand_gives_nan_tail_estimate(self):
         # the shell statistic of a NaN integrand is NaN; the chunk
-        # reduction must keep it rather than report a zero tail
+        # reduction must keep it rather than report a zero tail, and the
+        # estimator must say the estimate is not finite
         dom = StripDomain(1.0)
         nan_fn = lambda pts: np.full(np.shape(pts), np.nan)  # noqa: E731
         cfg = McConfig(seed=5, samples=2_000, radius=2.0)
-        r = szego_reproduce_strip(nan_fn, Octonion(0.5), dom, cfg)
+        with pytest.warns(UserWarning, match="not finite"):
+            r = szego_reproduce_strip(nan_fn, Octonion(0.5), dom, cfg)
         assert math.isnan(r.tail_est)
 
     def test_comfortable_radius_is_silent(self):
@@ -342,3 +346,78 @@ class TestFlatReproduction:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             szego_reproduce_strip(f, Octonion(0.5), dom, cfg)
+
+
+STRIP = StripDomain(1.0)
+BALL_F = shifted_cauchy_kernel(Octonion(-2.0))
+STRIP_F = shifted_cauchy_kernel(Octonion(-1.0))
+# estimator name -> the arguments before cfg, and keyword arguments
+ESTIMATOR_CASES = {
+    "cauchy_theorem_check": ((BALL_F,), {}),
+    "cauchy_formula_reproduce": ((BALL_F, Octonion(0.0, 0.3)), {}),
+    "cauchy_formula_reproduce[kernel_first]": (
+        (szego_ball_section(Octonion(0.0, 0.0, 0.6)), Octonion(0.0, 0.5)),
+        {"grouping": "kernel_first"},
+    ),
+    "szego_reproduce_ball": ((BALL_F, Octonion(0.3, 0.1)), {}),
+    "inner_product_hardy_ball": ((BALL_F, szego_ball_section(Octonion(0.2, 0.1))), {}),
+    "bergman_reproduce_ball": ((linear_monogenic(), Octonion(0.0, 0.2, 0.1)), {}),
+    "inner_product_bergman_ball": ((BALL_F, linear_monogenic()), {}),
+    "szego_reproduce_strip": ((STRIP_F, Octonion(0.5, 0.2), STRIP), {}),
+    "bergman_reproduce_strip": ((STRIP_F, Octonion(0.5, 0.2), STRIP), {}),
+    "inner_product_strip_boundary": (
+        (STRIP_F, shifted_cauchy_kernel(Octonion(2.0, 0.3)), STRIP),
+        {},
+    ),
+    "inner_product_strip_volume": (
+        (STRIP_F, shifted_cauchy_kernel(Octonion(2.0, 0.3)), STRIP),
+        {},
+    ),
+    "szego_reproduce_half_space": ((STRIP_F, Octonion(1.0, 0.2)), {}),
+}
+ENGINE_CONFIGS = [
+    # 20,001 = 4 chunks of 5,000 and a one-row last chunk
+    McConfig(seed=3, samples=20_001, chunk=5_000, radius=2.0, threads=1),
+    McConfig(seed=3, samples=20_001, chunk=5_000, radius=2.0, threads=2),
+    # radius 1.1 makes every flat estimator warn about its tail
+    McConfig(seed=5, samples=10_001, chunk=10_000, radius=1.1, threads=2),
+    McConfig(seed=8, samples=3_000, radius=50.0),
+]
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+class TestEngineBitIdentity:
+    """Every estimator against its pre-engine form in ``oracles``, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "cfg", ENGINE_CONFIGS, ids=lambda c: f"n{c.samples}-c{c.chunk}-R{c.radius}-t{c.threads}"
+    )
+    @pytest.mark.parametrize("case", sorted(ESTIMATOR_CASES))
+    def test_matches_reference(self, case, cfg):
+        name = case.split("[")[0]
+        args, kwargs = ESTIMATOR_CASES[case]
+        want_value, want_err, want_tail, want_msg = getattr(
+            oracles, f"{name}_reference"
+        )(*args, cfg, **kwargs)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = getattr(quadrature, name)(*args, cfg, **kwargs)
+        assert np.array_equal(_bits(got.value.to_array()), _bits(want_value))
+        assert _bits(got.std_err) == _bits(want_err)
+        assert _bits(got.tail_est) == _bits(want_tail)
+        assert got.samples == cfg.samples
+        assert [str(w.message) for w in caught] == ([want_msg] if want_msg else [])
+        # the warning names the estimator's caller, not the engine
+        assert all(w.filename == __file__ for w in caught)
+
+    def test_small_radius_config_warns_for_every_flat_estimator(self):
+        # guards the configuration above: the warning path is exercised
+        cfg = ENGINE_CONFIGS[2]
+        flat = [n for n in ESTIMATOR_CASES if "strip" in n or "half_space" in n]
+        assert len(flat) == 5
+        for name in flat:
+            args, _ = ESTIMATOR_CASES[name]
+            assert getattr(oracles, f"{name}_reference")(*args, cfg)[3] is not None

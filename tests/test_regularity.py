@@ -3,13 +3,14 @@ import pytest
 
 from oracles import q0_inline
 from octomono.algebra import Octonion, mul_many
-from octomono.errors import SingularityError
+from octomono.errors import DomainError, SingularityError
 from octomono.functions import (
     linear_monogenic,
     right_multiplied,
     shifted_cauchy_kernel,
 )
 from octomono.regularity import (
+    FiniteDiffConfig,
     apply_D_left,
     apply_D_right,
     cauchy_kernel,
@@ -143,6 +144,18 @@ class TestFiniteDifferenceOperator:
         z = Octonion(1.0, 1.0)
         with np.errstate(invalid="ignore"):
             assert np.isnan(o_regularity_residual(q0_many, [z, z], h=0.0))
+
+    @pytest.mark.parametrize("h", [0.0, -1e-5, np.nan, np.inf])
+    def test_config_rejects_a_step_it_cannot_use(self, h):
+        with pytest.raises(DomainError):
+            FiniteDiffConfig(h)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_step_below_the_coordinate_spacing_raises(self, side):
+        # 1e12 + 1e-5 == 1e12: the quotient along e0 would be exactly 0
+        z = Octonion(1e12, 1.0)
+        with pytest.raises(DomainError, match="unchanged"):
+            o_regularity_residual(q0_many, z, h=1e-5, side=side)
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_operators_match_general_product_form(self, rng, side):
