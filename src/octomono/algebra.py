@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -210,6 +210,23 @@ class Octonion:
 
     def __str__(self) -> str:
         return format_octonion(self)
+
+
+# A point is an Octonion or a coordinate array; arrays may also hold a batch (..., 8).
+PointLike = Union[Octonion, np.ndarray]
+
+
+def as_coords(z: PointLike) -> np.ndarray:
+    """Float64 coordinates (..., 8) of a point or a batch of points."""
+    arr = z.to_array() if isinstance(z, Octonion) else np.asarray(z, dtype=np.float64)
+    if arr.shape[-1:] != (8,):
+        raise DomainError(f"expected coordinates of shape (..., 8), got {arr.shape}")
+    return arr
+
+
+def like(z: PointLike, values: np.ndarray) -> PointLike:
+    """``values`` as an Octonion when ``z`` is one, else unchanged."""
+    return Octonion(*values) if isinstance(z, Octonion) else values
 
 
 def mul(a: Octonion, b: Octonion) -> Octonion:
@@ -420,10 +437,6 @@ def format_octonion(a: Octonion, precision: int = 12) -> str:
 
 # ---------------------------------------------------------------------------
 # Batched coordinate-array operations (shape (..., 8) float64)
-
-
-def as_coord_array(values: Iterable[Octonion]) -> np.ndarray:
-    return np.array([v.coords for v in values], dtype=np.float64)
 
 
 def _product_terms() -> tuple[tuple[tuple[int, int, bool], ...], ...]:

@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from .algebra import Octonion, conj_many, mul_many, norm_many, parse_octonion
+from .algebra import Octonion, as_coords, conj_many, mul_many, norm_many, parse_octonion
 from .errors import DomainError, PolicyError, SingularityError
 from .functions import constant, linear_monogenic, shifted_cauchy_kernel
 from .kernels import (
@@ -61,9 +61,7 @@ STRIP_KERNELS = ("szego_strip", "bergman_strip")
 
 
 def _coords_list(value) -> list[float]:
-    if isinstance(value, Octonion):
-        return [float(c) for c in value.coords]
-    return [float(c) for c in np.asarray(value, dtype=np.float64)]
+    return as_coords(value).tolist()
 
 
 def _row(
@@ -445,6 +443,9 @@ def _cmd_limit_study(args, t0) -> int:
         raise DomainError("d_values must list at least one width")
     if any(d <= 0 for d in d_values):
         raise DomainError("strip widths must be positive")
+    if len(set(d_values)) < len(d_values):
+        # a slope through repeated widths is fitted to fewer points than it reports
+        raise DomainError("strip widths must be distinct")
     z = parse_octonion(args.z)
     w = parse_octonion(args.w)
     policy = TruncationPolicy(tail_tol=args.tail_tol)

@@ -15,7 +15,7 @@ from .regularity import FunctionHandle, q0_many
 
 
 def constant(value: Octonion | float, name: str | None = None) -> FunctionHandle:
-    vo = value if isinstance(value, Octonion) else Octonion(float(value))
+    vo = Octonion(float(value)) if np.isscalar(value) else value
     row = np.array(vo.coords)
 
     def ev(points: np.ndarray) -> np.ndarray:
@@ -62,36 +62,30 @@ def shifted_cauchy_kernel(center: Octonion) -> FunctionHandle:
     def ev(points: np.ndarray) -> np.ndarray:
         return q0_many(np.asarray(points, dtype=np.float64) - row)
 
-    def guard(p: np.ndarray) -> bool:
-        return float(np.sqrt(np.sum((p - row) ** 2))) > 1e-3
+    return FunctionHandle(f"q0(w - ({center}))", ev)
 
-    return FunctionHandle(f"q0(w - ({center}))", ev, guard)
+
+def _ball_section(values, w0: Octonion, name: str) -> FunctionHandle:
+    # x -> K(x, w0) = conj(K(w0, x)) for a ball kernel's batched rows K(w0, .)
+    def ev(points: np.ndarray) -> np.ndarray:
+        pts = np.asarray(points, dtype=np.float64)
+        return conj_many(values(w0, pts.reshape(-1, 8))).reshape(pts.shape)
+
+    return FunctionHandle(f"{name}(., {w0})", ev)
 
 
 def szego_ball_section(w0: Octonion) -> FunctionHandle:
     """x -> S(x, w0) on the ball; equals conj(S(w0, x)) by symmetry."""
     from .kernels import szego_ball_values
 
-    def ev(points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        flat = pts.reshape(-1, 8)
-        out = conj_many(szego_ball_values(w0, flat))
-        return out.reshape(pts.shape)
-
-    return FunctionHandle(f"szego_ball(., {w0})", ev)
+    return _ball_section(szego_ball_values, w0, "szego_ball")
 
 
 def bergman_ball_section(w0: Octonion) -> FunctionHandle:
     """x -> B(x, w0) on the ball; equals conj(B(w0, x)) by symmetry."""
     from .kernels import bergman_ball_values
 
-    def ev(points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        flat = pts.reshape(-1, 8)
-        out = conj_many(bergman_ball_values(w0, flat))
-        return out.reshape(pts.shape)
-
-    return FunctionHandle(f"bergman_ball(., {w0})", ev)
+    return _ball_section(bergman_ball_values, w0, "bergman_ball")
 
 
 def resolve(spec: str) -> FunctionHandle:

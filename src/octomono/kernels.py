@@ -15,6 +15,9 @@ Unit-ball kernels use ``u = 1 - conj(z) * w``; the boundary kernel is
 Closed-form kernels (ball, half-space) return plain octonions and
 raise only on singular arguments; the reproduction integrals need them
 on the closures of their domains, so no interior check is applied.
+Each scalar kernel is row 0 of its batched form: the ball kernels call
+``*_ball_values`` on a ``(1, 8)`` row, the half-space kernels the
+Cauchy kernel ``q0`` and its x0-derivative at ``u``.
 Strip entry points validate domains and return a :class:`KernelEval`
 carrying the truncation tail bound.  The strip ``*_values`` helpers take
 a batch of combined arguments ``u`` (n, 8) straight to the lattice-sum
@@ -31,13 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from .algebra import Octonion, mul, mul_many
+from .algebra import Octonion, PointLike, as_coords, mul, mul_many
 from .errors import DomainError, SingularityError
-from .regularity import FiniteDiffConfig, dq0_dx0, q0_many
+from .regularity import FiniteDiffConfig, cauchy_kernel, central_difference, dq0_dx0, q0_many
 from .trig_series import (
     PeriodizedSumSpec,
     TruncationPolicy,
@@ -45,10 +47,11 @@ from .trig_series import (
     periodized_sum,
 )
 
-PointLike = Union[Octonion, np.ndarray]
-
 # Combined arguments this close (in Re) to the singular walls are refused.
 WALL_GUARD = 1e-9
+
+# 1 as a coordinate row: 1 - p keeps +0.0 where p has a zero, as Octonion(1) - p does
+_ONE = np.eye(8)[0]
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,7 @@ class StripDomain:
             raise DomainError(f"strip width must be positive and finite, got {self.d}")
 
     def contains(self, z: PointLike, margin: float = 0.0) -> bool:
-        x0 = z.real if isinstance(z, Octonion) else float(np.asarray(z)[..., 0])
+        x0 = float(as_coords(z)[..., 0])
         return margin < x0 < self.d - margin
 
 
@@ -74,9 +77,7 @@ class KernelEval:
 
 
 def _as_oct(z: PointLike) -> Octonion:
-    if isinstance(z, Octonion):
-        return z
-    arr = np.asarray(z, dtype=np.float64)
+    arr = as_coords(z)
     if arr.shape != (8,):
         raise DomainError(f"expected a single point of shape (8,), got {arr.shape}")
     return Octonion(*arr)
@@ -87,27 +88,35 @@ def _check_ball(z: Octonion, name: str) -> None:
         raise DomainError(f"{name} must lie in the open unit ball, |{name}| = {z.norm():.6g}")
 
 
-def _check_half_space(z: Octonion, name: str) -> None:
-    if z.real <= 0.0:
-        raise DomainError(f"{name} must have positive real part, Re = {z.real:.6g}")
-
-
-def _check_strip(z: Octonion, domain: StripDomain, name: str) -> None:
-    if not domain.contains(z):
-        raise DomainError(
-            f"{name} must lie in the open strip 0 < Re < {domain.d}, Re = {z.real:.6g}"
-        )
-
-
 def _combined(z: Octonion, w: Octonion) -> Octonion:
     return z + w.conjugate()
 
 
-def _check_walls(u: Octonion, domain: StripDomain) -> None:
+def _half_space_argument(z: PointLike, w: PointLike) -> Octonion:
+    """u = z + conj(w) for z and w in the half-space Re > 0."""
+    zo, wo = _as_oct(z), _as_oct(w)
+    for p, name in ((zo, "z"), (wo, "w")):
+        if p.real <= 0.0:
+            raise DomainError(f"{name} must have positive real part, Re = {p.real:.6g}")
+    return _combined(zo, wo)
+
+
+def _strip_argument(
+    z: PointLike, w: PointLike, domain: StripDomain
+) -> tuple[Octonion, Octonion, Octonion]:
+    """z, w and u = z + conj(w) for interior z and w, with u off the singular walls."""
+    zo, wo = _as_oct(z), _as_oct(w)
+    for p, name in ((zo, "z"), (wo, "w")):
+        if not domain.contains(p):
+            raise DomainError(
+                f"{name} must lie in the open strip 0 < Re < {domain.d}, Re = {p.real:.6g}"
+            )
+    u = _combined(zo, wo)
     if u.real < WALL_GUARD or u.real > 2.0 * domain.d - WALL_GUARD:
         raise SingularityError(
             f"combined argument Re = {u.real:.3e} is within {WALL_GUARD} of a singular wall"
         )
+    return zo, wo, u
 
 
 # ---------------------------------------------------------------------------
@@ -116,23 +125,12 @@ def _check_walls(u: Octonion, domain: StripDomain) -> None:
 
 def szego_unit_ball(z: PointLike, w: PointLike) -> Octonion:
     """Boundary kernel (1 - conj(z) w) / |1 - conj(z) w|^8."""
-    zo, wo = _as_oct(z), _as_oct(w)
-    u = Octonion(1.0) - mul(zo.conjugate(), wo)
-    n2 = u.norm_sq()
-    if n2 < 1e-24:
-        raise SingularityError(f"1 - conj(z) w is singular, |u| = {math.sqrt(n2):.3e}")
-    return u * (1.0 / n2**4)
+    return Octonion(*szego_ball_values(_as_oct(z), _as_oct(w).to_array()[None])[0])
 
 
 def bergman_unit_ball(z: PointLike, w: PointLike) -> Octonion:
     """Volume kernel (6 (1 - |z|^2 |w|^2) + 2u) u / |u|^10, u = 1 - conj(z) w."""
-    zo, wo = _as_oct(z), _as_oct(w)
-    u = Octonion(1.0) - mul(zo.conjugate(), wo)
-    n2 = u.norm_sq()
-    if n2 < 1e-24:
-        raise SingularityError(f"1 - conj(z) w is singular, |u| = {math.sqrt(n2):.3e}")
-    bracket = u * 2.0 + 6.0 * (1.0 - zo.norm_sq() * wo.norm_sq())
-    return mul(bracket, u) * (1.0 / n2**5)
+    return Octonion(*bergman_ball_values(_as_oct(z), _as_oct(w).to_array()[None])[0])
 
 
 def bergman_unit_ball_potential_residual(
@@ -150,7 +148,6 @@ def bergman_unit_ball_potential_residual(
     b = bergman_unit_ball(zo, wo)
     lhs = mul(b.conjugate(), zo.conjugate())
 
-    zc = zo.to_array()
     zn2 = zo.norm_sq()
 
     def potential(points: np.ndarray) -> np.ndarray:
@@ -161,11 +158,7 @@ def bergman_unit_ball_potential_residual(
         w2 = np.einsum("...i,...i->...", pts, pts)
         return (1.0 - zn2 * w2) / n2**4
 
-    h = fd.h
-    eye = np.eye(8)
-    grad = (potential(wo.to_array() + h * eye) - potential(wo.to_array() - h * eye)) / (
-        2.0 * h
-    )
+    grad = central_difference(potential, wo.to_array(), np.eye(8), fd.h)
     rhs = Octonion(grad[0], *(-grad[1:]))
     return (lhs - rhs).norm()
 
@@ -176,25 +169,42 @@ def bergman_unit_ball_potential_residual(
 
 def szego_half_space(z: PointLike, w: PointLike) -> Octonion:
     """Boundary kernel q0(z + conj(w)) on the half-space Re > 0."""
-    zo, wo = _as_oct(z), _as_oct(w)
-    _check_half_space(zo, "z")
-    _check_half_space(wo, "w")
-    u = _combined(zo, wo)
-    n2 = u.norm_sq()
-    return u.conjugate() * (1.0 / n2**4)
+    return cauchy_kernel(_half_space_argument(z, w))
 
 
 def bergman_half_space(z: PointLike, w: PointLike) -> Octonion:
     """Volume kernel -2 d/dx0 q0 at z + conj(w)."""
-    zo, wo = _as_oct(z), _as_oct(w)
-    _check_half_space(zo, "z")
-    _check_half_space(wo, "w")
-    u = _combined(zo, wo)
-    return dq0_dx0(u) * -2.0
+    return dq0_dx0(_half_space_argument(z, w)) * -2.0
 
 
 # ---------------------------------------------------------------------------
 # Strip 0 < Re < d
+
+
+def _strip_kernel(
+    z: PointLike,
+    w: PointLike,
+    domain: StripDomain,
+    policy: TruncationPolicy,
+    method: str,
+    order: int,
+) -> KernelEval:
+    # order 0 is the alternating sum of q0 (Szego), order 1 -2 times the
+    # sum of d/dx0 q0 (Bergman); the series is the closed form at scale 1
+    u = _strip_argument(z, w, domain)[2]
+    if method == "series":
+        scale, step = 1.0, 2.0 * domain.d
+    elif method == "closed_form":
+        scale, step = math.pi / (2.0 * domain.d), math.pi
+    else:
+        raise ValueError(f"method must be 'series' or 'closed_form', got {method!r}")
+    lattice_sum = periodized_deriv_sum if order else periodized_sum
+    res = lattice_sum(u * scale, PeriodizedSumSpec(step, alternating=order == 0), policy)
+    weight = -2.0 if order else 1.0
+    factor = scale ** (7 + order)
+    return KernelEval(
+        res.value * (weight * factor), abs(weight) * factor * res.tail_bound, method
+    )
 
 
 def szego_strip(
@@ -210,21 +220,7 @@ def szego_strip(
     ``method='closed_form'`` routes through the rescaled octonionic csc,
     (pi/2d)^7 csc((pi/2d) u).
     """
-    zo, wo = _as_oct(z), _as_oct(w)
-    _check_strip(zo, domain, "z")
-    _check_strip(wo, domain, "w")
-    u = _combined(zo, wo)
-    _check_walls(u, domain)
-    if method == "series":
-        res = periodized_sum(u, PeriodizedSumSpec(2.0 * domain.d, alternating=True), policy)
-        return KernelEval(res.value, res.tail_bound, method)
-    if method == "closed_form":
-        s = math.pi / (2.0 * domain.d)
-        res = periodized_sum(
-            u * s, PeriodizedSumSpec(math.pi, alternating=True), policy
-        )
-        return KernelEval(res.value * s**7, s**7 * res.tail_bound, method)
-    raise ValueError(f"method must be 'series' or 'closed_form', got {method!r}")
+    return _strip_kernel(z, w, domain, policy, method, order=0)
 
 
 def bergman_strip(
@@ -239,19 +235,7 @@ def bergman_strip(
     ``method='closed_form'`` evaluates the same sum through the rescaled
     derivative series at argument (pi/2d) u.
     """
-    zo, wo = _as_oct(z), _as_oct(w)
-    _check_strip(zo, domain, "z")
-    _check_strip(wo, domain, "w")
-    u = _combined(zo, wo)
-    _check_walls(u, domain)
-    if method == "series":
-        res = periodized_deriv_sum(u, PeriodizedSumSpec(2.0 * domain.d), policy)
-        return KernelEval(res.value * -2.0, 2.0 * res.tail_bound, method)
-    if method == "closed_form":
-        s = math.pi / (2.0 * domain.d)
-        res = periodized_deriv_sum(u * s, PeriodizedSumSpec(math.pi), policy)
-        return KernelEval(res.value * (-2.0 * s**8), 2.0 * s**8 * res.tail_bound, method)
-    raise ValueError(f"method must be 'series' or 'closed_form', got {method!r}")
+    return _strip_kernel(z, w, domain, policy, method, order=1)
 
 
 def bergman_strip_closed_form_variants(
@@ -296,11 +280,7 @@ def strip_relation_residual(
     uses a central difference of the boundary kernel in the first
     argument's real coordinate.
     """
-    zo, wo = _as_oct(z), _as_oct(w)
-    _check_strip(zo, domain, "z")
-    _check_strip(wo, domain, "w")
-    u = _combined(zo, wo)
-    _check_walls(u, domain)
+    zo, wo, u = _strip_argument(z, w, domain)
 
     lhs = (
         bergman_strip(zo * 0.5, wo * 0.5, domain, policy).value
@@ -355,21 +335,27 @@ def bergman_half_space_values(u: np.ndarray) -> np.ndarray:
     return -2.0 * dq0_dx0_many(u)
 
 
+def _ball_argument(z: Octonion, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """u = 1 - conj(z) w (n, 8) and |u|^2 (n,), refusing a singular row."""
+    u = _ONE - mul_many(np.array(z.conjugate().coords), np.asarray(w, dtype=np.float64))
+    n2 = np.einsum("ij,ij->i", u, u)
+    if np.any(n2 < 1e-24):
+        raise SingularityError(
+            f"1 - conj(z) w is singular, |u| = {math.sqrt(float(n2.min())):.3e}"
+        )
+    return u, n2
+
+
 def szego_ball_values(z: Octonion, w: np.ndarray) -> np.ndarray:
     """Boundary kernel rows S(z, w_k) for fixed z and sample points w (n, 8)."""
-    w = np.asarray(w, dtype=np.float64)
-    u = -mul_many(np.array(z.conjugate().coords), w)
-    u[:, 0] += 1.0
-    n2 = np.einsum("ij,ij->i", u, u)
+    u, n2 = _ball_argument(z, w)
     return u / (n2**4)[:, None]
 
 
 def bergman_ball_values(z: Octonion, w: np.ndarray) -> np.ndarray:
     """Volume kernel rows B(z, w_k) for fixed z and sample points w (n, 8)."""
     w = np.asarray(w, dtype=np.float64)
-    u = -mul_many(np.array(z.conjugate().coords), w)
-    u[:, 0] += 1.0
-    n2 = np.einsum("ij,ij->i", u, u)
+    u, n2 = _ball_argument(z, w)
     w2 = np.einsum("ij,ij->i", w, w)
     bracket = 2.0 * u
     bracket[:, 0] += 6.0 * (1.0 - z.norm_sq() * w2)

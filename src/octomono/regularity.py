@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Union
 
 import numpy as np
 
-from .algebra import MUL_IDX, MUL_SGN, Octonion
+from .algebra import MUL_IDX, MUL_SGN, PointLike, as_coords, like
 from .errors import DomainError, SingularityError
 
 ArrayFn = Callable[[np.ndarray], np.ndarray]
-PointLike = Union[Octonion, np.ndarray]
 
 _BASIS = np.eye(8, dtype=np.float64)
 
@@ -55,30 +54,14 @@ class FunctionHandle:
     """Named octonion-valued function of an octonion variable.
 
     ``eval_batch`` maps coordinate arrays of shape (..., 8) to arrays of
-    the same shape and must broadcast over leading axes.  An optional
-    ``domain_guard`` predicate reports whether a point sits far enough
-    inside the function's domain for finite-difference probing.
+    the same shape and must broadcast over leading axes.
     """
 
     name: str
     eval_batch: ArrayFn
-    domain_guard: Optional[Callable[[np.ndarray], bool]] = None
 
     def __call__(self, z: PointLike) -> PointLike:
-        if isinstance(z, Octonion):
-            return Octonion(*self.eval_batch(z.to_array()))
-        return self.eval_batch(np.asarray(z, dtype=np.float64))
-
-    def admits(self, z: PointLike) -> bool:
-        if self.domain_guard is None:
-            return True
-        return bool(self.domain_guard(_as_coords(z)))
-
-
-def _as_coords(z: PointLike) -> np.ndarray:
-    if isinstance(z, Octonion):
-        return z.to_array()
-    return np.asarray(z, dtype=np.float64)
+        return like(z, self.eval_batch(as_coords(z)))
 
 
 def q0_many(points: np.ndarray, min_norm: float = 1e-30) -> np.ndarray:
@@ -95,9 +78,7 @@ def q0_many(points: np.ndarray, min_norm: float = 1e-30) -> np.ndarray:
 
 def cauchy_kernel(z: PointLike) -> PointLike:
     """conj(z)/|z|^8, the degree -7 monogenic kernel with pole at 0."""
-    if isinstance(z, Octonion):
-        return Octonion(*q0_many(z.to_array()))
-    return q0_many(z)
+    return like(z, q0_many(as_coords(z)))
 
 
 def dq0_dx0_many(points: np.ndarray, min_norm: float = 1e-30) -> np.ndarray:
@@ -114,52 +95,46 @@ def dq0_dx0_many(points: np.ndarray, min_norm: float = 1e-30) -> np.ndarray:
 
 
 def dq0_dx0(z: PointLike) -> PointLike:
-    if isinstance(z, Octonion):
-        return Octonion(*dq0_dx0_many(z.to_array()))
-    return dq0_dx0_many(z)
+    return like(z, dq0_dx0_many(as_coords(z)))
 
 
-def partial_derivative(f: ArrayFn, z: PointLike, axis: int, h: float = 1e-5) -> PointLike:
-    """Central-difference partial along one coordinate axis."""
-    zc = _as_coords(z)
-    step = h * _BASIS[axis]
-    val = (f(zc + step) - f(zc - step)) / (2.0 * h)
-    if isinstance(z, Octonion):
-        return Octonion(*val)
-    return val
+def central_difference(f: ArrayFn, zc: np.ndarray, units: np.ndarray, h: float) -> np.ndarray:
+    """(f(zc + h e) - f(zc - h e)) / 2h for the unit step rows ``e`` of ``units``.
 
-
-def _jacobian_rows(f: ArrayFn, zc: np.ndarray, h: float) -> np.ndarray:
-    # rows[i] = df/dxi at zc, shape (8, 8); one batched call per sign.
-    up, down = zc[None, :] + h * _BASIS, zc[None, :] - h * _BASIS
-    if h != 0.0 and (np.any(np.diagonal(up) == zc) or np.any(np.diagonal(down) == zc)):
+    ``units`` is one coordinate axis (8,) or a stack of them (k, 8); the
+    result has one row per step row, or per point of a batch ``zc``.
+    """
+    steps = h * units
+    up, down = zc + steps, zc - steps
+    if np.any(((up == zc) | (down == zc)) & (steps != 0.0)):
         # z + h == z would make that difference quotient exactly 0, a silent
         # pass; a zero step gives 0/0 = NaN, which the residual keeps
         raise DomainError(f"step {h:g} leaves a coordinate of the point unchanged")
     return (f(up) - f(down)) / (2.0 * h)
 
 
+def partial_derivative(f: ArrayFn, z: PointLike, axis: int, h: float = 1e-5) -> PointLike:
+    """Central-difference partial along one coordinate axis, at a point or a batch."""
+    return like(z, central_difference(f, as_coords(z), _BASIS[axis], h))
+
+
+def _apply_D(src: np.ndarray, sgn: np.ndarray, f: ArrayFn, z: PointLike, h: float) -> PointLike:
+    rows = central_difference(f, as_coords(z), _BASIS, h)  # rows[i] = df/dxi
+    # sum_i e_i * rows[i] (rows[i] * e_i for the right tables); a sum started
+    # at +0.0 gives a zero the sign the mul_many(_BASIS, rows) form gives it,
+    # so for finite rows both agree bit for bit (an inf row gives inf here
+    # where 0 * inf made NaN there)
+    return like(z, (sgn * rows[_ROWS, src]).sum(axis=0, initial=0.0))
+
+
 def apply_D_left(f: ArrayFn, z: PointLike, h: float = 1e-5) -> PointLike:
     """df/dx0 + sum_i ei * (df/dxi) by central differences."""
-    zc = _as_coords(z)
-    rows = _jacobian_rows(f, zc, h)
-    # sum_i e_i * rows[i]; a sum started at +0.0 gives a zero the sign the
-    # mul_many(_BASIS, rows) form gives it, so for finite rows both agree
-    # bit for bit (an inf row gives inf here where 0 * inf made NaN there)
-    out = (_L_SGN * rows[_ROWS, _L_SRC]).sum(axis=0, initial=0.0)
-    if isinstance(z, Octonion):
-        return Octonion(*out)
-    return out
+    return _apply_D(_L_SRC, _L_SGN, f, z, h)
 
 
 def apply_D_right(f: ArrayFn, z: PointLike, h: float = 1e-5) -> PointLike:
     """df/dx0 + sum_i (df/dxi) * ei by central differences."""
-    zc = _as_coords(z)
-    rows = _jacobian_rows(f, zc, h)
-    out = (_R_SGN * rows[_ROWS, _R_SRC]).sum(axis=0, initial=0.0)
-    if isinstance(z, Octonion):
-        return Octonion(*out)
-    return out
+    return _apply_D(_R_SRC, _R_SGN, f, z, h)
 
 
 def o_regularity_residual(
@@ -170,8 +145,9 @@ def o_regularity_residual(
 ) -> float:
     """Max Cauchy-Riemann image norm over points; near 0 for monogenic f.
 
-    ``points`` is a single point or an iterable of points.  Callers must
-    keep every point at distance >= 10h from the singular set of f.
+    ``points`` is a single point, a batch (n, 8) or an iterable of points.
+    Callers must keep every point at distance >= 10h from the singular
+    set of f.
     """
     if side == "left":
         apply = apply_D_left
@@ -179,14 +155,13 @@ def o_regularity_residual(
         apply = apply_D_right
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if isinstance(points, Octonion) or (
-        isinstance(points, np.ndarray) and points.ndim == 1
-    ):
-        points = [points]
+    if np.iterable(points) and not isinstance(points, np.ndarray):
+        zs = np.array([as_coords(z) for z in points]).reshape(-1, 8)
+    else:
+        zs = as_coords(points).reshape(-1, 8)
     norms = []
-    for z in points:
+    for z in zs:
         image = apply(f, z, h)
-        arr = image.to_array() if isinstance(image, Octonion) else np.asarray(image)
-        norms.append(np.sqrt(np.sum(arr * arr)))
+        norms.append(np.sqrt(np.sum(image * image)))
     # np.max keeps a NaN norm, where the builtin max(0.0, nan) would drop it
     return float(np.max(norms, initial=0.0))

@@ -27,10 +27,8 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .algebra import Octonion
+from .algebra import PointLike, as_coords, like
 from .errors import DomainError, PolicyError, SingularityError
-
-PointLike = Union[Octonion, np.ndarray]
 
 # Distance from a lattice pole below which evaluation is refused.
 POLE_GUARD = 1e-12
@@ -71,22 +69,6 @@ class SumResult:
     value: PointLike
     tail_bound: float
     terms: int
-
-
-def _coords(z: PointLike) -> np.ndarray:
-    """Coordinates of a point (8,) or a batch (n, 8)."""
-    if isinstance(z, Octonion):
-        return z.to_array()
-    arr = np.asarray(z, dtype=np.float64)
-    if arr.ndim not in (1, 2) or arr.shape[-1] != 8:
-        raise ValueError(f"expected a point (8,) or a batch (n, 8), got {arr.shape}")
-    return arr
-
-
-def _wrap(value: np.ndarray, like: PointLike) -> PointLike:
-    if isinstance(like, Octonion):
-        return Octonion(*value)
-    return value
 
 
 def _lattice_sum(
@@ -164,11 +146,11 @@ def _lattice_sum(
 def _periodized(
     zeta: PointLike, spec: PeriodizedSumSpec, order: int, policy: TruncationPolicy
 ) -> SumResult:
-    zc = _coords(zeta)
+    zc = as_coords(zeta)
     values, tail, terms = _lattice_sum(
         zc.reshape(-1, 8), spec.step, spec.alternating, order, policy
     )
-    return SumResult(_wrap(values.reshape(zc.shape), zeta), tail, terms)
+    return SumResult(like(zeta, values.reshape(zc.shape)), tail, terms)
 
 
 def periodized_sum(
@@ -198,11 +180,9 @@ def csc(z: PointLike, policy: TruncationPolicy = TruncationPolicy()) -> SumResul
 
 
 def _shift_half_pi(z: PointLike) -> PointLike:
-    if isinstance(z, Octonion):
-        return z + math.pi / 2.0
-    out = np.array(z, dtype=np.float64, copy=True)
+    out = as_coords(z).copy()
     out[..., 0] += math.pi / 2.0
-    return out
+    return like(z, out)
 
 
 def tan(z: PointLike, policy: TruncationPolicy = TruncationPolicy()) -> SumResult:
@@ -221,7 +201,7 @@ def duplication_residual(
 
     A float for a point, one residual per row for a batch (n, 8).
     """
-    zc = _coords(z)
+    zc = as_coords(z)
     lhs = 128.0 * cot(2.0 * zc, policy).value
     rhs = cot(zc, policy).value + cot(_shift_half_pi(zc), policy).value
     return np.linalg.norm(lhs - rhs, axis=-1)
@@ -247,7 +227,7 @@ def combined_relation_residuals(
     one vanishes is a property of the function family, not an input to
     this routine; callers should measure rather than assume.
     """
-    zc = _coords(z)
+    zc = as_coords(z)
     combo = (
         csc(zc, policy).value
         + tan(zc, policy).value

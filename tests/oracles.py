@@ -25,9 +25,15 @@ from octomono.kernels import (
     szego_half_space_values,
     szego_strip_values,
 )
+from octomono.kernels import bergman_unit_ball
 from octomono.quadrature import SampleBatch
 from octomono.regularity import q0_many
-from octomono.trig_series import TruncationPolicy
+from octomono.trig_series import (
+    PeriodizedSumSpec,
+    TruncationPolicy,
+    periodized_deriv_sum,
+    periodized_sum,
+)
 
 SPHERE6_AREA = 16.0 * np.pi**3 / 15.0
 REPRO_CONST = 3.0 / np.pi**4
@@ -132,6 +138,59 @@ def bergman_strip_values_reference(
     norms = np.sqrt(u0 * u0 + s2)
     tail = 2.0 * (18.0 / (7.0 * step)) * (step * n_side - float(norms.max())) ** -7
     return out, tail
+
+
+def szego_strip_reference(
+    z: Octonion, w: Octonion, d: float, policy: TruncationPolicy, method: str
+) -> tuple[Octonion, float]:
+    """The two method branches szego_strip had before the shared strip body.
+
+    Returns (value, tail bound); domain checks are left out.
+    """
+    u = z + w.conjugate()
+    if method == "series":
+        res = periodized_sum(u, PeriodizedSumSpec(2.0 * d, alternating=True), policy)
+        return res.value, res.tail_bound
+    s = math.pi / (2.0 * d)
+    res = periodized_sum(u * s, PeriodizedSumSpec(math.pi, alternating=True), policy)
+    return res.value * s**7, s**7 * res.tail_bound
+
+
+def bergman_strip_reference(
+    z: Octonion, w: Octonion, d: float, policy: TruncationPolicy, method: str
+) -> tuple[Octonion, float]:
+    """The two method branches bergman_strip had before the shared strip body."""
+    u = z + w.conjugate()
+    if method == "series":
+        res = periodized_deriv_sum(u, PeriodizedSumSpec(2.0 * d), policy)
+        return res.value * -2.0, 2.0 * res.tail_bound
+    s = math.pi / (2.0 * d)
+    res = periodized_deriv_sum(u * s, PeriodizedSumSpec(math.pi), policy)
+    return res.value * (-2.0 * s**8), 2.0 * s**8 * res.tail_bound
+
+
+def bergman_unit_ball_potential_residual_reference(
+    z: Octonion, w: Octonion, h: float = 1e-5
+) -> float:
+    """The potential-equation residual with its hand-written eye stencil."""
+    b = bergman_unit_ball(z, w)
+    lhs = b.conjugate() * z.conjugate()
+    zn2 = z.norm_sq()
+
+    def potential(points: np.ndarray) -> np.ndarray:
+        pts = np.asarray(points, dtype=np.float64)
+        u = -mul_many(pts, np.array(z.conjugate().coords))
+        u[..., 0] += 1.0
+        n2 = np.einsum("...i,...i->...", u, u)
+        w2 = np.einsum("...i,...i->...", pts, pts)
+        return (1.0 - zn2 * w2) / n2**4
+
+    eye = np.eye(8)
+    grad = (potential(w.to_array() + h * eye) - potential(w.to_array() - h * eye)) / (
+        2.0 * h
+    )
+    rhs = Octonion(grad[0], *(-grad[1:]))
+    return (lhs - rhs).norm()
 
 
 def lambda_sum(s: float, terms: int = 200_000) -> float:

@@ -6,10 +6,13 @@ from hypothesis import given, settings
 
 from conftest import octonions
 from oracles import (
+    bergman_strip_reference,
     bergman_strip_values_reference,
+    bergman_unit_ball_potential_residual_reference,
     brute_deriv_sum,
     brute_lattice_sum,
     lambda_sum,
+    szego_strip_reference,
     szego_strip_values_reference,
 )
 from octomono.algebra import Octonion, conj, mul
@@ -32,7 +35,7 @@ from octomono.kernels import (
     szego_strip_values,
     szego_unit_ball,
 )
-from octomono.regularity import partial_derivative, q0_many
+from octomono.regularity import FiniteDiffConfig, partial_derivative
 from octomono.trig_series import _BLOCK_ROWS, TruncationPolicy
 
 TIGHT = TruncationPolicy(tail_tol=1e-14)
@@ -58,6 +61,8 @@ class TestFrozenBallValues:
         got = szego_unit_ball(Octonion(0.5), Octonion(0.5))
         assert (got - Octonion(0.75**-7)).norm() < 1e-12
         assert abs(got.real - 7.491540923639689) < 1e-12
+        # 1 - conj(z) w: the zero imaginary parts are +0.0, as in 0.0 - 0.0
+        assert not np.signbit(got.to_array()).any()
 
     def test_bergman_at_half_half(self):
         got = bergman_unit_ball(Octonion(0.5), Octonion(0.5))
@@ -352,8 +357,9 @@ class TestBatchHelpers:
         for i in range(8):
             s = szego_half_space(Octonion(*zs[i]), Octonion(*ws[i])).to_array()
             b = bergman_half_space(Octonion(*zs[i]), Octonion(*ws[i])).to_array()
-            assert np.allclose(sb[i], s, rtol=1e-13, atol=1e-18)
-            assert np.allclose(bb[i], b, rtol=1e-13, atol=1e-18)
+            # the scalar kernels are row i of the batch, bit for bit
+            assert np.array_equal(sb[i].view(np.int64), s.view(np.int64))
+            assert np.array_equal(bb[i].view(np.int64), b.view(np.int64))
 
     def test_ball_batches_match_scalar(self, rng):
         z = Octonion(*rng.uniform(-0.3, 0.3, 8))
@@ -363,5 +369,40 @@ class TestBatchHelpers:
         for i in range(8):
             s = szego_unit_ball(z, Octonion(*ws[i])).to_array()
             b = bergman_unit_ball(z, Octonion(*ws[i])).to_array()
-            assert np.abs(sb[i] - s).max() < 1e-13
-            assert np.abs(bb[i] - b).max() < 1e-12
+            assert np.array_equal(sb[i].view(np.int64), s.view(np.int64))
+            assert np.array_equal(bb[i].view(np.int64), b.view(np.int64))
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestScalarViewsBitIdentity:
+    """The shared strip body and difference stencil keep the bits of the
+    per-kernel code they replace (copies in ``tests/oracles.py``)."""
+
+    @pytest.mark.parametrize("method", ["series", "closed_form"])
+    @pytest.mark.parametrize("tail_tol", [1e-12, 1e-6])
+    @pytest.mark.parametrize("d", [1.0, 0.7])
+    @pytest.mark.parametrize(
+        "kernel, reference",
+        [(szego_strip, szego_strip_reference), (bergman_strip, bergman_strip_reference)],
+        ids=["szego", "bergman"],
+    )
+    def test_strip_kernels(self, rng, kernel, reference, d, tail_tol, method):
+        policy = TruncationPolicy(tail_tol=tail_tol)
+        for _ in range(4):
+            z, w = _strip_pair(rng, d)
+            got = kernel(z, w, StripDomain(d), policy, method=method)
+            value, tail = reference(z, w, d, policy, method)
+            assert np.array_equal(_bits(got.value.coords), _bits(value.coords))
+            assert _bits(got.tail_bound) == _bits(tail)
+
+    @pytest.mark.parametrize("h", [1e-5, 1e-3])
+    def test_ball_potential_residual(self, rng, h):
+        for _ in range(5):
+            z = Octonion(*rng.uniform(-0.3, 0.3, 8))
+            w = Octonion(*rng.uniform(-0.3, 0.3, 8))
+            got = bergman_unit_ball_potential_residual(z, w, FiniteDiffConfig(h))
+            want = bergman_unit_ball_potential_residual_reference(z, w, h)
+            assert _bits(got) == _bits(want)
