@@ -100,7 +100,8 @@ def _check_row(name, value, target, residual, tolerance, tail_bound=None, d=None
         residual=residual,
         tolerance=tolerance,
         tail_bound=tail_bound,
-        passed=bool(residual <= tolerance),
+        # a NaN or an infinite residual fails whatever its sign
+        passed=bool(math.isfinite(residual) and residual <= tolerance),
         d=d,
     )
 
@@ -281,7 +282,7 @@ def _cmd_trig(args, t0) -> int:
 
     for name, fn in (("cot", cot), ("tan", tan), ("csc", csc), ("sec", sec)):
         resid = o_regularity_residual(
-            lambda a, fn=fn: fn(a, policy).value, list(pts), h=fd.h
+            lambda a, fn=fn: fn(a, policy).value, pts, h=fd.h
         )
         rows.append(_check_row(f"oregularity_{name}", resid, 0.0, resid, 1e-6))
 

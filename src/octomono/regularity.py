@@ -32,6 +32,9 @@ def _unit_product_gather(idx: np.ndarray, sgn: np.ndarray) -> tuple[np.ndarray, 
 
 
 _ROWS = np.arange(8)[:, None]
+# Points per operator call in o_regularity_residual: a point's stencil is
+# 16 rows of f, so a call holds 16,384 rows and memory stays bounded.
+_POINTS_PER_CALL = 1024
 # (e_i * r)_k = _L_SGN[i, k] * r[_L_SRC[i, k]];  (r * e_i)_k likewise with _R_*.
 _L_SRC, _L_SGN = _unit_product_gather(MUL_IDX, MUL_SGN)
 _R_SRC, _R_SGN = _unit_product_gather(MUL_IDX.T, MUL_SGN.T)
@@ -103,6 +106,9 @@ def central_difference(f: ArrayFn, zc: np.ndarray, units: np.ndarray, h: float) 
 
     ``units`` is one coordinate axis (8,) or a stack of them (k, 8); the
     result has one row per step row, or per point of a batch ``zc``.
+    Both ends go to ``f`` in one call, stacked as ``(2, ...)``, so an
+    ``f`` whose truncation depends on its batch (a lattice sum takes its
+    term count from the largest norm) differences one truncated function.
     """
     steps = h * units
     up, down = zc + steps, zc - steps
@@ -110,7 +116,8 @@ def central_difference(f: ArrayFn, zc: np.ndarray, units: np.ndarray, h: float) 
         # z + h == z would make that difference quotient exactly 0, a silent
         # pass; a zero step gives 0/0 = NaN, which the residual keeps
         raise DomainError(f"step {h:g} leaves a coordinate of the point unchanged")
-    return (f(up) - f(down)) / (2.0 * h)
+    ends = f(np.stack((up, down)))
+    return (ends[0] - ends[1]) / (2.0 * h)
 
 
 def partial_derivative(f: ArrayFn, z: PointLike, axis: int, h: float = 1e-5) -> PointLike:
@@ -119,12 +126,21 @@ def partial_derivative(f: ArrayFn, z: PointLike, axis: int, h: float = 1e-5) -> 
 
 
 def _apply_D(src: np.ndarray, sgn: np.ndarray, f: ArrayFn, z: PointLike, h: float) -> PointLike:
-    rows = central_difference(f, as_coords(z), _BASIS, h)  # rows[i] = df/dxi
-    # sum_i e_i * rows[i] (rows[i] * e_i for the right tables); a sum started
-    # at +0.0 gives a zero the sign the mul_many(_BASIS, rows) form gives it,
-    # so for finite rows both agree bit for bit (an inf row gives inf here
-    # where 0 * inf made NaN there)
-    return like(z, (sgn * rows[_ROWS, src]).sum(axis=0, initial=0.0))
+    """The image at a point or at each point of a (..., 8) batch, from one call of f.
+
+    ``f`` receives the whole ``(2, ..., 8, 8)`` stencil, both ends of each
+    point's eight steps, so a batch-dependent ``f`` sees one term count.
+    """
+    zc = as_coords(z)
+    rows = central_difference(f, zc[..., None, :], _BASIS, h)  # rows[..., i, :] = df/dxi
+    # sum_i e_i * rows[i] (rows[i] * e_i for the right tables), added in the
+    # order i = 0..7; a sum started at +0.0 gives a zero the sign the
+    # mul_many(_BASIS, rows) form gives it, so for finite rows both agree
+    # bit for bit (an inf row gives inf here where 0 * inf made NaN there)
+    image = (sgn * rows[..., _ROWS, src]).sum(axis=-2, initial=0.0)
+    # the gather leaves the batch axis innermost; C order lets a row's
+    # np.sum add its eight coordinates in the order it does for one point
+    return like(z, np.ascontiguousarray(image))
 
 
 def apply_D_left(f: ArrayFn, z: PointLike, h: float = 1e-5) -> PointLike:
@@ -146,8 +162,10 @@ def o_regularity_residual(
     """Max Cauchy-Riemann image norm over points; near 0 for monogenic f.
 
     ``points`` is a single point, a batch (n, 8) or an iterable of points.
-    Callers must keep every point at distance >= 10h from the singular
-    set of f.
+    Up to 1,024 points are evaluated in one operator call: ``f`` receives
+    their whole ``(2, n, 8, 8)`` stencil, so a batch-dependent ``f`` (a
+    lattice sum) uses one term count for all of them.  Callers must keep
+    every point at distance >= 10h from the singular set of f.
     """
     if side == "left":
         apply = apply_D_left
@@ -159,9 +177,9 @@ def o_regularity_residual(
         zs = np.array([as_coords(z) for z in points]).reshape(-1, 8)
     else:
         zs = as_coords(points).reshape(-1, 8)
-    norms = []
-    for z in zs:
-        image = apply(f, z, h)
-        norms.append(np.sqrt(np.sum(image * image)))
-    # np.max keeps a NaN norm, where the builtin max(0.0, nan) would drop it
-    return float(np.max(norms, initial=0.0))
+    worst = 0.0
+    for lo in range(0, len(zs), _POINTS_PER_CALL):
+        image = apply(f, zs[lo : lo + _POINTS_PER_CALL], h)
+        # np.max keeps a NaN norm, where the builtin max(0.0, nan) would drop it
+        worst = np.max(np.sqrt(np.sum(image * image, axis=-1)), initial=worst)
+    return float(worst)

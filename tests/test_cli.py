@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from octomono.cli import main
+from octomono.cli import _check_row, main
 
 TOP_KEYS = ["command", "params", "seed", "results", "elapsed_ms"]
 ROW_KEYS = ["name", "value", "target", "residual", "tolerance", "tail_bound", "pass"]
@@ -228,6 +228,34 @@ class TestVerificationSuites:
         assert rows["table_vs_cayley_dickson"]["tolerance"] == 1e-14
         assert rows["norm_composition_rel"]["tolerance"] == 1e-12
         assert all(r["pass"] for r in rows.values())
+
+
+class TestCheckRow:
+    @pytest.mark.parametrize(
+        "residual", [math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf")]
+    )
+    def test_non_finite_residual_fails(self, residual):
+        # -inf <= tol is True and nan <= tol only happens to be False
+        row = _check_row("x", residual, 0.0, residual, 1e-6)
+        assert row["pass"] is False
+
+    @pytest.mark.parametrize(
+        "residual, passed",
+        [(0.0, True), (1e-6, True), (-1.0, True), (np.float64(5e-7), True), (2e-6, False)],
+    )
+    def test_finite_residual_verdict_unchanged(self, residual, passed):
+        row = _check_row("x", 1.5, 0.0, residual, 1e-6, tail_bound=1e-13, d=2.0)
+        assert row == {
+            "name": "x",
+            "value": 1.5,
+            "target": 0.0,
+            "residual": residual,
+            "tolerance": 1e-6,
+            "tail_bound": 1e-13,
+            "pass": passed,
+            "_d": 2.0,
+        }
+        assert row["pass"] is passed
 
 
 class TestLimitStudy:

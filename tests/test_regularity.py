@@ -14,6 +14,7 @@ from octomono.regularity import (
     apply_D_left,
     apply_D_right,
     cauchy_kernel,
+    central_difference,
     dq0_dx0,
     dq0_dx0_many,
     o_regularity_residual,
@@ -205,6 +206,65 @@ class TestFiniteDifferenceOperator:
             else:
                 got, want = apply_D_right(f, z, h), mul_many(rows, eye).sum(axis=0)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _q0_nan_at_x0_7(p):
+    # q0, but NaN in the stencil around a point with x0 = 7
+    return np.where(np.abs(p[..., :1] - 7.0) < 0.1, np.nan, q0_many(p))
+
+
+class TestBatchedOperators:
+    """A batch of points is one stencil, with the bits of one point at a time."""
+
+    @pytest.mark.parametrize("n", [1, 2, 37])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_batch_equals_stacked_points(self, rng, n, side):
+        apply = apply_D_left if side == "left" else apply_D_right
+        pts = _points_away_from_origin(rng, n)
+        for f in (shifted_cauchy_kernel(Octonion(5.0)), linear_monogenic()):
+            got = apply(f.eval_batch, pts)
+            want = np.stack([apply(f.eval_batch, p) for p in pts])
+            assert got.shape == (n, 8)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_one_unchanged_row_fails_the_batch(self, rng, side):
+        pts = _points_away_from_origin(rng, 6)
+        pts[3, 0] = 1e12  # 1e12 + 1e-5 == 1e12 in this row only
+        with pytest.raises(DomainError, match="unchanged"):
+            o_regularity_residual(q0_many, pts, h=1e-5, side=side)
+
+    def test_nan_image_in_one_row_makes_the_residual_nan(self, rng):
+        pts = _points_away_from_origin(rng, 9)
+        pts[4, 0] = 7.0
+        assert np.isnan(o_regularity_residual(_q0_nan_at_x0_7, pts))
+        assert o_regularity_residual(_q0_nan_at_x0_7, np.delete(pts, 4, axis=0)) < 1e-6
+
+    def test_residual_spans_operator_calls(self, rng):
+        # more points than one operator call takes: still the max over
+        # every point, and a NaN in the last call is kept
+        pts = _points_away_from_origin(rng, 1030)
+        singles = [o_regularity_residual(q0_many, p) for p in pts]
+        assert o_regularity_residual(q0_many, pts) == max(singles)
+        pts[-1, 0] = 7.0
+        assert np.isnan(o_regularity_residual(_q0_nan_at_x0_7, pts))
+
+    def test_both_ends_in_one_call(self, rng):
+        calls = []
+
+        def spy(p):
+            calls.append(p.shape)
+            return q0_many(p)
+
+        pts = _points_away_from_origin(rng, 5)
+        central_difference(spy, pts, np.eye(8)[2], 1e-5)
+        assert calls == [(2, 5, 8)]
+        calls.clear()
+        apply_D_left(spy, pts)
+        assert calls == [(2, 5, 8, 8)]
+        calls.clear()
+        apply_D_right(spy, pts[0])
+        assert calls == [(2, 8, 8)]
 
 
 class TestFunctionHandles:
