@@ -451,6 +451,26 @@ def _product_terms() -> tuple[tuple[tuple[int, int, bool], ...], ...]:
 
 _TERMS = _product_terms()
 
+# Rows per block of mul_many.  A float64 block's two coordinate-major
+# operands, its output columns and the term buffer take about 1.6 MiB,
+# which stays in a 2 MiB L2, so the 120 passes of the term loop read
+# cache instead of memory.  Median time of a (131072, 8) float64
+# product on an Intel Xeon with 2 MiB of L2 per core, by rows per
+# block: 1024 14.7 ms, 2048 11.4, 4096 9.4, 8192 9.1, 16384 10.8,
+# 32768 13.1, all rows in one block 18.0.  Longdouble products are
+# bound by the x87 arithmetic, not by memory, and take about the same
+# time at any of these sizes.
+_BLOCK_ROWS = 8192
+
+
+def _coordinate_major(x: np.ndarray, ndim: int, lo: int, hi: int, dtype: np.dtype) -> np.ndarray:
+    # Rows lo:hi of x as a contiguous (8, ...) array.  An operand that
+    # lacks the batch's first axis, or has it at length 1, broadcasts
+    # and is taken whole.
+    if x.ndim == ndim and x.shape[0] != 1:
+        x = x[lo:hi]
+    return np.ascontiguousarray(np.moveaxis(x, -1, 0), dtype=dtype)
+
 
 def mul_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Componentwise octonion product of (..., 8) coordinate arrays, broadcasting.
@@ -460,13 +480,21 @@ def mul_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     precision where the structure constants need to be separated from
     double roundoff.
 
-    Layout and bit-identity contract: the operands are moved to
-    coordinate-major (8, ...) arrays, and each output coordinate ``k`` is
-    one contiguous row summing its eight signed products ``a_i * b_j`` in
-    the order ``i = 0..7``, starting from ``+0.0`` (the closing
-    ``row += 0.0`` turns a ``-0.0`` sum into ``+0.0``).  Every bit, zero
-    signs included, therefore matches the plain row-major table loop.
-    The result is a C-contiguous (..., 8) array.
+    Layout and bit-identity contract: the broadcast batch is cut along
+    its first axis into blocks of about ``_BLOCK_ROWS`` rows, few enough
+    that a float64 block's working set stays in L2 cache through the
+    120 passes of the term loop (the constant records the measurement).
+    Each block of each operand is moved to a small coordinate-major
+    (8, ...) array, and each output coordinate ``k`` of the block is one
+    contiguous row, in one (8, ...) output, summing its eight signed
+    products ``a_i * b_j`` in the order ``i = 0..7``, starting from
+    ``+0.0`` (the closing ``row += 0.0`` turns a ``-0.0`` sum into
+    ``+0.0``).  Every element sees the same operations in the same
+    order whatever the block size, so every bit, zero signs included,
+    matches the plain row-major table loop; only a NaN's sign may
+    differ, since the loop adds a negated product where this
+    subtracts.  The output is transposed once at the end into a
+    C-contiguous (..., 8) array.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -476,22 +504,30 @@ def mul_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         b = b.astype(np.float64)
     dtype = np.result_type(a, b)
     shape = np.broadcast_shapes(a.shape, b.shape)[:-1]
-    # A single (8,) row is already contiguous and is not copied.
-    ac = np.ascontiguousarray(np.moveaxis(a, -1, 0), dtype=dtype)
-    bc = np.ascontiguousarray(np.moveaxis(b, -1, 0), dtype=dtype)
+    batch = shape or (1,)
+    ndim = len(batch) + 1
+    step = max(1, _BLOCK_ROWS // max(1, math.prod(batch[1:])))
     out = np.empty((8,) + shape, dtype=dtype)
-    term = np.empty(shape, dtype=dtype)
-    for k, terms in enumerate(_TERMS):
-        row = out[k, ...]  # a view even when the batch shape is ()
-        # i = 0 is the real unit: a_0 * b_k with sign +1
-        np.multiply(ac[0], bc[k], out=row)
-        for i, j, negative in terms[1:]:
-            np.multiply(ac[i], bc[j], out=term)
-            if negative:
-                np.subtract(row, term, out=row)
-            else:
-                np.add(row, term, out=row)
-        row += 0.0
+    rows = out.reshape((8,) + batch)  # a view, with a batch axis to block
+    term = np.empty((min(step, batch[0]),) + batch[1:], dtype=dtype)
+    for lo in range(0, batch[0], step):
+        hi = min(lo + step, batch[0])
+        ac = _coordinate_major(a, ndim, lo, hi, dtype)
+        bc = _coordinate_major(b, ndim, lo, hi, dtype)
+        block = rows[:, lo:hi]
+        tb = term[: hi - lo]
+        for k, terms in enumerate(_TERMS):
+            row = block[k]
+            # i = 0 is the real unit: a_0 * b_k with sign +1
+            np.multiply(ac[0], bc[k], out=row)
+            for i, j, negative in terms[1:]:
+                np.multiply(ac[i], bc[j], out=tb)
+                if negative:
+                    np.subtract(row, tb, out=row)
+                else:
+                    np.add(row, tb, out=row)
+            row += 0.0
+    # an array that owns its data, so numpy can reuse it as a temporary
     return np.ascontiguousarray(np.moveaxis(out, 0, -1))
 
 

@@ -241,6 +241,16 @@ def _trig_points(rng: np.random.Generator, count: int) -> np.ndarray:
     return pts
 
 
+def _identity_tolerance(*terms) -> float:
+    """Bar of an identity among lattice sums, from (coefficient, SumResult) terms.
+
+    Each sum is within its tail bound of the exact series, so the
+    identity's residual is within the sum of |coefficient| * tail bound;
+    1e-9 covers roundoff where the tails are negligible.
+    """
+    return max(1e-9, sum(abs(k) * res.tail_bound for k, res in terms))
+
+
 def _cmd_trig(args, t0) -> int:
     if args.points < 1:
         raise DomainError("points must be >= 1")
@@ -253,38 +263,47 @@ def _cmd_trig(args, t0) -> int:
         # np.max keeps a NaN, where the builtin max(0.0, nan) would drop it
         return float(np.max(rows))
 
-    c = cot(pts, policy).value
-    c2 = cot(2.0 * pts, policy).value
+    c = cot(pts, policy)
+    c2 = cot(2.0 * pts, policy)
+    t = tan(pts, policy)  # -cot(z + pi/2), the duplication's third sum
     shifted = pts.copy()
     shifted[:, 0] += math.pi / 2.0
     dup = worst(duplication_residual(pts, policy))
-    tanrel = worst(np.linalg.norm(tan(pts, policy).value - c + 128.0 * c2, axis=1))
-    cscrel = worst(
-        np.linalg.norm(
-            csc(pts, policy).value - cot(0.5 * pts, policy).value / 64.0 + c, axis=1
-        )
-    )
-    secdef = worst(
-        np.linalg.norm(sec(pts, policy).value - csc(shifted, policy).value, axis=1)
-    )
+    tanrel = worst(np.linalg.norm(t.value - c.value + 128.0 * c2.value, axis=1))
+    s = csc(pts, policy)
+    c_half = cot(0.5 * pts, policy)
+    cscrel = worst(np.linalg.norm(s.value - c_half.value / 64.0 + c.value, axis=1))
+    se = sec(pts, policy)
+    s_shift = csc(shifted, policy)
+    secdef = worst(np.linalg.norm(se.value - s_shift.value, axis=1))
     cr = combined_relation_residuals(pts, policy)
 
+    # each identity's residual with the (coefficient, lattice sum) terms it combines
+    identities = (
+        ("duplication_max", dup, ((128.0, c2), (1.0, c), (1.0, t))),
+        ("tan_relation_max", tanrel, ((1.0, t), (1.0, c), (128.0, c2))),
+        ("csc_relation_max", cscrel, ((1.0, s), (1.0 / 64.0, c_half), (1.0, c))),
+        ("sec_definition_max", secdef, ((1.0, se), (1.0, s_shift))),
+    )
     rows = [
-        _check_row("duplication_max", dup, 0.0, dup, 1e-9),
-        _check_row("tan_relation_max", tanrel, 0.0, tanrel, 1e-9),
-        _check_row("csc_relation_max", cscrel, 0.0, cscrel, 1e-9),
-        _check_row("sec_definition_max", secdef, 0.0, secdef, 1e-9),
+        _check_row(name, resid, 0.0, resid, _identity_tolerance(*terms))
+        for name, resid, terms in identities
+    ]
+    rows += [
         # informational: which combined-relation candidate vanishes is
         # reported, never enforced
         _row("combined_against_duplication_max", worst(cr.against_duplication)),
         _row("combined_against_two_cot_max", worst(cr.against_two_cot)),
     ]
 
+    # central differences err by O(h^2): the bar grows with the step
+    # squared past the default step 1e-5
+    fd_tol = 1e-6 * max(1.0, (fd.h / 1e-5) ** 2)
     for name, fn in (("cot", cot), ("tan", tan), ("csc", csc), ("sec", sec)):
         resid = o_regularity_residual(
             lambda a, fn=fn: fn(a, policy).value, pts, h=fd.h
         )
-        rows.append(_check_row(f"oregularity_{name}", resid, 0.0, resid, 1e-6))
+        rows.append(_check_row(f"oregularity_{name}", resid, 0.0, resid, fd_tol))
 
     params = {"points": args.points, "tail_tol": args.tail_tol, "fd_step": args.fd_step}
     return _finish("trig", params, args.seed, rows, t0, args.csv)

@@ -20,7 +20,9 @@ regions (strip boundary planes, strip volume, half-space boundary) are
 truncated at ``radius`` in the imaginary directions; their estimators
 name the integrand's decay exponent, the engine extrapolates a tail
 estimate from the outermost samples and warns when it is not small
-against the result, or when the estimate is not finite.
+against the result, when the estimate is not finite, or when squared
+sample values underflow; it refuses a radius too large for the squares
+to be finite.
 """
 
 from __future__ import annotations
@@ -92,6 +94,7 @@ class Region:
     name: str
     kind: str  # "boundary" or "volume"
     sampler: Callable[[np.random.Generator, int, int, int], SampleBatch]
+    measure: float  # total area or volume; no sample weight exceeds it
 
 
 @dataclass(frozen=True)
@@ -125,7 +128,7 @@ def sphere_region(radius: float = 1.0, center: Octonion = Octonion()) -> Region:
         weights = np.full(count, area / total)
         return SampleBatch(c + radius * dirs, weights, dirs)
 
-    return Region("sphere", "boundary", sampler)
+    return Region("sphere", "boundary", sampler, area)
 
 
 def ball_region(radius: float = 1.0, center: Octonion = Octonion()) -> Region:
@@ -136,7 +139,7 @@ def ball_region(radius: float = 1.0, center: Octonion = Octonion()) -> Region:
         pts = c + _uniform_ball(rng, count, 8, radius)
         return SampleBatch(pts, np.full(count, volume / total), None)
 
-    return Region("ball", "volume", sampler)
+    return Region("ball", "volume", sampler, volume)
 
 
 def strip_boundary_region(domain: StripDomain, radius: float) -> Region:
@@ -159,7 +162,7 @@ def strip_boundary_region(domain: StripDomain, radius: float) -> Region:
         weights = np.where(on_top, plane_measure / n_top, plane_measure / n_bottom)
         return SampleBatch(pts, weights, normals)
 
-    return Region("strip_boundary", "boundary", sampler)
+    return Region("strip_boundary", "boundary", sampler, 2.0 * plane_measure)
 
 
 def strip_volume_region(domain: StripDomain, radius: float) -> Region:
@@ -171,7 +174,7 @@ def strip_volume_region(domain: StripDomain, radius: float) -> Region:
         pts[:, 0] = rng.uniform(0.0, domain.d, size=count)
         return SampleBatch(pts, np.full(count, measure / total), None)
 
-    return Region("strip_volume", "volume", sampler)
+    return Region("strip_volume", "volume", sampler, measure)
 
 
 def half_space_boundary_region(radius: float) -> Region:
@@ -186,7 +189,7 @@ def half_space_boundary_region(radius: float) -> Region:
         weights = np.full(count, plane_measure / total)
         return SampleBatch(pts, weights, normals)
 
-    return Region("half_space_boundary", "boundary", sampler)
+    return Region("half_space_boundary", "boundary", sampler, plane_measure)
 
 
 def _chunk_batch(region: Region, cfg: McConfig, i: int) -> SampleBatch:
@@ -229,10 +232,24 @@ def _estimate(
     transverse ``width``; the tail estimate integrates that law from the
     largest shell statistic of any chunk.  Warns, at the estimator's
     caller, when the estimate is not finite or the tail is not small
-    against it.
-    """
+    against it, or when squared sample values underflow to zero.
 
-    def work(i: int) -> tuple[np.ndarray, float, float]:
+    Refuses, before sampling, a truncation radius at which
+    ``radius**decay`` or the square of the region's measure, which
+    bounds every squared weight, is not finite.
+    """
+    try:  # float ** raises OverflowError past the float range
+        finite = math.isfinite(cfg.radius**decay) and math.isfinite(region.measure**2)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise DomainError(
+            f"the {region.name} region at radius {cfg.radius} is too large: "
+            f"radius**{decay} or its squared measure {region.measure:.3e}**2 "
+            f"is not a finite float"
+        )
+
+    def work(i: int) -> tuple[np.ndarray, float, float, bool]:
         batch = _chunk_batch(region, cfg, i)
         values = integrand(batch)
         weighted = batch.weights[:, None] * values
@@ -240,6 +257,8 @@ def _estimate(
         part_b = float(
             (batch.weights**2 * np.einsum("ij,ij->i", values, values)).sum()
         )
+        # nonzero values whose squares all underflow leave no variance
+        underflow = part_b == 0.0 and bool(weighted.any())
         shell = 0.0  # max |value| * |Im w|^decay over the outer calibration shell
         if decay:
             y = np.sqrt(np.einsum("ij,ij->i", batch.points[:, 1:], batch.points[:, 1:]))
@@ -247,7 +266,7 @@ def _estimate(
             if mask.any():
                 mags = np.sqrt(np.einsum("ij,ij->i", values[mask], values[mask]))
                 shell = float((mags * y[mask] ** decay).max())
-        return part_a, part_b, shell
+        return part_a, part_b, shell, underflow
 
     n_chunks = -(-cfg.samples // cfg.chunk)
     if cfg.threads > 1:
@@ -258,13 +277,13 @@ def _estimate(
 
     total_a = np.zeros(8)
     total_b = 0.0
-    for part_a, part_b, _ in parts:  # fixed chunk order
+    for part_a, part_b, _, _ in parts:  # fixed chunk order
         total_a = total_a + part_a
         total_b += part_b
     tail_est = 0.0
     if decay:
         # np.max keeps a NaN shell statistic, where max(0.0, nan) would drop it
-        shell_c = float(np.max([shell for _, _, shell in parts], initial=0.0))
+        shell_c = float(np.max([shell for _, _, shell, _ in parts], initial=0.0))
         # integral of shell_c * r^-decay over the truncated exterior,
         # area element ~ SPHERE6_AREA r^6 dr, extra transverse width folded in.
         tail_est = (
@@ -282,6 +301,12 @@ def _estimate(
     size = f"|{value.norm():.3e}| +/- {result.std_err:.3e}"
     if not np.isfinite([*value.coords, result.std_err, tail_est]).all():
         problem = f"estimate {size} with truncation tail {tail_est:.3e} is not finite"
+    elif any(underflow for *_, underflow in parts):
+        problem = (
+            f"squared sample values underflow to zero, so the estimate {size} "
+            f"and its truncation tail {tail_est:.3e} understate its error; "
+            f"decrease radius"
+        )
     elif tail_est > 0.1 * (value.norm() + result.std_err):
         problem = (
             f"truncation tail estimate {tail_est:.3e} is not small against the "
@@ -322,9 +347,9 @@ def _conj_of(g) -> Callable[[np.ndarray], np.ndarray]:
 
 def _unit_rows(points: np.ndarray) -> np.ndarray:
     n = np.sqrt(np.einsum("ij,ij->i", points, points))
-    unit = np.zeros_like(points)
     safe = n > 1e-12
-    unit[safe] = points[safe] / n[safe, None]
+    unit = np.zeros_like(points)
+    np.divide(points, n[:, None], out=unit, where=safe[:, None])
     unit[~safe, 0] = 1.0  # measure-zero center; continuity value
     return unit
 

@@ -4,6 +4,7 @@ from hypothesis import given
 
 from conftest import octonions
 from oracles import MUL_TABLE, mul_many_reference
+from octomono import algebra
 from octomono.algebra import (
     Octonion,
     associator,
@@ -214,6 +215,88 @@ class TestMulManyBitIdentity:
         eye = np.eye(8)
         assert_same_bits(mul_many(eye, rows), mul_many_reference(eye, rows))
         assert_same_bits(mul_many(rows, eye), mul_many_reference(rows, eye))
+
+
+B = algebra._BLOCK_ROWS
+
+
+class TestMulManyAcrossBlocks:
+    """mul_many against the row-major loop where the batch spans several blocks."""
+
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1])
+    def test_row_counts_around_the_block(self, rng, n):
+        a = rng.uniform(-5, 5, (n, 8))
+        b = rng.uniform(-5, 5, (n, 8))
+        got = mul_many(a, b)
+        # an array that owns its data, so numpy can reuse it as a temporary
+        assert got.flags.c_contiguous and got.flags.owndata
+        assert_same_bits(got, mul_many_reference(a, b))
+
+    @pytest.mark.parametrize("dtype", [np.longdouble, np.float32])
+    def test_other_dtypes(self, rng, dtype):
+        a = rng.uniform(-5, 5, (2 * B + 1, 8)).astype(dtype)
+        b = rng.uniform(-5, 5, (2 * B + 1, 8)).astype(dtype)
+        got = mul_many(a, b)
+        assert got.dtype == dtype
+        assert_same_bits(got, mul_many_reference(a, b))
+
+    @pytest.mark.parametrize(
+        "a_shape,b_shape",
+        [
+            ((8,), (2 * B + 3, 8)),
+            ((2 * B + 3, 8), (8,)),
+            ((1, 8), (B + 1, 8)),
+            ((B // 16 + 3, 1, 8), (40, 8)),  # more rows than a block, 40 per leading row
+            ((3, 1, 8), (B + 5, 8)),  # one leading row is already more than a block
+            ((2, B + 1, 8), (8,)),
+        ],
+    )
+    def test_broadcast_shapes(self, rng, a_shape, b_shape):
+        a = rng.standard_normal(a_shape)
+        b = rng.standard_normal(b_shape)
+        got = mul_many(a, b)
+        assert got.flags.c_contiguous
+        assert_same_bits(got, mul_many_reference(a, b))
+
+    def test_non_contiguous_views(self, rng):
+        a = rng.standard_normal((2 * B + 7, 8))
+        b = rng.standard_normal((4 * B + 14, 8))
+        cases = [
+            (a[::-1], b[::2]),
+            (np.asfortranarray(a), b[1::2]),
+            (a[:, ::-1][:, ::-1], b[: 2 * B + 7].T.copy().T),
+            (a[3], b[::-3]),
+            (
+                b[: 4 * (B + 3) : 2].reshape(B + 3, 2, 8)[:, ::-1],
+                a[: 2 * (B + 3)].reshape(B + 3, 2, 8),
+            ),
+        ]
+        for x, y in cases:
+            assert_same_bits(mul_many(x, y), mul_many_reference(x, y))
+
+    def test_special_values_on_block_edges(self, rng, monkeypatch):
+        n = 2 * B + 1
+        a = rng.uniform(-5, 5, (n, 8))
+        b = rng.uniform(-5, 5, (n, 8))
+        specials = [np.nan, np.inf, -np.inf, 0.0, -0.0]
+        for edge in (B - 1, B, 2 * B - 1, 2 * B):
+            a[edge] = rng.choice(specials, 8)
+            b[edge] = rng.choice(specials, 8)
+        a[B + 1] = -0.0  # a zero row times anything finite is +0.0
+        with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf
+            got = mul_many(a, b)
+            want = mul_many_reference(a, b)
+            monkeypatch.setattr(algebra, "_BLOCK_ROWS", 4 * B)
+            whole = mul_many(a, b)
+        # blocks change no bit, a NaN's sign included
+        assert_same_bits(got, whole)
+        # the reference adds a negated product where mul_many subtracts,
+        # which can give a NaN the other sign; every other bit agrees
+        assert np.array_equal(got, want, equal_nan=True)
+        numbers = ~np.isnan(got)
+        assert np.array_equal(np.signbit(got[numbers]), np.signbit(want[numbers]))
+        assert np.isnan(got[B - 1 : B + 1]).any()
+        assert not np.signbit(got[B + 1]).any()
 
 
 class TestParseFormat:

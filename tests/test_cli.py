@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from octomono.cli import _check_row, main
+from octomono import cli
+from octomono.cli import _check_row, _trig_points, main
+from octomono.trig_series import TruncationPolicy, cot, csc, sec, tan
 
 TOP_KEYS = ["command", "params", "seed", "results", "elapsed_ms"]
 ROW_KEYS = ["name", "value", "target", "residual", "tolerance", "tail_bound", "pass"]
@@ -220,6 +222,74 @@ class TestVerificationSuites:
         assert dup["value"] > 1e-3
         for name in ("cot", "tan", "csc", "sec"):
             assert rows[f"oregularity_{name}"]["pass"] is True
+
+    IDENTITY_ROWS = (
+        "duplication_max", "tan_relation_max", "csc_relation_max", "sec_definition_max"
+    )
+    OREG_ROWS = tuple(f"oregularity_{n}" for n in ("cot", "tan", "csc", "sec"))
+
+    def test_trig_default_bars(self, capsys):
+        code, out = run_cli(capsys, "trig", "--points", "50")
+        assert code == 0
+        rows = {r["name"]: r for r in json.loads(out)["results"]}
+        assert all(rows[n]["tolerance"] == 1e-9 for n in self.IDENTITY_ROWS)
+        assert all(rows[n]["tolerance"] == 1e-6 for n in self.OREG_ROWS)
+        assert all(rows[n]["tail_bound"] is None for n in self.IDENTITY_ROWS + self.OREG_ROWS)
+
+    def test_trig_difference_bar_follows_fd_step(self, capsys):
+        # O(h^2) difference error: at h = 1e-4 the residuals reach a few
+        # 1e-6, above the default step's bar, on functions that are monogenic
+        code, out = run_cli(capsys, "--fd-step", "1e-4", "trig", "--points", "50")
+        assert code == 0
+        rows = {r["name"]: r for r in json.loads(out)["results"]}
+        bar = 1e-6 * (1e-4 / 1e-5) ** 2
+        assert all(rows[n]["tolerance"] == bar for n in self.OREG_ROWS)
+        assert max(rows[n]["residual"] for n in self.OREG_ROWS) > 1e-6
+        assert all(rows[n]["pass"] for n in self.OREG_ROWS)
+
+    def test_trig_identity_bars_follow_tail_tol(self, capsys):
+        code, out = run_cli(capsys, "--tail-tol", "1e-6", "trig", "--points", "50")
+        assert code == 0
+        rows = {r["name"]: r for r in json.loads(out)["results"]}
+        # the bars are the coefficient-weighted tail bounds of the sums
+        policy = TruncationPolicy(tail_tol=1e-6)
+        pts = _trig_points(np.random.default_rng(42), 50)
+        shifted = pts + np.eye(8)[0] * (math.pi / 2.0)
+        tail = {
+            "cot": cot(pts, policy).tail_bound,
+            "cot2": cot(2.0 * pts, policy).tail_bound,
+            "tan": tan(pts, policy).tail_bound,
+            "csc": csc(pts, policy).tail_bound,
+            "cot_half": cot(0.5 * pts, policy).tail_bound,
+            "sec": sec(pts, policy).tail_bound,
+            "csc_shift": csc(shifted, policy).tail_bound,
+        }
+        want = {
+            "duplication_max": 128.0 * tail["cot2"] + tail["cot"] + tail["tan"],
+            "tan_relation_max": tail["tan"] + tail["cot"] + 128.0 * tail["cot2"],
+            "csc_relation_max": tail["csc"] + tail["cot_half"] / 64.0 + tail["cot"],
+            "sec_definition_max": tail["sec"] + tail["csc_shift"],
+        }
+        for name in self.IDENTITY_ROWS:
+            assert rows[name]["tolerance"] == pytest.approx(want[name], rel=1e-12)
+            assert rows[name]["pass"] is True
+        assert max(rows[n]["residual"] for n in self.IDENTITY_ROWS) > 1e-9
+
+    def test_trig_residual_above_derived_bar_fails(self, capsys, monkeypatch):
+        argv = ("--tail-tol", "1e-6", "--fd-step", "1e-4", "trig", "--points", "50")
+        rows = {r["name"]: r for r in json.loads(run_cli(capsys, *argv)[1])["results"]}
+        dup_bar = rows["duplication_max"]["tolerance"]
+        fd_bar = rows["oregularity_cot"]["tolerance"]
+        for scale, passed in ((0.99, True), (1.01, False)):
+            monkeypatch.setattr(
+                cli, "duplication_residual", lambda z, policy: np.full(len(z), scale * dup_bar)
+            )
+            monkeypatch.setattr(cli, "o_regularity_residual", lambda f, z, h: scale * fd_bar)
+            code, out = run_cli(capsys, *argv)
+            rows = {r["name"]: r for r in json.loads(out)["results"]}
+            assert rows["duplication_max"]["pass"] is passed
+            assert all(rows[n]["pass"] is passed for n in self.OREG_ROWS)
+            assert code == (0 if passed else 1)
 
     def test_algebra_suite_small_trials(self, capsys):
         code, out = run_cli(capsys, "algebra", "--trials", "500")

@@ -33,6 +33,7 @@ from octomono.quadrature import (
     half_space_boundary_region,
     inner_product_bergman_ball,
     inner_product_hardy_ball,
+    inner_product_strip_volume,
     sample,
     sphere_region,
     strip_boundary_region,
@@ -215,6 +216,64 @@ class TestEngine:
     def test_estimators_reject_zero_samples(self):
         with pytest.raises(DomainError):
             cauchy_formula_reproduce(ONE, Octonion(0.0), McConfig(samples=0))
+
+    def test_unit_rows_match_reference(self, rng):
+        pts = rng.standard_normal((1_000, 8)) * np.exp(rng.uniform(-40, 40, (1_000, 1)))
+        pts[0] = 0.0
+        pts[1] = -0.0
+        pts[2] = 1e-13 / math.sqrt(8.0)  # norm below the 1e-12 cut
+        pts[3] = np.eye(8)[5] * 1e-12  # norm at the cut
+        pts[4, 2] = math.nan
+        pts[5, 7] = -math.inf
+        pts[6] = [-0.0, 3.0, 0.0, -0.0, 0.0, 0.0, -4.0, -0.0]
+        with np.errstate(invalid="ignore"):  # inf / inf in row 5
+            got = quadrature._unit_rows(pts)
+            want = oracles._unit_rows_reference(pts)
+        assert np.array_equal(_bits(got), _bits(want))
+
+    def test_underflowing_squares_warn(self):
+        # at radius 1e20 the estimate is about 1e-137 and every squared
+        # sample value underflows to 0: std_err and tail_est read exactly 0
+        f = shifted_cauchy_kernel(Octonion(-1.0))
+        cfg = McConfig(seed=4, samples=2_000, radius=1e20)
+        with pytest.warns(UserWarning, match="underflow to zero"):
+            r = szego_reproduce_half_space(f, Octonion(0.5), cfg)
+        assert r.value.norm() > 0.0
+        assert r.std_err == 0.0 and r.tail_est == 0.0
+
+    @pytest.mark.parametrize(
+        "estimator,radius",
+        [
+            (lambda cfg: szego_reproduce_half_space(ONE, Octonion(0.5), cfg), 1e25),
+            (lambda cfg: szego_reproduce_strip(ONE, Octonion(0.5), StripDomain(1.0), cfg), 1e25),
+            # radius**15 overflows, the squared measure does not
+            (
+                lambda cfg: bergman_reproduce_strip(ONE, Octonion(0.5), StripDomain(1.0), cfg),
+                1e21,
+            ),
+            # radius**14 is finite, the squared measure of a slab 1e160 wide is not
+            (
+                lambda cfg: inner_product_strip_volume(ONE, ONE, StripDomain(1e160), cfg),
+                2.0,
+            ),
+        ],
+        ids=["half_space", "szego_strip", "bergman_strip", "wide_strip_volume"],
+    )
+    def test_overflowing_radius_is_refused_before_sampling(self, monkeypatch, estimator, radius):
+        # at radius 1e25, std_err and tail_est used to come out NaN
+        def no_sampling(*args):
+            raise AssertionError("sampled before refusing")
+
+        monkeypatch.setattr(quadrature, "_chunk_batch", no_sampling)
+        with pytest.raises(DomainError, match="too large"):
+            estimator(McConfig(samples=2_000, radius=radius))
+
+    def test_bounded_regions_ignore_the_radius(self):
+        cfg = McConfig(seed=4, samples=2_000, radius=1e25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = cauchy_formula_reproduce(ONE, Octonion(0.0, 0.3), cfg)
+        assert math.isfinite(r.std_err)
 
 
 class TestBallReproduction:
