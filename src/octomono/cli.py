@@ -251,6 +251,21 @@ def _identity_tolerance(*terms) -> float:
     return max(1e-9, sum(abs(k) * res.tail_bound for k, res in terms))
 
 
+def _fd_tolerance(h: float, f_max: float) -> float:
+    """Bar of a Cauchy-Riemann residual by central differences of step h.
+
+    Truncation: the differences err by O(h^2), so the bar grows with the
+    step squared past the default step 1e-5.  Roundoff: each end of a
+    difference carries the evaluation's own error, taken as 2 eps of the
+    largest value f_max (the rounding of a lattice sum's dominant term
+    and of the sum).  A partial takes the difference of two ends over 2h,
+    and the residual adds eight partials, each times a unit octonion, so
+    roundoff stays within 8 * 2 * (2 eps f_max) / (2h) = 16 eps f_max / h.
+    """
+    roundoff = 16.0 * np.finfo(np.float64).eps * f_max / h
+    return max(1e-6 * max(1.0, (h / 1e-5) ** 2), roundoff)
+
+
 def _cmd_trig(args, t0) -> int:
     if args.points < 1:
         raise DomainError("points must be >= 1")
@@ -296,9 +311,8 @@ def _cmd_trig(args, t0) -> int:
         _row("combined_against_two_cot_max", worst(cr.against_two_cot)),
     ]
 
-    # central differences err by O(h^2): the bar grows with the step
-    # squared past the default step 1e-5
-    fd_tol = 1e-6 * max(1.0, (fd.h / 1e-5) ** 2)
+    f_max = max(worst(np.linalg.norm(r.value, axis=1)) for r in (c, t, s, se))
+    fd_tol = _fd_tolerance(fd.h, f_max)
     for name, fn in (("cot", cot), ("tan", tan), ("csc", csc), ("sec", sec)):
         resid = o_regularity_residual(
             lambda a, fn=fn: fn(a, policy).value, pts, h=fd.h

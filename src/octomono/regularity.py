@@ -108,7 +108,8 @@ def central_difference(f: ArrayFn, zc: np.ndarray, units: np.ndarray, h: float) 
     result has one row per step row, or per point of a batch ``zc``.
     Both ends go to ``f`` in one call, stacked as ``(2, ...)``, so an
     ``f`` whose truncation depends on its batch (a lattice sum takes its
-    term count from the largest norm) differences one truncated function.
+    term count from the largest ``|u|`` or ``|Re u|``) differences one
+    truncated function.
     """
     steps = h * units
     up, down = zc + steps, zc - steps

@@ -62,6 +62,29 @@ def brute_lattice_sum(
     return total
 
 
+def brute_lattice_sum_longdouble(
+    z: np.ndarray, step: float, n_terms: int, alternating: bool, order: int
+) -> tuple[np.ndarray, float]:
+    """sum over |n| <= n_terms of s^n q0 (order 0) or d/dx0 q0 (order 1) at
+    z + step*n*e0, in longdouble, and the sum of the terms' norms."""
+    z = np.asarray(z, dtype=np.longdouble)
+    n = np.arange(-n_terms, n_terms + 1)
+    sign = np.where(alternating & (n % 2 != 0), -1.0, 1.0).astype(np.longdouble)
+    t = z[0] + np.longdouble(step) * n
+    r2 = t * t + (z[1:] ** 2).sum()
+    if order == 0:
+        # conj(p)/|p|^8: real part t/r^8, imaginary part -Im z / r^8
+        re, im = t / r2**4, -1.0 / r2**4
+    else:
+        re, im = 1.0 / r2**4 - 8.0 * t * t / r2**5, 8.0 * t / r2**5
+    re, im = sign * re, sign * im
+    total = np.empty(8, dtype=np.longdouble)
+    total[0] = re.sum()
+    total[1:] = z[1:] * im.sum()
+    norms = np.sqrt(re * re + im * im * (z[1:] ** 2).sum())
+    return total, float(norms.sum())
+
+
 def brute_deriv_sum(z: np.ndarray, step: float, n_terms: int) -> np.ndarray:
     """Central-difference d/dx0 of the non-alternating lattice sum."""
     h = 1e-6
@@ -75,23 +98,47 @@ def brute_deriv_sum(z: np.ndarray, step: float, n_terms: int) -> np.ndarray:
     ) / (2.0 * h)
 
 
-def _strip_batch_terms(u: np.ndarray, step: float, margin: float) -> int:
-    norms = np.sqrt(np.einsum("ij,ij->i", u, u))
-    return int(np.floor((float(norms.max()) + margin) / step)) + 1
+def end_corrected_count(
+    max_re: float, step: float, a: float, b: float, power: int, tail_tol: float
+) -> tuple[int, float]:
+    """Least n >= 0, searched from 0, whose documented end-corrected bound
+    2 (a s^p rho^-10 + b s^(p-1) rho^-9), rho = s (n + 1/2) - max|Re u|,
+    is within tail_tol; returns (n, bound)."""
+    c10 = 2.0 * a * step**power
+    c9 = 2.0 * b * step ** (power - 1)
+    n = 0
+    while True:
+        rho = step * (n + 0.5) - max_re
+        if rho > 0.0:
+            bound = c10 * rho**-10 + c9 * rho**-9
+            if bound <= tail_tol:
+                return n, bound
+        n += 1
+
+
+def _add_ends(acc_re, acc_im, u0, s2, ends, im_sign):
+    """Add w*q0 at each (shift, w) of ends, in order, to the accumulators;
+    the imaginary accumulator takes im_sign/r^8 per end."""
+    for shift, w in ends:
+        t = u0 + shift
+        r2 = t * t + s2
+        r8 = (r2 * r2) ** 2
+        acc_re += t / r8 * w
+        acc_im += im_sign / r8 * w
 
 
 def szego_strip_values_reference(
     u: np.ndarray, d: float, tail_tol: float = 1e-12
 ) -> tuple[np.ndarray, float]:
-    """The original per-k loop for the Szego strip kernel, kept as a bit-level oracle.
+    """The per-k loop for the Szego strip kernel, kept as a bit-level oracle.
 
     Each row's terms are added in the order k = -n..n into accumulators
-    that start at +0.0.
+    that start at +0.0, then the half-lattice end correction
+    (-1)^(n+1)/2 * (q0(u + h) + q0(u - h)), h = 2d(n + 1/2).
     """
     u = np.asarray(u, dtype=np.float64)
     step = 2.0 * d
-    margin = (1.0 / (3.0 * step * tail_tol)) ** (1.0 / 6.0)
-    n_side = _strip_batch_terms(u, step, margin)
+    n_side, tail = end_corrected_count(np.abs(u[:, 0]).max(), step, 63.0, 3.5, 3, tail_tol)
     u0 = u[:, 0]
     uim = u[:, 1:]
     s2 = np.einsum("ij,ij->i", uim, uim)
@@ -104,22 +151,28 @@ def szego_strip_values_reference(
         sign = -1.0 if (k % 2) else 1.0
         acc_re += sign * t / r8
         acc_im += sign / r8
+    h = step * (n_side + 0.5)
+    w = 0.5 if n_side % 2 else -0.5
+    _add_ends(acc_re, acc_im, u0, s2, ((h, w), (-h, w)), 1.0)
     out = np.empty_like(u)
     out[:, 0] = acc_re
     out[:, 1:] = -uim * acc_im[:, None]
-    norms = np.sqrt(u0 * u0 + s2)
-    tail = (1.0 / (3.0 * step)) * (step * n_side - float(norms.max())) ** -6
     return out, tail
 
 
 def bergman_strip_values_reference(
     u: np.ndarray, d: float, tail_tol: float = 1e-12
 ) -> tuple[np.ndarray, float]:
-    """The original per-k loop for the Bergman strip kernel, kept as a bit-level oracle."""
+    """The per-k loop for the Bergman strip kernel, kept as a bit-level oracle.
+
+    The end correction is (q0(u - h) - q0(u + h)) / 2d; q0's imaginary
+    part enters the derivative's accumulator with the opposite sign.
+    """
     u = np.asarray(u, dtype=np.float64)
     step = 2.0 * d
-    margin = (18.0 / (7.0 * step * tail_tol)) ** (1.0 / 7.0)
-    n_side = _strip_batch_terms(u, step, margin)
+    n_side, tail = end_corrected_count(
+        np.abs(u[:, 0]).max(), step, 21.0, 7.0 / 3.0, 2, tail_tol
+    )
     u0 = u[:, 0]
     uim = u[:, 1:]
     s2 = np.einsum("ij,ij->i", uim, uim)
@@ -132,12 +185,12 @@ def bergman_strip_values_reference(
         r10 = r8 * r2
         acc_re += 1.0 / r8 - 8.0 * t * t / r10
         acc_im += 8.0 * t / r10
+    h = step * (n_side + 0.5)
+    _add_ends(acc_re, acc_im, u0, s2, ((h, -1.0 / step), (-h, 1.0 / step)), -1.0)
     out = np.empty_like(u)
     out[:, 0] = -2.0 * acc_re
     out[:, 1:] = -2.0 * uim * acc_im[:, None]
-    norms = np.sqrt(u0 * u0 + s2)
-    tail = 2.0 * (18.0 / (7.0 * step)) * (step * n_side - float(norms.max())) ** -7
-    return out, tail
+    return out, 2.0 * tail
 
 
 def szego_strip_reference(

@@ -291,6 +291,36 @@ class TestVerificationSuites:
             assert all(rows[n]["pass"] is passed for n in self.OREG_ROWS)
             assert code == (0 if passed else 1)
 
+    @pytest.mark.parametrize("seed", [42, 7])
+    @pytest.mark.parametrize("step", ["1e-9", "1e-8"])
+    def test_trig_difference_bar_covers_roundoff(self, capsys, seed, step):
+        # O(eps/h) roundoff: at h = 1e-9 the residuals reach a few 1e-6 on
+        # functions that are monogenic
+        argv = ("--seed", str(seed), "--fd-step", step, "trig", "--points", "50")
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        rows = {r["name"]: r for r in json.loads(out)["results"]}
+        pts = _trig_points(np.random.default_rng(seed), 50)
+        f_max = max(
+            float(np.linalg.norm(fn(pts).value, axis=1).max()) for fn in (cot, tan, csc, sec)
+        )
+        bar = max(1e-6, 16.0 * np.finfo(np.float64).eps * f_max / float(step))
+        for n in self.OREG_ROWS:
+            assert rows[n]["tolerance"] == pytest.approx(bar, rel=1e-12)
+            assert rows[n]["pass"] is True
+
+    def test_trig_roundoff_bar_is_strict(self, capsys, monkeypatch):
+        argv = ("--fd-step", "1e-9", "trig", "--points", "50")
+        rows = {r["name"]: r for r in json.loads(run_cli(capsys, *argv)[1])["results"]}
+        fd_bar = rows["oregularity_cot"]["tolerance"]
+        assert fd_bar > 1e-6
+        for scale, passed in ((0.99, True), (1.01, False)):
+            monkeypatch.setattr(cli, "o_regularity_residual", lambda f, z, h: scale * fd_bar)
+            code, out = run_cli(capsys, *argv)
+            rows = {r["name"]: r for r in json.loads(out)["results"]}
+            assert all(rows[n]["pass"] is passed for n in self.OREG_ROWS)
+            assert code == (0 if passed else 1)
+
     def test_algebra_suite_small_trials(self, capsys):
         code, out = run_cli(capsys, "algebra", "--trials", "500")
         assert code == 0

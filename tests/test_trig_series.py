@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brute_lattice_sum
+from oracles import brute_lattice_sum, brute_lattice_sum_longdouble, end_corrected_count
 from octomono.algebra import Octonion
 from octomono.errors import PolicyError, SingularityError
 from octomono.trig_series import (
@@ -112,6 +112,100 @@ class TestPeriodizedSum:
                 - np.asarray(periodized_sum(zm, spec, TIGHT).value)
             ) / (2.0 * h)
             assert np.abs(got - fd).max() < 1e-6
+
+
+# (sum, alternating, a, b, p): the end-corrected remainder is at most
+# 2 (a s^p rho^-10 + b s^(p-1) rho^-9), rho = s (N + 1/2) - max|Re u|
+END_CORRECTED = [
+    (periodized_sum, True, 63.0, 3.5, 3),
+    (periodized_deriv_sum, False, 21.0, 7.0 / 3.0, 2),
+]
+END_IDS = ["alternating_q0", "plain_dq0"]
+
+
+def _rows(rng, re_parts, im_norms):
+    rows = np.zeros((len(re_parts), 8))
+    rows[:, 0] = re_parts
+    dirs = rng.normal(size=(len(re_parts), 7))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    rows[:, 1:] = dirs * np.asarray(im_norms)[:, None]
+    return rows
+
+
+class TestEndCorrection:
+    """The strip sums (alternating q0, plain d/dx0 q0) add an end correction
+    at u +- h e0 and take N from a remainder bound in max|Re u|."""
+
+    @pytest.mark.parametrize("step", [2.0, 1.4, math.pi])
+    @pytest.mark.parametrize("tail_tol", [1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("fn, alternating, a, b, power", END_CORRECTED, ids=END_IDS)
+    def test_bound_holds_against_true_tail(
+        self, rng, fn, alternating, a, b, power, tail_tol, step
+    ):
+        # each row alone, so every row gets the fewest terms its Re u allows
+        spec = PeriodizedSumSpec(step, alternating)
+        policy = TruncationPolicy(tail_tol=tail_tol)
+        order = 0 if fn is periodized_sum else 1
+        eps = np.finfo(np.float64).eps
+        grid = [
+            (x, y)
+            for x in np.linspace(0.0, step, 6, endpoint=False)
+            for y in (0.0, 0.5, 3.0, 15.0, 50.0)
+            if x > 0.0 or y > 0.0  # (0, 0) is a pole
+        ]
+        rows = _rows(rng, *zip(*grid))
+        for u in rows:
+            res = fn(u, spec, policy)
+            want, abs_sum = brute_lattice_sum_longdouble(u, step, 4000, alternating, order)
+            gap = np.asarray(res.value, dtype=np.longdouble) - want
+            err = float(np.linalg.norm(gap.astype(np.float64)))
+            # float64 rounding of each term and of the running sum
+            rounding = (res.terms + 8) * eps * abs_sum
+            assert err <= res.tail_bound + rounding
+
+    @pytest.mark.parametrize("step", [2.0, 1.4, math.pi])
+    @pytest.mark.parametrize("fn, alternating, a, b, power", END_CORRECTED, ids=END_IDS)
+    def test_count_and_bound_are_the_documented_ones(
+        self, rng, fn, alternating, a, b, power, step
+    ):
+        spec = PeriodizedSumSpec(step, alternating)
+        for tail_tol in (1e-6, 1e-9, 1e-12, 1e-14):
+            for max_re in (0.0, 0.3 * step, 0.95 * step, 3.0 * step):
+                rows = _rows(rng, [max_re, -0.5 * max_re, 0.1 * max_re], [0.7, 2.0, 9.0])
+                res = fn(rows, spec, TruncationPolicy(tail_tol=tail_tol))
+                n_side, bound = end_corrected_count(max_re, step, a, b, power, tail_tol)
+                assert res.terms == 2 * n_side + 3
+                assert res.tail_bound == pytest.approx(bound, rel=1e-12)
+
+    @pytest.mark.parametrize("fn, alternating, a, b, power", END_CORRECTED, ids=END_IDS)
+    def test_term_count_does_not_grow_with_imaginary_part(
+        self, rng, fn, alternating, a, b, power
+    ):
+        # a radius-2 and a radius-50 batch of strip combined arguments
+        # (d = 1) with the same max|Re u| take the same work per row
+        spec = PeriodizedSumSpec(2.0, alternating)
+        re_parts = np.r_[rng.uniform(0.05, 1.9, 999), 1.9]
+        counts = {
+            fn(_rows(rng, re_parts, rng.uniform(0.0, radius, 1000)), spec).terms
+            for radius in (2.0, 50.0)
+        }
+        n_side, _ = end_corrected_count(1.9, 2.0, a, b, power, TruncationPolicy().tail_tol)
+        assert counts == {2 * n_side + 3}
+
+    @pytest.mark.parametrize(
+        "fn, alternating, num, den, power",
+        [(periodized_sum, False, 1.0, 3.0, 6), (periodized_deriv_sum, True, 18.0, 7.0, 7)],
+        ids=["plain_q0", "alternating_dq0"],
+    )
+    def test_other_sums_keep_the_modulus_law(self, fn, alternating, num, den, power):
+        # cot/tan and the alternating derivative sum still take N from max|u|
+        z = Octonion(0.4, 30.0)
+        res = fn(z, PeriodizedSumSpec(math.pi, alternating))
+        margin = (num / (den * math.pi * 1e-12)) ** (1.0 / power)
+        n_side = math.floor((z.norm() + margin) / math.pi) + 1
+        assert res.terms == 2 * n_side + 1
+        bound = num / (den * math.pi) * (math.pi * n_side - z.norm()) ** -power
+        assert res.tail_bound == pytest.approx(bound, rel=1e-12)
 
 
 class TestBatches:
