@@ -30,7 +30,7 @@ from .kernels import (
     StripDomain,
     bergman_half_space,
     bergman_strip,
-    bergman_strip_closed_form_variants,
+    bergman_strip_half_step_residual,
     bergman_unit_ball,
     szego_half_space,
     szego_strip,
@@ -281,24 +281,17 @@ def _cmd_trig(args, t0) -> int:
     c = cot(pts, policy)
     c2 = cot(2.0 * pts, policy)
     t = tan(pts, policy)  # -cot(z + pi/2), the duplication's third sum
-    shifted = pts.copy()
-    shifted[:, 0] += math.pi / 2.0
     dup = worst(duplication_residual(pts, policy))
-    tanrel = worst(np.linalg.norm(t.value - c.value + 128.0 * c2.value, axis=1))
     s = csc(pts, policy)
     c_half = cot(0.5 * pts, policy)
     cscrel = worst(np.linalg.norm(s.value - c_half.value / 64.0 + c.value, axis=1))
     se = sec(pts, policy)
-    s_shift = csc(shifted, policy)
-    secdef = worst(np.linalg.norm(se.value - s_shift.value, axis=1))
     cr = combined_relation_residuals(pts, policy)
 
     # each identity's residual with the (coefficient, lattice sum) terms it combines
     identities = (
         ("duplication_max", dup, ((128.0, c2), (1.0, c), (1.0, t))),
-        ("tan_relation_max", tanrel, ((1.0, t), (1.0, c), (128.0, c2))),
         ("csc_relation_max", cscrel, ((1.0, s), (1.0 / 64.0, c_half), (1.0, c))),
-        ("sec_definition_max", secdef, ((1.0, se), (1.0, s_shift))),
     )
     rows = [
         _check_row(name, resid, 0.0, resid, _identity_tolerance(*terms))
@@ -337,39 +330,21 @@ def _cmd_eval_kernel(args, t0) -> int:
     if args.kernel in STRIP_KERNELS:
         if args.d is None:
             raise DomainError(f"{args.kernel} requires --d")
-        if args.method is None:
-            args.method = "series"
         params["d"] = args.d
-        params["method"] = args.method
         params["tail_tol"] = args.tail_tol
         domain = StripDomain(args.d)
         fn = szego_strip if args.kernel == "szego_strip" else bergman_strip
-        methods = (
-            ("series", "closed_form") if args.method == "both" else (args.method,)
-        )
-        evals = {m: fn(z, w, domain, policy, method=m) for m in methods}
-        for m, ev in evals.items():
-            rows.append(
-                _row(f"{args.kernel}[{m}]", ev.value, tail_bound=ev.tail_bound, d=args.d)
-            )
-        if args.method == "both":
-            delta = (evals["series"].value - evals["closed_form"].value).norm()
-            tol = evals["series"].tail_bound + evals["closed_form"].tail_bound + 1e-12
-            rows.append(
-                _check_row("cross_method_delta", delta, 0.0, delta, tol, d=args.d)
-            )
-            if args.kernel == "bergman_strip":
-                # informational: the step-d variant reading of the closed
-                # form has poles at points where the kernel is regular
-                try:
-                    variants = bergman_strip_closed_form_variants(z, w, domain, policy)
-                    delta = variants["half_step"]
-                except SingularityError:
-                    delta = None
-                rows.append(_row("half_step_variant_delta", delta, d=args.d))
+        ev = fn(z, w, domain, policy)
+        rows.append(_row(args.kernel, ev.value, tail_bound=ev.tail_bound, d=args.d))
+        if args.kernel == "bergman_strip":
+            # informational: the step-d variant reading of the closed
+            # form has poles at points where the kernel is regular
+            try:
+                delta = bergman_strip_half_step_residual(z, w, domain, policy)
+            except SingularityError:
+                delta = None
+            rows.append(_row("half_step_variant_delta", delta, d=args.d))
     else:
-        if args.method not in (None, "closed_form"):
-            raise DomainError(f"{args.kernel} has only a closed form")
         kernel_fn = {
             "szego_ball": szego_unit_ball,
             "bergman_ball": bergman_unit_ball,
@@ -592,7 +567,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", required=True, help='octonion literal, e.g. "0.5" or "[0.5,0,...]"')
     p.add_argument("--w", required=True)
     p.add_argument("--d", type=float, default=None, help="strip width (strip kernels)")
-    p.add_argument("--method", choices=("series", "closed_form", "both"), default=None)
     p.set_defaults(func=_cmd_eval_kernel)
 
     p = add("reproduce", "Monte Carlo reproducing-property checks")

@@ -17,17 +17,17 @@ raise only on singular arguments; the reproduction integrals need them
 on the closures of their domains, so no interior check is applied.
 Each scalar kernel is row 0 of its batched form: the ball kernels call
 ``*_ball_values`` on a ``(1, 8)`` row, the half-space kernels the
-Cauchy kernel ``q0`` and its x0-derivative at ``u``.
-Strip entry points validate domains and return a :class:`KernelEval`
-carrying the truncation tail bound.  The strip ``*_values`` helpers take
-a batch of combined arguments ``u`` (n, 8) straight to the lattice-sum
-engine of :mod:`octomono.trig_series` at step ``2d``: the Szego kernel
-is the alternating sum, the Bergman kernel ``-2`` times the derivative
-sum, and one tail bound covers every row.  They apply no interior
-checks, only the pole guard; the Monte Carlo layer uses them, including
-at exterior evaluation points where the reproduction integral must
-vanish instead of reproducing.  The other ``*_values`` helpers are the
-batched closed forms.
+Cauchy kernel ``q0`` and its x0-derivative at ``u``, and the strip
+kernels, after their domain checks, ``*_strip_values``, returning a
+:class:`KernelEval` with the truncation tail bound.  The strip
+``*_values`` helpers take a batch of combined arguments ``u`` (n, 8)
+straight to the lattice-sum engine of :mod:`octomono.trig_series` at
+step ``2d``: the Szego kernel is the alternating sum, the Bergman
+kernel ``-2`` times the derivative sum, and one tail bound covers every
+row.  They apply no interior checks, only the pole guard; the Monte
+Carlo layer uses them, including at exterior evaluation points where
+the reproduction integral must vanish instead of reproducing.  The
+other ``*_values`` helpers are the batched closed forms.
 """
 
 from __future__ import annotations
@@ -64,16 +64,14 @@ class StripDomain:
         if not 0.0 < self.d < math.inf:
             raise DomainError(f"strip width must be positive and finite, got {self.d}")
 
-    def contains(self, z: PointLike, margin: float = 0.0) -> bool:
-        x0 = float(as_coords(z)[..., 0])
-        return margin < x0 < self.d - margin
+    def contains(self, z: PointLike) -> bool:
+        return 0.0 < float(as_coords(z)[..., 0]) < self.d
 
 
 @dataclass(frozen=True)
 class KernelEval:
     value: Octonion
     tail_bound: float
-    method: str
 
 
 def _as_oct(z: PointLike) -> Octonion:
@@ -181,46 +179,21 @@ def bergman_half_space(z: PointLike, w: PointLike) -> Octonion:
 # Strip 0 < Re < d
 
 
-def _strip_kernel(
-    z: PointLike,
-    w: PointLike,
-    domain: StripDomain,
-    policy: TruncationPolicy,
-    method: str,
-    order: int,
-) -> KernelEval:
-    # order 0 is the alternating sum of q0 (Szego), order 1 -2 times the
-    # sum of d/dx0 q0 (Bergman); the series is the closed form at scale 1
-    u = _strip_argument(z, w, domain)[2]
-    if method == "series":
-        scale, step = 1.0, 2.0 * domain.d
-    elif method == "closed_form":
-        scale, step = math.pi / (2.0 * domain.d), math.pi
-    else:
-        raise ValueError(f"method must be 'series' or 'closed_form', got {method!r}")
-    lattice_sum = periodized_deriv_sum if order else periodized_sum
-    res = lattice_sum(u * scale, PeriodizedSumSpec(step, alternating=order == 0), policy)
-    weight = -2.0 if order else 1.0
-    factor = scale ** (7 + order)
-    return KernelEval(
-        res.value * (weight * factor), abs(weight) * factor * res.tail_bound, method
-    )
-
-
 def szego_strip(
     z: PointLike,
     w: PointLike,
     domain: StripDomain,
     policy: TruncationPolicy = TruncationPolicy(),
-    method: str = "series",
 ) -> KernelEval:
     """Boundary kernel: alternating step 2d sum of q0 at u = z + conj(w).
 
-    ``method='series'`` sums the lattice directly and is authoritative;
-    ``method='closed_form'`` routes through the rescaled octonionic csc,
-    (pi/2d)^7 csc((pi/2d) u).
+    Row 0 of :func:`szego_strip_values`.  Since q0 is homogeneous of
+    degree -7, the sum equals the paper's closed form, the rescaled
+    octonionic cosecant (pi/2d)^7 csc((pi/2d) u).
     """
-    return _strip_kernel(z, w, domain, policy, method, order=0)
+    u = _strip_argument(z, w, domain)[2].to_array()[None]
+    rows, tail_bound = szego_strip_values(u, domain.d, policy)
+    return KernelEval(Octonion(*rows[0]), tail_bound)
 
 
 def bergman_strip(
@@ -228,40 +201,34 @@ def bergman_strip(
     w: PointLike,
     domain: StripDomain,
     policy: TruncationPolicy = TruncationPolicy(),
-    method: str = "series",
 ) -> KernelEval:
     """Volume kernel: -2 times the step 2d lattice sum of d/dx0 q0 at u.
 
-    ``method='closed_form'`` evaluates the same sum through the rescaled
-    derivative series at argument (pi/2d) u.
+    Row 0 of :func:`bergman_strip_values`; by the same homogeneity it is
+    -2 (pi/2d)^8 times the step pi derivative sum at (pi/2d) u.
     """
-    return _strip_kernel(z, w, domain, policy, method, order=1)
+    u = _strip_argument(z, w, domain)[2].to_array()[None]
+    rows, tail_bound = bergman_strip_values(u, domain.d, policy)
+    return KernelEval(Octonion(*rows[0]), tail_bound)
 
 
-def bergman_strip_closed_form_variants(
+def bergman_strip_half_step_residual(
     z: PointLike,
     w: PointLike,
     domain: StripDomain,
     policy: TruncationPolicy = TruncationPolicy(),
-) -> dict[str, float]:
-    """Residuals of two rescaled routes against the direct series.
+) -> float:
+    """|(-2/128) * step-d derivative lattice sum at u  -  bergman_strip|.
 
-    ``rescaled`` is the faithful change of variables (step 2d); it must
-    match.  ``half_step`` doubles the lattice density (step d), the
-    result a naive argument-doubling derivation produces; its residual
-    is reported so the mismatch is visible rather than silent.
+    A naive argument-doubling reading of the closed form gives this
+    denser lattice; its residual shows the mismatch rather than hiding it.
     """
-    zo, wo = _as_oct(z), _as_oct(w)
-    series = bergman_strip(zo, wo, domain, policy, method="series").value
-    rescaled = bergman_strip(zo, wo, domain, policy, method="closed_form").value
-    u = _combined(zo, wo)
+    series = bergman_strip(z, w, domain, policy).value
+    u = _combined(_as_oct(z), _as_oct(w))
     half = periodized_deriv_sum(u, PeriodizedSumSpec(domain.d), policy).value * (
         -2.0 / 128.0
     )
-    return {
-        "rescaled": (rescaled - series).norm(),
-        "half_step": (half - series).norm(),
-    }
+    return (half - series).norm()
 
 
 def strip_relation_residual(

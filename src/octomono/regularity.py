@@ -22,6 +22,8 @@ from .errors import DomainError, SingularityError
 ArrayFn = Callable[[np.ndarray], np.ndarray]
 
 _BASIS = np.eye(8, dtype=np.float64)
+# |z|^2 below which the Cauchy kernel and its derivative refuse a point
+_MIN_NORM_SQ = 1e-30 * 1e-30
 
 
 def _unit_product_gather(idx: np.ndarray, sgn: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -67,11 +69,11 @@ class FunctionHandle:
         return like(z, self.eval_batch(as_coords(z)))
 
 
-def q0_many(points: np.ndarray, min_norm: float = 1e-30) -> np.ndarray:
+def q0_many(points: np.ndarray) -> np.ndarray:
     """Cauchy kernel conj(z)/|z|^8 on a coordinate array (..., 8)."""
     p = np.asarray(points, dtype=np.float64)
     r2 = np.einsum("...i,...i->...", p, p)
-    if np.any(r2 < min_norm * min_norm):
+    if np.any(r2 < _MIN_NORM_SQ):
         raise SingularityError("Cauchy kernel evaluated too close to 0")
     r8 = (r2 * r2) ** 2
     out = -p / r8[..., None]
@@ -84,11 +86,11 @@ def cauchy_kernel(z: PointLike) -> PointLike:
     return like(z, q0_many(as_coords(z)))
 
 
-def dq0_dx0_many(points: np.ndarray, min_norm: float = 1e-30) -> np.ndarray:
+def dq0_dx0_many(points: np.ndarray) -> np.ndarray:
     """First-coordinate partial of the Cauchy kernel, in closed form."""
     p = np.asarray(points, dtype=np.float64)
     r2 = np.einsum("...i,...i->...", p, p)
-    if np.any(r2 < min_norm * min_norm):
+    if np.any(r2 < _MIN_NORM_SQ):
         raise SingularityError("Cauchy kernel derivative too close to 0")
     r8 = (r2 * r2) ** 2
     r10 = r8 * r2

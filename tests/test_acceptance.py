@@ -249,10 +249,12 @@ def test_05_strip_szego_series_vs_closed_form(capsys):
             z[1:] = rng.normal(size=7) * 0.3 * d
             w[1:] = rng.normal(size=7) * 0.3 * d
             zo, wo = Octonion(*z), Octonion(*w)
-            a = szego_strip(zo, wo, dom, POLICY, method="series")
-            b = szego_strip(zo, wo, dom, POLICY, method="closed_form")
-            gap = (a.value - b.value).norm()
-            bound = a.tail_bound + b.tail_bound + 1e-12
+            a = szego_strip(zo, wo, dom, POLICY)
+            # the paper's closed form: the step 2d sum is (pi/2d)^7 csc((pi/2d) u)
+            scale = math.pi / (2.0 * d)
+            b = csc((zo + wo.conjugate()) * scale, POLICY)
+            gap = (a.value - b.value * scale**7).norm()
+            bound = a.tail_bound + scale**7 * b.tail_bound + 1e-12
             worst_ratio = max(worst_ratio, gap / bound)
             assert gap <= bound, f"d={d}: gap {gap:.3e} > bound {bound:.3e}"
     ok = worst_ratio <= 1.0

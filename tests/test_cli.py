@@ -108,36 +108,26 @@ class TestEvalKernel:
         row = json.loads(out)["results"][0]
         assert abs(row["value"][0] - 7.0 / 128.0) < 1e-15
 
-    def test_strip_methods_cross_check(self, capsys):
-        code, out = run_cli(
-            capsys,
-            "eval-kernel",
-            "--kernel",
-            "szego_strip",
-            "--z",
-            "0.5",
-            "--w",
-            "0.5",
-            "--d",
-            "1",
-            "--method",
-            "both",
-        )
+    def test_strip_szego_frozen_value(self, capsys):
+        code, out = run_cli(capsys, *STRIP_EVAL)
         assert code == 0
-        rows = {r["name"]: r for r in json.loads(out)["results"]}
-        series = rows["szego_strip[series]"]
-        assert abs(series["value"][0] - 1.9991090157810752) < 1e-11
-        assert series["tail_bound"] is not None
-        assert "szego_strip[closed_form]" in rows
-        delta = rows["cross_method_delta"]
-        assert delta["pass"] is True
-        assert delta["residual"] <= delta["tolerance"]
+        report = json.loads(out)
+        assert [r["name"] for r in report["results"]] == ["szego_strip"]
+        assert "method" not in report["params"]
+        row = report["results"][0]
+        assert abs(row["value"][0] - 1.9991090157810752) < 1e-11
+        assert row["tail_bound"] is not None
+
+    def test_strip_method_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*STRIP_EVAL, "--method", "both"])
+        assert exc.value.code == 2
 
     def test_strip_bergman_reports_half_step_variant_as_unavailable_at_pole(
         self, capsys
     ):
-        # the faithful closed form agrees; the denser-lattice variant hits
-        # a spurious pole at this argument and its row reports null
+        # the denser-lattice variant hits a spurious pole at this
+        # argument and its row reports null
         code, out = run_cli(
             capsys,
             "eval-kernel",
@@ -149,14 +139,31 @@ class TestEvalKernel:
             "0.5",
             "--d",
             "1",
-            "--method",
-            "both",
         )
         assert code == 0
         rows = {r["name"]: r for r in json.loads(out)["results"]}
-        assert abs(rows["bergman_strip[series]"]["value"][0] - 28.004345012707246) < 1e-10
-        assert rows["cross_method_delta"]["pass"] is True
+        assert abs(rows["bergman_strip"]["value"][0] - 28.004345012707246) < 1e-10
         assert rows["half_step_variant_delta"]["value"] is None
+        assert rows["half_step_variant_delta"]["pass"] is None
+
+    def test_strip_bergman_reports_half_step_variant_off_the_pole(self, capsys):
+        code, out = run_cli(
+            capsys,
+            "eval-kernel",
+            "--kernel",
+            "bergman_strip",
+            "--z",
+            "0.5 + 0.3 e1",
+            "--w",
+            "0.5",
+            "--d",
+            "1",
+        )
+        assert code == 0
+        rows = {r["name"]: r for r in json.loads(out)["results"]}
+        assert list(rows) == ["bergman_strip", "half_step_variant_delta"]
+        assert rows["half_step_variant_delta"]["value"] > 1.0
+        assert rows["half_step_variant_delta"]["pass"] is None
 
     def test_octonion_literal_forms_agree(self, capsys):
         _, bracket = run_cli(
@@ -211,9 +218,7 @@ class TestVerificationSuites:
         assert code == 0
         rows = {r["name"]: r for r in json.loads(out)["results"]}
         assert rows["duplication_max"]["pass"] is True
-        assert rows["tan_relation_max"]["pass"] is True
         assert rows["csc_relation_max"]["pass"] is True
-        assert rows["sec_definition_max"]["pass"] is True
         # informational rows carry no verdict but must show the split
         dup = rows["combined_against_duplication_max"]
         two = rows["combined_against_two_cot_max"]
@@ -223,9 +228,7 @@ class TestVerificationSuites:
         for name in ("cot", "tan", "csc", "sec"):
             assert rows[f"oregularity_{name}"]["pass"] is True
 
-    IDENTITY_ROWS = (
-        "duplication_max", "tan_relation_max", "csc_relation_max", "sec_definition_max"
-    )
+    IDENTITY_ROWS = ("duplication_max", "csc_relation_max")
     OREG_ROWS = tuple(f"oregularity_{n}" for n in ("cot", "tan", "csc", "sec"))
 
     def test_trig_default_bars(self, capsys):
@@ -254,21 +257,16 @@ class TestVerificationSuites:
         # the bars are the coefficient-weighted tail bounds of the sums
         policy = TruncationPolicy(tail_tol=1e-6)
         pts = _trig_points(np.random.default_rng(42), 50)
-        shifted = pts + np.eye(8)[0] * (math.pi / 2.0)
         tail = {
             "cot": cot(pts, policy).tail_bound,
             "cot2": cot(2.0 * pts, policy).tail_bound,
             "tan": tan(pts, policy).tail_bound,
             "csc": csc(pts, policy).tail_bound,
             "cot_half": cot(0.5 * pts, policy).tail_bound,
-            "sec": sec(pts, policy).tail_bound,
-            "csc_shift": csc(shifted, policy).tail_bound,
         }
         want = {
             "duplication_max": 128.0 * tail["cot2"] + tail["cot"] + tail["tan"],
-            "tan_relation_max": tail["tan"] + tail["cot"] + 128.0 * tail["cot2"],
             "csc_relation_max": tail["csc"] + tail["cot_half"] / 64.0 + tail["cot"],
-            "sec_definition_max": tail["sec"] + tail["csc_shift"],
         }
         for name in self.IDENTITY_ROWS:
             assert rows[name]["tolerance"] == pytest.approx(want[name], rel=1e-12)
@@ -496,8 +494,6 @@ class TestCsvOutput:
             "0.5",
             "--d",
             "1",
-            "--method",
-            "both",
             "--csv",
             str(path),
         )
@@ -505,7 +501,7 @@ class TestCsvOutput:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "name,d,value,target,residual"
         body = {ln.split(",")[0]: ln.split(",") for ln in lines[1:]}
-        series = body["szego_strip[series]"]
+        series = body["szego_strip"]
         assert series[1] == "1.0"  # d column
         assert float(series[2]) == pytest.approx(1.9991090157810752)
         # JSON on stdout is unaffected by CSV emission
@@ -535,7 +531,8 @@ class TestCsvOutput:
 # the invalid ones that used to slip through; sizes stay small so that one
 # example runs in milliseconds.
 LITERALS = [
-    "0.5", "0.25 + 0.1 e1", "[0.5,0,0,0,0,0,0,0]", "1.5", "nan", "-inf", "1e400", "1e-80"
+    "0.5", "0.25 + 0.1 e1", "[0.5,0,0,0,0,0,0,0]", "1.5", "nan", "-inf", "1e400", "1e-80",
+    "0.1", "0.01",
 ]
 GLOBAL_FLAGS = {
     "--seed": ["42", "7"],
@@ -560,7 +557,6 @@ COMMAND_FLAGS = {
         "--z": LITERALS,
         "--w": LITERALS,
         "--d": ["1", "2", "0", "-1", "inf", "nan"],
-        "--method": ["series", "closed_form", "both"],
     },
     "reproduce": {
         "--experiment": [

@@ -22,7 +22,7 @@ from octomono.kernels import (
     bergman_half_space,
     bergman_half_space_values,
     bergman_strip,
-    bergman_strip_closed_form_variants,
+    bergman_strip_half_step_residual,
     bergman_strip_values,
     bergman_unit_ball,
     bergman_unit_ball_potential_residual,
@@ -36,7 +36,13 @@ from octomono.kernels import (
     szego_unit_ball,
 )
 from octomono.regularity import FiniteDiffConfig, partial_derivative
-from octomono.trig_series import _BLOCK_ROWS, TruncationPolicy
+from octomono.trig_series import (
+    _BLOCK_ROWS,
+    PeriodizedSumSpec,
+    TruncationPolicy,
+    periodized_deriv_sum,
+    periodized_sum,
+)
 
 TIGHT = TruncationPolicy(tail_tol=1e-14)
 
@@ -127,36 +133,72 @@ class TestFrozenFlatValues:
         assert np.abs(_arr(got) - want).max() < 1e-5  # FD oracle floor
 
 
+# Rounding allowance of the closed-form comparison, in units of
+# u = eps/2, one per IEEE operation, relative to |S|.  Near a pole the
+# k = 0 term carries |S|; elsewhere |S| is O(1) and the absolute 1e-12
+# covers roundoff.
+# - The rescaling: fl(u*s) moves each coordinate of u by u, and so a
+#   kernel homogeneous of degree -(7 + order) by (7 + order) u; the
+#   factor s**(7 + order) is within 2u, and the product with it adds u.
+# - Each route's k = 0 term: |Im u|^2 takes 7u, r^2 8u, r^8 35u, the
+#   quotients of q0 36u and its Im u factor 37u.  d/dx0 q0 divides by
+#   r^10 = r^8 r^2 (44u), its real part 1/r^8 - 8t^2/r^10 is within 47u
+#   of |1/r^8| + |8t^2/r^10|, and the parts' sizes add up to at most
+#   twice the term's norm: 94u.
+# - Each route's accumulation rounds once per term: ``terms`` u.
+_TERM_ROUNDING = (37, 94)
+
+
+def _check_closed_form(order, z, w, d):
+    kernel, reference = (
+        (szego_strip, szego_strip_reference),
+        (bergman_strip, bergman_strip_reference),
+    )[order]
+    a = kernel(z, w, StripDomain(d), TIGHT)
+    b, b_tail = reference(z, w, d, TIGHT, "closed_form")
+    scale = math.pi / (2.0 * d)
+    u = z + conj(w)
+    lattice_sum = periodized_deriv_sum if order else periodized_sum
+    terms = sum(
+        lattice_sum(arg, PeriodizedSumSpec(step, alternating=order == 0), TIGHT).terms
+        for arg, step in ((u, 2.0 * d), (u * scale, math.pi))
+    )
+    units = (7 + order) + 2 + 1 + 2 * _TERM_ROUNDING[order] + terms
+    rounding = units * 0.5 * np.finfo(np.float64).eps * a.value.norm()
+    gap = (a.value - b).norm()
+    assert gap <= a.tail_bound + b_tail + 1e-12 + rounding
+
+
 class TestSeriesVsClosedForm:
+    """Both strip kernels against the paper's closed forms, the rescaled
+    sums (pi/2d)^(7 + order) at (pi/2d) u and step pi, by the oracles'
+    ``closed_form`` branch."""
+
     @pytest.mark.parametrize("d", [0.5, 1.0, 3.0])
     def test_szego_strip(self, d, rng):
-        dom = StripDomain(d)
         for _ in range(10):
-            z, w = _strip_pair(rng, d)
-            a = szego_strip(z, w, dom, TIGHT, method="series")
-            b = szego_strip(z, w, dom, TIGHT, method="closed_form")
-            gap = (a.value - b.value).norm()
-            assert gap <= a.tail_bound + b.tail_bound + 1e-12
+            _check_closed_form(0, *_strip_pair(rng, d), d)
 
     @pytest.mark.parametrize("d", [0.5, 1.0, 3.0])
     def test_bergman_strip(self, d, rng):
-        dom = StripDomain(d)
         for _ in range(10):
-            z, w = _strip_pair(rng, d)
-            a = bergman_strip(z, w, dom, TIGHT, method="series")
-            b = bergman_strip(z, w, dom, TIGHT, method="closed_form")
-            gap = (a.value - b.value).norm()
-            assert gap <= a.tail_bound + b.tail_bound + 1e-12
+            _check_closed_form(1, *_strip_pair(rng, d), d)
 
-    def test_half_step_variant_disagrees(self, rng):
+    # u = 0.2 and 0.02 near the wall at 0: |S| is 7.8e4 and 7.8e11
+    # (Szego), where the rounding term is above the absolute 1e-12
+    @pytest.mark.parametrize("x", [0.1, 0.01])
+    @pytest.mark.parametrize("order", [0, 1], ids=["szego", "bergman"])
+    def test_near_the_wall(self, order, x):
+        _check_closed_form(order, Octonion(x), Octonion(x), 1.0)
+
+    def test_half_step_variant_disagrees(self):
         # the denser lattice is NOT the same function: its residual
         # against the series is large wherever it is finite at all
         dom = StripDomain(1.0)
-        v = bergman_strip_closed_form_variants(
+        residual = bergman_strip_half_step_residual(
             Octonion(0.5, 0.3), Octonion(0.5), dom, TIGHT
         )
-        assert v["rescaled"] < 1e-10
-        assert v["half_step"] > 1.0
+        assert residual > 1.0
 
     def test_half_step_variant_singular_where_kernel_is_regular(self):
         # at z = w = 0.5, d = 1 the combined argument is 1.0: a pole of
@@ -164,9 +206,7 @@ class TestSeriesVsClosedForm:
         dom = StripDomain(1.0)
         assert bergman_strip(Octonion(0.5), Octonion(0.5), dom, TIGHT).value.norm() < 30
         with pytest.raises(SingularityError):
-            bergman_strip_closed_form_variants(
-                Octonion(0.5), Octonion(0.5), dom, TIGHT
-            )
+            bergman_strip_half_step_residual(Octonion(0.5), Octonion(0.5), dom, TIGHT)
 
 
 class TestKernelRelations:
@@ -290,10 +330,6 @@ class TestDomainChecks:
             assert np.isfinite(szego_unit_ball(z, w).norm())
             assert np.isfinite(bergman_unit_ball(z, w).norm())
 
-    def test_strip_bad_method(self):
-        with pytest.raises(ValueError):
-            szego_strip(Octonion(0.5), Octonion(0.5), StripDomain(1.0), method="x")
-
 
 def _strip_combined_args(rng, n, d, radius=2.0):
     # u = z + conj(w) for z at mid-strip and w sampled on the truncated
@@ -378,10 +414,10 @@ def _bits(values) -> np.ndarray:
 
 
 class TestScalarViewsBitIdentity:
-    """The shared strip body and difference stencil keep the bits of the
-    per-kernel code they replace (copies in ``tests/oracles.py``)."""
+    """The scalar strip kernels, row 0 of their batches, and the difference
+    stencil keep the bits of the code they replace (copies in
+    ``tests/oracles.py``)."""
 
-    @pytest.mark.parametrize("method", ["series", "closed_form"])
     @pytest.mark.parametrize("tail_tol", [1e-12, 1e-6])
     @pytest.mark.parametrize("d", [1.0, 0.7])
     @pytest.mark.parametrize(
@@ -389,12 +425,12 @@ class TestScalarViewsBitIdentity:
         [(szego_strip, szego_strip_reference), (bergman_strip, bergman_strip_reference)],
         ids=["szego", "bergman"],
     )
-    def test_strip_kernels(self, rng, kernel, reference, d, tail_tol, method):
+    def test_strip_kernels(self, rng, kernel, reference, d, tail_tol):
         policy = TruncationPolicy(tail_tol=tail_tol)
         for _ in range(4):
             z, w = _strip_pair(rng, d)
-            got = kernel(z, w, StripDomain(d), policy, method=method)
-            value, tail = reference(z, w, d, policy, method)
+            got = kernel(z, w, StripDomain(d), policy)
+            value, tail = reference(z, w, d, policy, "series")
             assert np.array_equal(_bits(got.value.coords), _bits(value.coords))
             assert _bits(got.tail_bound) == _bits(tail)
 
