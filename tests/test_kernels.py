@@ -40,6 +40,7 @@ from octomono.trig_series import (
     _BLOCK_ROWS,
     PeriodizedSumSpec,
     TruncationPolicy,
+    csc,
     periodized_deriv_sum,
     periodized_sum,
 )
@@ -330,6 +331,15 @@ class TestDomainChecks:
             assert np.isfinite(szego_unit_ball(z, w).norm())
             assert np.isfinite(bergman_unit_ball(z, w).norm())
 
+    def test_strip_bad_method(self):
+        # one route, no method keyword: a caller asking for the closed form
+        # is refused, not silently given the series
+        for kernel in (szego_strip, bergman_strip):
+            with pytest.raises(TypeError):
+                kernel(
+                    Octonion(0.5), Octonion(0.5), StripDomain(1.0), method="closed_form"
+                )
+
 
 def _strip_combined_args(rng, n, d, radius=2.0):
     # u = z + conj(w) for z at mid-strip and w sampled on the truncated
@@ -418,6 +428,11 @@ class TestScalarViewsBitIdentity:
     stencil keep the bits of the code they replace (copies in
     ``tests/oracles.py``)."""
 
+    # "series": the scalar kernels against the old series route.
+    # "closed_form": the closed forms the tests compare against, built from
+    # the public sums as test_05 and the kernels' docstrings write them,
+    # against the old rescaled route.
+    @pytest.mark.parametrize("method", ["series", "closed_form"])
     @pytest.mark.parametrize("tail_tol", [1e-12, 1e-6])
     @pytest.mark.parametrize("d", [1.0, 0.7])
     @pytest.mark.parametrize(
@@ -425,14 +440,24 @@ class TestScalarViewsBitIdentity:
         [(szego_strip, szego_strip_reference), (bergman_strip, bergman_strip_reference)],
         ids=["szego", "bergman"],
     )
-    def test_strip_kernels(self, rng, kernel, reference, d, tail_tol):
+    def test_strip_kernels(self, rng, kernel, reference, d, tail_tol, method):
         policy = TruncationPolicy(tail_tol=tail_tol)
+        s = math.pi / (2.0 * d)
         for _ in range(4):
             z, w = _strip_pair(rng, d)
-            got = kernel(z, w, StripDomain(d), policy)
-            value, tail = reference(z, w, d, policy, "series")
-            assert np.array_equal(_bits(got.value.coords), _bits(value.coords))
-            assert _bits(got.tail_bound) == _bits(tail)
+            u = (z + conj(w)) * s
+            if method == "series":
+                got = kernel(z, w, StripDomain(d), policy)
+                value, tail = got.value, got.tail_bound
+            elif kernel is bergman_strip:
+                res = periodized_deriv_sum(u, PeriodizedSumSpec(math.pi), policy)
+                value, tail = res.value * (-2.0 * s**8), 2.0 * s**8 * res.tail_bound
+            else:
+                res = csc(u, policy)
+                value, tail = res.value * s**7, s**7 * res.tail_bound
+            want, want_tail = reference(z, w, d, policy, method)
+            assert np.array_equal(_bits(value.coords), _bits(want.coords))
+            assert _bits(tail) == _bits(want_tail)
 
     @pytest.mark.parametrize("h", [1e-5, 1e-3])
     def test_ball_potential_residual(self, rng, h):
