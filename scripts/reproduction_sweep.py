@@ -53,7 +53,7 @@ def main() -> None:
             warnings.simplefilter("ignore")
             for seed in range(42, 42 + args.seeds):
                 cfg = McConfig(seed=seed, samples=args.samples, radius=radius)
-                r = szego_reproduce_strip(f, Octonion(args.z), dom, cfg)
+                (r,) = szego_reproduce_strip([(f, Octonion(args.z))], dom, cfg)
                 vals.append(r.value.to_array())
                 errs.append(r.std_err)
                 tails.append(r.tail_est)

@@ -30,7 +30,7 @@ from .kernels import (
     StripDomain,
     bergman_half_space,
     bergman_strip,
-    bergman_strip_half_step_residual,
+    bergman_strip_half_step_variant,
     bergman_unit_ball,
     szego_half_space,
     szego_strip,
@@ -47,10 +47,10 @@ from .quadrature import (
 from .regularity import FiniteDiffConfig, o_regularity_residual
 from .trig_series import (
     TruncationPolicy,
-    combined_relation_residuals,
+    combined_relation_gaps,
     cot,
     csc,
-    duplication_residual,
+    duplication_gap,
     sec,
     tan,
 )
@@ -278,15 +278,17 @@ def _cmd_trig(args, t0) -> int:
         # np.max keeps a NaN, where the builtin max(0.0, nan) would drop it
         return float(np.max(rows))
 
+    # each distinct lattice sum once; the identities below share them
     c = cot(pts, policy)
     c2 = cot(2.0 * pts, policy)
     t = tan(pts, policy)  # -cot(z + pi/2), the duplication's third sum
-    dup = worst(duplication_residual(pts, policy))
     s = csc(pts, policy)
     c_half = cot(0.5 * pts, policy)
-    cscrel = worst(np.linalg.norm(s.value - c_half.value / 64.0 + c.value, axis=1))
+    t_half = tan(0.5 * pts, policy)
     se = sec(pts, policy)
-    cr = combined_relation_residuals(pts, policy)
+    dup = worst(duplication_gap(c, c2, t))
+    cscrel = worst(np.linalg.norm(s.value - c_half.value / 64.0 + c.value, axis=1))
+    cr = combined_relation_gaps(c, c2, t, s, t_half)
 
     # each identity's residual with the (coefficient, lattice sum) terms it combines
     identities = (
@@ -340,7 +342,8 @@ def _cmd_eval_kernel(args, t0) -> int:
             # informational: the step-d variant reading of the closed
             # form has poles at points where the kernel is regular
             try:
-                delta = bergman_strip_half_step_residual(z, w, domain, policy)
+                variant = bergman_strip_half_step_variant(z, w, domain, policy)
+                delta = (variant - ev.value).norm()
             except SingularityError:
                 delta = None
             rows.append(_row("half_step_variant_delta", delta, d=args.d))
@@ -390,8 +393,8 @@ def _repro_rows_ball(experiment: str, cfg: McConfig) -> list[dict]:
             ),
         ]
         runner = bergman_reproduce_ball
-    for name, f, zpt, tol, mode in cases:
-        res = runner(f, zpt, cfg)
+    results = runner([(f, zpt) for _, f, zpt, _, _ in cases], cfg)
+    for (name, f, zpt, tol, mode), res in zip(cases, results):
         if mode == "abs":
             target = Octonion()
             resid = res.value.norm()
@@ -410,10 +413,11 @@ def _repro_rows_strip(experiment: str, d: float, cfg: McConfig) -> list[dict]:
     runner = (
         szego_reproduce_strip if experiment == "szego_strip" else bergman_reproduce_strip
     )
+    shifts = (("c_minus_1", -1.0), ("c_d_plus_1", d + 1.0))
+    fns = [shifted_cauchy_kernel(Octonion(c)) for _, c in shifts]
+    results = runner([(f, zpt) for f in fns], domain, cfg)
     rows = []
-    for label, c in (("c_minus_1", -1.0), ("c_d_plus_1", d + 1.0)):
-        f = shifted_cauchy_kernel(Octonion(c))
-        res = runner(f, zpt, domain, cfg)
+    for (label, _), f, res in zip(shifts, fns, results):
         target = f(zpt)
         resid = (res.value - target).norm() / target.norm()
         rows.append(_check_row(f"kernel_shift_{label}", res.value, target, resid, tol, d=d))

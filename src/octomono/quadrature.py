@@ -2,17 +2,26 @@
 
 Each estimator is one call of the engine ``_estimate``, which reduces an
 integrand's (n, 8) value rows chunk by chunk, computes the truncation
-tail and raises the one warning.  All integrands but the two Cauchy
+tail and raises the warnings.  All integrands but the two Cauchy
 checks are the pairing (L conj(nu)) (nu f) of ``_paired``: L is conj(g)
 or a kernel section, nu is w on the unit sphere, w/|w| in the ball and 1
 on the flat regions, where the pairing is L f.
 
+The reproduction estimators take a sequence of cases (f, z) and return
+one :class:`MCResult` per case, in order; the inner products and
+``cauchy_theorem_check`` estimate one integral.  The cases of one call
+share one sample stream: each chunk is drawn once, and the shell
+statistic's |Im w|, the twist nu and the kernel rows of each run of
+consecutive cases at the same z are computed once per chunk.  Each case
+keeps its own partial sums, tail and warning.
+
 Determinism contract: for a fixed (seed, samples, chunk) the result is
-bit-identical at any thread count.  Sample index space is split into
-fixed-size chunks; chunk i draws from its own counter-based substream
-(Philox seeded with spawn_key=(i,)) and partial sums are reduced in
-chunk order, so neither scheduling nor thread count can reorder any
-floating-point operation.
+bit-identical at any thread count, and each case of a call is
+bit-identical to a call with that case alone.  Sample index space is
+split into fixed-size chunks; chunk i draws from its own counter-based
+substream (Philox seeded with spawn_key=(i,)) and each case's partial
+sums are reduced in chunk order, so neither scheduling, thread count
+nor the other cases can reorder any floating-point operation.
 
 Sampling is plain uniform Monte Carlo over each region (no importance
 sampling, no low-discrepancy sequences, no adaptivity).  Unbounded
@@ -27,11 +36,12 @@ to be finite.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -103,6 +113,11 @@ class MCResult:
     std_err: float
     tail_est: float
     samples: int
+
+
+# One reproduction case: the function f (a FunctionHandle or a callable on
+# (n, 8) rows) and the evaluation point z.
+Case = tuple[object, Octonion]
 
 
 def _directions(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
@@ -219,20 +234,26 @@ def sample(region: Region, cfg: McConfig):
 
 def _estimate(
     region: Region,
-    integrand: Callable[[SampleBatch], np.ndarray],
+    integrand: Callable[[SampleBatch], Iterator[np.ndarray]],
     cfg: McConfig,
     const: float = REPRO_CONST,
     decay: int = 0,
     width: float = 0.0,
-) -> MCResult:
-    """const times the weighted sum of the integrand's (n, 8) value rows.
+) -> list[MCResult]:
+    """const times the weighted sum of each case's (n, 8) value rows.
+
+    ``integrand`` maps a chunk's samples to an iterator that yields one
+    block of value rows per case, in case order; the engine reduces each
+    block and lets it go before asking for the next, so one case's rows
+    are live at a time.  Returns one result per case, in order.
 
     A nonzero ``decay`` declares that the integrand falls off like
     |Im w|^-decay beyond the truncation radius, across a region of
-    transverse ``width``; the tail estimate integrates that law from the
-    largest shell statistic of any chunk.  Warns, at the estimator's
-    caller, when the estimate is not finite or the tail is not small
-    against it, or when squared sample values underflow to zero.
+    transverse ``width``; each case's tail estimate integrates that law
+    from its largest shell statistic of any chunk.  Warns, at the
+    estimator's caller and once per case that needs it, when an estimate
+    is not finite or its tail is not small against it, or when squared
+    sample values underflow to zero.
 
     Refuses, before sampling, a truncation radius at which
     ``radius**decay`` or the square of the region's measure, which
@@ -249,32 +270,54 @@ def _estimate(
             f"is not a finite float"
         )
 
-    def work(i: int) -> tuple[np.ndarray, float, float, bool]:
+    def work(i: int) -> list[tuple[np.ndarray, float, float, bool]]:
         batch = _chunk_batch(region, cfg, i)
-        values = integrand(batch)
-        weighted = batch.weights[:, None] * values
-        part_a = weighted.sum(axis=0)
-        part_b = float(
-            (batch.weights**2 * np.einsum("ij,ij->i", values, values)).sum()
-        )
-        # nonzero values whose squares all underflow leave no variance
-        underflow = part_b == 0.0 and bool(weighted.any())
-        shell = 0.0  # max |value| * |Im w|^decay over the outer calibration shell
-        if decay:
-            y = np.sqrt(np.einsum("ij,ij->i", batch.points[:, 1:], batch.points[:, 1:]))
-            mask = y > SHELL_FRACTION * cfg.radius
-            if mask.any():
-                mags = np.sqrt(np.einsum("ij,ij->i", values[mask], values[mask]))
-                shell = float((mags * y[mask] ** decay).max())
-        return part_a, part_b, shell, underflow
+        parts = []
+        shell_y = None  # |Im w|^decay on the outer calibration shell, and the shell's mask
+        for values in integrand(batch):
+            weighted = batch.weights[:, None] * values
+            part_a = weighted.sum(axis=0)
+            part_b = float(
+                (batch.weights**2 * np.einsum("ij,ij->i", values, values)).sum()
+            )
+            # nonzero values whose squares all underflow leave no variance
+            underflow = part_b == 0.0 and bool(weighted.any())
+            shell = 0.0  # max |value| * |Im w|^decay over the outer calibration shell
+            if decay:
+                if shell_y is None:
+                    y = np.sqrt(np.einsum("ij,ij->i", batch.points[:, 1:], batch.points[:, 1:]))
+                    mask = y > SHELL_FRACTION * cfg.radius
+                    shell_y = y[mask] ** decay, mask
+                    del y
+                y_decay, mask = shell_y
+                if y_decay.size:
+                    mags = np.sqrt(np.einsum("ij,ij->i", values[mask], values[mask]))
+                    shell = float((mags * y_decay).max())
+                    del mags
+            parts.append((part_a, part_b, shell, underflow))
+            del values, weighted  # before the next case's rows are built
+        return parts
 
     n_chunks = -(-cfg.samples // cfg.chunk)
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            parts = list(pool.map(work, range(n_chunks)))
+            chunks = list(pool.map(work, range(n_chunks)))
     else:
-        parts = [work(i) for i in range(n_chunks)]
+        chunks = [work(i) for i in range(n_chunks)]
 
+    results = []
+    for parts in zip(*chunks):  # one case's parts, in fixed chunk order
+        result, problem = _case_result(parts, cfg, const, decay, width)
+        if problem is not None:
+            warnings.warn(problem, stacklevel=3)
+        results.append(result)
+    return results
+
+
+def _case_result(
+    parts, cfg: McConfig, const: float, decay: int, width: float
+) -> tuple[MCResult, Optional[str]]:
+    """One case's result from its per-chunk parts, and the warning it needs, if any."""
     total_a = np.zeros(8)
     total_b = 0.0
     for part_a, part_b, _, _ in parts:  # fixed chunk order
@@ -313,29 +356,65 @@ def _estimate(
             f"result {size}; increase radius"
         )
     else:
-        return result
-    warnings.warn(problem, stacklevel=3)
-    return result
+        problem = None
+    return result, problem
 
 
 def _as_handle(f) -> Callable[[np.ndarray], np.ndarray]:
     return f if callable(f) else f.eval_batch
 
 
-def _paired(left, f, twist=None) -> Callable[[SampleBatch], np.ndarray]:
-    """Integrand (L conj(nu)) (nu f) of an inner product, or L f without a twist.
+def _kernel_pairs(cases: Sequence[Case], kernel) -> list[tuple[Callable, object]]:
+    """(L, f) for each case (f, z) of a reproduction, L the rows kernel(z, w).
 
-    ``left`` maps sample points to the rows of L (``conj(g)`` or a kernel
-    section) and ``twist`` maps them to the rows of nu.
+    A run of consecutive cases with the same z, bit for bit, shares one
+    L, so :func:`_paired` builds its kernel rows once per chunk.
+    Refuses an empty case list before any sampling.
     """
-    fn = _as_handle(f)
+    if not cases:
+        raise DomainError("a reproduction estimate needs at least one (f, z) case")
+    pairs = []
+    last_z = None
+    for f, z in cases:
+        z_bytes = z.to_array().tobytes()
+        if z_bytes != last_z:
+            left = functools.partial(kernel, z)
+            last_z = z_bytes
+        pairs.append((left, f))
+    return pairs
 
-    def integrand(batch: SampleBatch) -> np.ndarray:
-        lhs = left(batch.points)
-        if twist is None:
-            return mul_many(lhs, fn(batch.points))
-        nu = twist(batch.points)
-        return mul_many(mul_many(lhs, conj_many(nu)), mul_many(nu, fn(batch.points)))
+
+def _paired(pairs, twist=None) -> Callable[[SampleBatch], Iterator[np.ndarray]]:
+    """Integrand (L conj(nu)) (nu f) per (L, f) pair, or L f without a twist.
+
+    ``L`` maps sample points to the rows of L (``conj(g)`` or a kernel
+    section) and ``twist`` maps them to the rows of nu.  Per chunk, nu is
+    built once, and L conj(nu) once for each run of consecutive pairs
+    with the same ``L`` object; a run's rows go before the next run's
+    are built.
+    """
+    pairs = [(left, _as_handle(f)) for left, f in pairs]
+
+    def integrand(batch: SampleBatch) -> Iterator[np.ndarray]:
+        points = batch.points
+        nu = None
+        last = lhs = None
+        for left, fn in pairs:
+            if left is not last:
+                lhs = None  # free the last run's rows before building this run's
+                lhs, last = left(points), left
+                if twist is not None:
+                    # nu comes after the first kernel rows, as in a one-case
+                    # call; conj(nu) is not kept, since holding it while the
+                    # next run's kernel rows are built adds an (n, 8) array
+                    # to the peak
+                    if nu is None:
+                        nu = twist(points)
+                    lhs = mul_many(lhs, conj_many(nu))
+            if twist is None:
+                yield mul_many(lhs, fn(points))
+            else:
+                yield mul_many(lhs, mul_many(nu, fn(points)))
 
     return integrand
 
@@ -364,15 +443,16 @@ def cauchy_theorem_check(f, cfg: McConfig, radius: float = 1.0) -> MCResult:
     fn = _as_handle(f)
 
     def integrand(batch: SampleBatch):
-        return mul_many(batch.normals, fn(batch.points))
+        yield mul_many(batch.normals, fn(batch.points))
 
-    return _estimate(sphere_region(radius), integrand, cfg, const=1.0)
+    return _estimate(sphere_region(radius), integrand, cfg, const=1.0)[0]
 
 
 def cauchy_formula_reproduce(
-    f, z: Octonion, cfg: McConfig, grouping: str = "normal_first"
-) -> MCResult:
-    """(3/pi^4) integral of q0(w - z) (n(w) f(w)) over the unit sphere.
+    cases: Sequence[Case], cfg: McConfig, grouping: str = "normal_first"
+) -> list[MCResult]:
+    """(3/pi^4) integral of q0(w - z) (n(w) f(w)) over the unit sphere,
+    one result per case (f, z).
 
     ``grouping='normal_first'`` multiplies n(w) f(w) before applying the
     kernel, the order under which reproduction holds;
@@ -384,44 +464,50 @@ def cauchy_formula_reproduce(
     """
     if grouping not in ("normal_first", "kernel_first"):
         raise ValueError(f"unknown grouping {grouping!r}")
-    fn = _as_handle(f)
-    zc = z.to_array()
+    pairs = [
+        (left, _as_handle(f))
+        for left, f in _kernel_pairs(cases, lambda z, p: q0_many(p - z.to_array()))
+    ]
 
     def integrand(batch: SampleBatch):
-        kernel = q0_many(batch.points - zc)
-        if grouping == "normal_first":
-            return mul_many(kernel, mul_many(batch.normals, fn(batch.points)))
-        return mul_many(mul_many(kernel, batch.normals), fn(batch.points))
+        points, normals = batch.points, batch.normals
+        for kernel, fn in pairs:
+            if grouping == "normal_first":
+                yield mul_many(kernel(points), mul_many(normals, fn(points)))
+            else:
+                yield mul_many(mul_many(kernel(points), normals), fn(points))
 
     return _estimate(sphere_region(1.0), integrand, cfg)
 
 
-def szego_reproduce_ball(f, z: Octonion, cfg: McConfig) -> MCResult:
-    """(3/pi^4) integral of (S(z, w) conj(w)) (w f(w)) over the unit sphere.
+def szego_reproduce_ball(cases: Sequence[Case], cfg: McConfig) -> list[MCResult]:
+    """(3/pi^4) integral of (S(z, w) conj(w)) (w f(w)) over the unit sphere,
+    one result per case (f, z).
 
     No interior check: exterior z targets 0.
     """
-    kernel = lambda points: szego_ball_values(z, points)  # noqa: E731
-    return _estimate(sphere_region(1.0), _paired(kernel, f, lambda p: p), cfg)
+    pairs = _kernel_pairs(cases, szego_ball_values)
+    return _estimate(sphere_region(1.0), _paired(pairs, lambda p: p), cfg)
 
 
 def inner_product_hardy_ball(f, g, cfg: McConfig) -> MCResult:
     """(f, g) = (3/pi^4) integral of (conj(g) conj(w)) (w f) over the unit sphere."""
-    return _estimate(sphere_region(1.0), _paired(_conj_of(g), f, lambda p: p), cfg)
+    return _estimate(sphere_region(1.0), _paired([(_conj_of(g), f)], lambda p: p), cfg)[0]
 
 
-def bergman_reproduce_ball(f, z: Octonion, cfg: McConfig) -> MCResult:
-    """(3/pi^4) integral of (B(z, w) conj(w/|w|)) ((w/|w|) f(w)) over the ball.
+def bergman_reproduce_ball(cases: Sequence[Case], cfg: McConfig) -> list[MCResult]:
+    """(3/pi^4) integral of (B(z, w) conj(w/|w|)) ((w/|w|) f(w)) over the ball,
+    one result per case (f, z).
 
     No interior check: exterior z targets 0.
     """
-    kernel = lambda points: bergman_ball_values(z, points)  # noqa: E731
-    return _estimate(ball_region(1.0), _paired(kernel, f, _unit_rows), cfg)
+    pairs = _kernel_pairs(cases, bergman_ball_values)
+    return _estimate(ball_region(1.0), _paired(pairs, _unit_rows), cfg)
 
 
 def inner_product_bergman_ball(f, g, cfg: McConfig) -> MCResult:
     """(f, g) = (3/pi^4) integral of (conj(g) conj(w/|w|)) ((w/|w|) f) over the ball."""
-    return _estimate(ball_region(1.0), _paired(_conj_of(g), f, _unit_rows), cfg)
+    return _estimate(ball_region(1.0), _paired([(_conj_of(g), f)], _unit_rows), cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -430,35 +516,41 @@ def inner_product_bergman_ball(f, g, cfg: McConfig) -> MCResult:
 
 
 def szego_reproduce_strip(
-    f,
-    z: Octonion,
+    cases: Sequence[Case],
     domain: StripDomain,
     cfg: McConfig,
     policy: TruncationPolicy = TruncationPolicy(),
-) -> MCResult:
-    """(3/pi^4) integral of S(z, w) f(w) over both truncated walls.
+) -> list[MCResult]:
+    """(3/pi^4) integral of S(z, w) f(w) over both truncated walls, one
+    result per case (f, z).
 
     No interior check on z: for z outside the closed strip the estimate
     targets 0 instead of f(z).
     """
-    zc = z.to_array()
-    kernel = lambda p: szego_strip_values(zc + conj_many(p), domain.d, policy)[0]  # noqa: E731
+
+    def kernel(z: Octonion, p: np.ndarray) -> np.ndarray:
+        return szego_strip_values(z.to_array() + conj_many(p), domain.d, policy)[0]
+
     region = strip_boundary_region(domain, cfg.radius)
-    return _estimate(region, _paired(kernel, f), cfg, decay=14, width=2.0)
+    pairs = _kernel_pairs(cases, kernel)
+    return _estimate(region, _paired(pairs), cfg, decay=14, width=2.0)
 
 
 def bergman_reproduce_strip(
-    f,
-    z: Octonion,
+    cases: Sequence[Case],
     domain: StripDomain,
     cfg: McConfig,
     policy: TruncationPolicy = TruncationPolicy(),
-) -> MCResult:
-    """(3/pi^4) integral of B(z, w) f(w) over the truncated strip volume."""
-    zc = z.to_array()
-    kernel = lambda p: bergman_strip_values(zc + conj_many(p), domain.d, policy)[0]  # noqa: E731
+) -> list[MCResult]:
+    """(3/pi^4) integral of B(z, w) f(w) over the truncated strip volume,
+    one result per case (f, z)."""
+
+    def kernel(z: Octonion, p: np.ndarray) -> np.ndarray:
+        return bergman_strip_values(z.to_array() + conj_many(p), domain.d, policy)[0]
+
     region = strip_volume_region(domain, cfg.radius)
-    return _estimate(region, _paired(kernel, f), cfg, decay=15, width=domain.d)
+    pairs = _kernel_pairs(cases, kernel)
+    return _estimate(region, _paired(pairs), cfg, decay=15, width=domain.d)
 
 
 def inner_product_strip_boundary(
@@ -466,7 +558,7 @@ def inner_product_strip_boundary(
 ) -> MCResult:
     """(f, g) = (3/pi^4) integral of conj(g) f over both truncated walls."""
     region = strip_boundary_region(domain, cfg.radius)
-    return _estimate(region, _paired(_conj_of(g), f), cfg, decay=14, width=2.0)
+    return _estimate(region, _paired([(_conj_of(g), f)]), cfg, decay=14, width=2.0)[0]
 
 
 def inner_product_strip_volume(
@@ -474,14 +566,19 @@ def inner_product_strip_volume(
 ) -> MCResult:
     """(f, g) = (3/pi^4) integral of conj(g) f over the truncated strip volume."""
     region = strip_volume_region(domain, cfg.radius)
-    return _estimate(region, _paired(_conj_of(g), f), cfg, decay=14, width=domain.d)
+    pairs = [(_conj_of(g), f)]
+    return _estimate(region, _paired(pairs), cfg, decay=14, width=domain.d)[0]
 
 
-def szego_reproduce_half_space(f, z: Octonion, cfg: McConfig) -> MCResult:
-    """(3/pi^4) integral of S(z, w) f(w) over the truncated wall Re = 0."""
-    if z.real <= 0.0:
+def szego_reproduce_half_space(cases: Sequence[Case], cfg: McConfig) -> list[MCResult]:
+    """(3/pi^4) integral of S(z, w) f(w) over the truncated wall Re = 0,
+    one result per case (f, z)."""
+    if any(z.real <= 0.0 for _, z in cases):
         raise DomainError("evaluation point must have positive real part")
-    zc = z.to_array()
-    kernel = lambda p: szego_half_space_values(zc + conj_many(p))  # noqa: E731
+
+    def kernel(z: Octonion, p: np.ndarray) -> np.ndarray:
+        return szego_half_space_values(z.to_array() + conj_many(p))
+
     region = half_space_boundary_region(cfg.radius)
-    return _estimate(region, _paired(kernel, f), cfg, decay=14, width=1.0)
+    pairs = _kernel_pairs(cases, kernel)
+    return _estimate(region, _paired(pairs), cfg, decay=14, width=1.0)

@@ -314,9 +314,17 @@ def duplication_residual(
     A float for a point, one residual per row for a batch (n, 8).
     """
     zc = as_coords(z)
-    lhs = 128.0 * cot(2.0 * zc, policy).value
-    rhs = cot(zc, policy).value + cot(_shift_half_pi(zc), policy).value
-    return np.linalg.norm(lhs - rhs, axis=-1)
+    return duplication_gap(cot(zc, policy), cot(2.0 * zc, policy), tan(zc, policy))
+
+
+def duplication_gap(
+    cot_z: SumResult, cot_2z: SumResult, tan_z: SumResult
+) -> Union[float, np.ndarray]:
+    """The duplication residual from the sums cot(z), cot(2z) and tan(z) at one z.
+
+    tan(z) is -cot(z + pi/2), so subtracting it adds cot(z + pi/2).
+    """
+    return np.linalg.norm(128.0 * cot_2z.value - (cot_z.value - tan_z.value), axis=-1)
 
 
 class CombinedRelationResiduals(NamedTuple):
@@ -340,13 +348,26 @@ def combined_relation_residuals(
     this routine; callers should measure rather than assume.
     """
     zc = as_coords(z)
-    combo = (
-        csc(zc, policy).value
-        + tan(zc, policy).value
-        - tan(0.5 * zc, policy).value / 64.0
+    return combined_relation_gaps(
+        cot(zc, policy),
+        cot(2.0 * zc, policy),
+        tan(zc, policy),
+        csc(zc, policy),
+        tan(0.5 * zc, policy),
     )
-    dup = 128.0 * cot(2.0 * zc, policy).value
-    two_cot = 2.0 * cot(zc, policy).value - dup
+
+
+def combined_relation_gaps(
+    cot_z: SumResult,
+    cot_2z: SumResult,
+    tan_z: SumResult,
+    csc_z: SumResult,
+    tan_half_z: SumResult,
+) -> CombinedRelationResiduals:
+    """The combined-relation residuals from the sums at one z (tan_half_z at z/2)."""
+    combo = csc_z.value + tan_z.value - tan_half_z.value / 64.0
+    dup = 128.0 * cot_2z.value
+    two_cot = 2.0 * cot_z.value - dup
     return CombinedRelationResiduals(
         against_duplication=np.linalg.norm(combo - dup, axis=-1),
         against_two_cot=np.linalg.norm(combo - two_cot, axis=-1),

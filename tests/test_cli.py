@@ -280,7 +280,9 @@ class TestVerificationSuites:
         fd_bar = rows["oregularity_cot"]["tolerance"]
         for scale, passed in ((0.99, True), (1.01, False)):
             monkeypatch.setattr(
-                cli, "duplication_residual", lambda z, policy: np.full(len(z), scale * dup_bar)
+                cli,
+                "duplication_gap",
+                lambda cot_z, cot_2z, tan_z: np.full(len(cot_z.value), scale * dup_bar),
             )
             monkeypatch.setattr(cli, "o_regularity_residual", lambda f, z, h: scale * fd_bar)
             code, out = run_cli(capsys, *argv)

@@ -193,9 +193,9 @@ class TestEngine:
     def test_thread_count_invariance(self, threads):
         base = McConfig(seed=6, samples=300_000)
         z = Octonion(0.0, 0.3)
-        a = cauchy_formula_reproduce(ONE, z, base)
-        b = cauchy_formula_reproduce(
-            ONE, z, McConfig(seed=6, samples=300_000, threads=threads)
+        (a,) = cauchy_formula_reproduce([(ONE, z)], base)
+        (b,) = cauchy_formula_reproduce(
+            [(ONE, z)], McConfig(seed=6, samples=300_000, threads=threads)
         )
         assert np.array_equal(a.value.to_array(), b.value.to_array())
         assert a.std_err == b.std_err
@@ -208,14 +208,14 @@ class TestEngine:
         for n in (50_000, 200_000):
             sq = 0.0
             for s in range(6):
-                r = cauchy_formula_reproduce(ONE, z, McConfig(seed=100 + s, samples=n))
+                (r,) = cauchy_formula_reproduce([(ONE, z)], McConfig(seed=100 + s, samples=n))
                 sq += (r.value - Octonion(1.0)).norm() ** 2
             rms[n] = math.sqrt(sq / 6.0)
         assert rms[200_000] / rms[50_000] <= 0.7
 
     def test_estimators_reject_zero_samples(self):
         with pytest.raises(DomainError):
-            cauchy_formula_reproduce(ONE, Octonion(0.0), McConfig(samples=0))
+            cauchy_formula_reproduce([(ONE, Octonion(0.0))], McConfig(samples=0))
 
     def test_unit_rows_match_reference(self, rng):
         pts = rng.standard_normal((1_000, 8)) * np.exp(rng.uniform(-40, 40, (1_000, 1)))
@@ -237,18 +237,18 @@ class TestEngine:
         f = shifted_cauchy_kernel(Octonion(-1.0))
         cfg = McConfig(seed=4, samples=2_000, radius=1e20)
         with pytest.warns(UserWarning, match="underflow to zero"):
-            r = szego_reproduce_half_space(f, Octonion(0.5), cfg)
+            (r,) = szego_reproduce_half_space([(f, Octonion(0.5))], cfg)
         assert r.value.norm() > 0.0
         assert r.std_err == 0.0 and r.tail_est == 0.0
 
     @pytest.mark.parametrize(
         "estimator,radius",
         [
-            (lambda cfg: szego_reproduce_half_space(ONE, Octonion(0.5), cfg), 1e25),
-            (lambda cfg: szego_reproduce_strip(ONE, Octonion(0.5), StripDomain(1.0), cfg), 1e25),
+            (lambda cfg: szego_reproduce_half_space([(ONE, Octonion(0.5))], cfg), 1e25),
+            (lambda cfg: szego_reproduce_strip([(ONE, Octonion(0.5))], StripDomain(1.0), cfg), 1e25),
             # radius**15 overflows, the squared measure does not
             (
-                lambda cfg: bergman_reproduce_strip(ONE, Octonion(0.5), StripDomain(1.0), cfg),
+                lambda cfg: bergman_reproduce_strip([(ONE, Octonion(0.5))], StripDomain(1.0), cfg),
                 1e21,
             ),
             # radius**14 is finite, the squared measure of a slab 1e160 wide is not
@@ -272,23 +272,23 @@ class TestEngine:
         cfg = McConfig(seed=4, samples=2_000, radius=1e25)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            r = cauchy_formula_reproduce(ONE, Octonion(0.0, 0.3), cfg)
+            (r,) = cauchy_formula_reproduce([(ONE, Octonion(0.0, 0.3))], cfg)
         assert math.isfinite(r.std_err)
 
 
 class TestBallReproduction:
     def test_cauchy_constant_interior(self):
-        r = cauchy_formula_reproduce(ONE, Octonion(0.0, 0.3), McConfig(seed=42, samples=200_000))
+        (r,) = cauchy_formula_reproduce([(ONE, Octonion(0.0, 0.3))], McConfig(seed=42, samples=200_000))
         assert (r.value - Octonion(1.0)).norm() < 0.02
 
     def test_cauchy_exterior_targets_zero(self):
-        r = cauchy_formula_reproduce(ONE, Octonion(0.0, 1.3), McConfig(seed=42, samples=200_000))
+        (r,) = cauchy_formula_reproduce([(ONE, Octonion(0.0, 1.3))], McConfig(seed=42, samples=200_000))
         assert r.value.norm() < 0.02
 
     def test_cauchy_linear_function(self):
         f = linear_monogenic()
         z = Octonion(0.0, 0.2, 0.1)
-        r = cauchy_formula_reproduce(f, z, McConfig(seed=42, samples=200_000))
+        (r,) = cauchy_formula_reproduce([(f, z)], McConfig(seed=42, samples=200_000))
         target = f(z)
         assert (r.value - target).norm() < 0.05 * max(target.norm(), 1.0)
 
@@ -297,17 +297,17 @@ class TestBallReproduction:
         assert r.value.norm() <= 4.0 * r.std_err + 1e-3
 
     def test_szego_reproduces_constant(self):
-        r = szego_reproduce_ball(ONE, Octonion(0.3), McConfig(seed=42, samples=200_000))
+        (r,) = szego_reproduce_ball([(ONE, Octonion(0.3))], McConfig(seed=42, samples=200_000))
         assert (r.value - Octonion(1.0)).norm() < 0.05
 
     def test_bergman_reproduces_constant(self):
-        r = bergman_reproduce_ball(ONE, Octonion(0.0, 0.4), McConfig(seed=42, samples=400_000))
+        (r,) = bergman_reproduce_ball([(ONE, Octonion(0.0, 0.4))], McConfig(seed=42, samples=400_000))
         assert (r.value - Octonion(1.0)).norm() < 0.05
 
     def test_bergman_reproduces_linear(self):
         f = linear_monogenic()
         z = Octonion(0.0, 0.2, 0.1)
-        r = bergman_reproduce_ball(f, z, McConfig(seed=42, samples=400_000))
+        (r,) = bergman_reproduce_ball([(f, z)], McConfig(seed=42, samples=400_000))
         target = f(z)
         assert (r.value - target).norm() < 0.05 * max(target.norm(), 1.0)
 
@@ -317,7 +317,7 @@ class TestBallReproduction:
         f = shifted_cauchy_kernel(Octonion(-2.0))
         z = Octonion(0.25, 0.1)
         cfg = McConfig(seed=17, samples=100_000)
-        direct = szego_reproduce_ball(f, z, cfg)
+        (direct,) = szego_reproduce_ball([(f, z)], cfg)
         via_ip = inner_product_hardy_ball(f, szego_ball_section(z), cfg)
         assert np.array_equal(direct.value.to_array(), via_ip.value.to_array())
         assert direct.std_err == via_ip.std_err
@@ -331,14 +331,14 @@ class TestBallReproduction:
         f = szego_ball_section(w0)
         target = szego_unit_ball(z, w0)
         cfg = McConfig(seed=7, samples=200_000)
-        good = cauchy_formula_reproduce(f, z, cfg, grouping="normal_first")
-        bad = cauchy_formula_reproduce(f, z, cfg, grouping="kernel_first")
+        (good,) = cauchy_formula_reproduce([(f, z)], cfg, grouping="normal_first")
+        (bad,) = cauchy_formula_reproduce([(f, z)], cfg, grouping="kernel_first")
         assert (good.value - target).norm() <= 4.0 * good.std_err
         assert (bad.value - target).norm() > 5.0 * bad.std_err
 
     def test_unknown_grouping_rejected(self):
         with pytest.raises(ValueError):
-            cauchy_formula_reproduce(ONE, Octonion(0.0), McConfig(), grouping="both")
+            cauchy_formula_reproduce([(ONE, Octonion(0.0))], McConfig(), grouping="both")
 
 
 class TestFlatReproduction:
@@ -348,7 +348,7 @@ class TestFlatReproduction:
         dom = StripDomain(1.0)
         f = shifted_cauchy_kernel(Octonion(-1.0))
         cfg = McConfig(seed=11, samples=300_000, radius=2.0)
-        r = szego_reproduce_strip(f, Octonion(0.5), dom, cfg)
+        (r,) = szego_reproduce_strip([(f, Octonion(0.5))], dom, cfg)
         want = strip_szego_wall_integral(0.5, -1.0, 1.0, 2.0)
         assert abs(r.value.real - want) <= 4.0 * r.std_err
         assert np.abs(r.value.to_array()[1:]).max() <= 4.0 * r.std_err
@@ -357,7 +357,7 @@ class TestFlatReproduction:
         dom = StripDomain(1.0)
         f = shifted_cauchy_kernel(Octonion(-1.0))
         cfg = McConfig(seed=21, samples=600_000, radius=2.0)
-        r = bergman_reproduce_strip(f, Octonion(0.5), dom, cfg)
+        (r,) = bergman_reproduce_strip([(f, Octonion(0.5))], dom, cfg)
         assert abs(r.value.real - BERGMAN_STRIP_ORACLE_R2) <= 5.0 * r.std_err
 
     def test_exterior_strip_point_targets_zero(self):
@@ -366,26 +366,26 @@ class TestFlatReproduction:
         dom = StripDomain(1.0)
         f = shifted_cauchy_kernel(Octonion(-1.0))
         cfg = McConfig(seed=3, samples=200_000, radius=2.0)
-        r = szego_reproduce_strip(f, Octonion(-0.5), dom, cfg)
+        (r,) = szego_reproduce_strip([(f, Octonion(-0.5))], dom, cfg)
         assert r.value.norm() <= 5.0 * r.std_err + r.tail_est
 
     def test_half_space_matches_simpson_oracle(self):
         f = shifted_cauchy_kernel(Octonion(-1.0))
         cfg = McConfig(seed=19, samples=200_000, radius=2.0)
-        r = szego_reproduce_half_space(f, Octonion(1.0), cfg)
+        (r,) = szego_reproduce_half_space([(f, Octonion(1.0))], cfg)
         want = half_space_szego_wall_integral(1.0, -1.0, 2.0)
         assert abs(r.value.real - want) <= 4.0 * r.std_err
 
     def test_half_space_rejects_left_evaluation_point(self):
         with pytest.raises(DomainError):
-            szego_reproduce_half_space(ONE, Octonion(-1.0), McConfig())
+            szego_reproduce_half_space([(ONE, Octonion(-1.0))], McConfig())
 
     def test_small_radius_triggers_truncation_warning(self):
         dom = StripDomain(1.0)
         f = shifted_cauchy_kernel(Octonion(-1.0))
         cfg = McConfig(seed=5, samples=60_000, radius=1.1)
         with pytest.warns(UserWarning, match="increase radius"):
-            szego_reproduce_strip(f, Octonion(0.5), dom, cfg)
+            szego_reproduce_strip([(f, Octonion(0.5))], dom, cfg)
 
     def test_nan_integrand_gives_nan_tail_estimate(self):
         # the shell statistic of a NaN integrand is NaN; the chunk
@@ -395,7 +395,7 @@ class TestFlatReproduction:
         nan_fn = lambda pts: np.full(np.shape(pts), np.nan)  # noqa: E731
         cfg = McConfig(seed=5, samples=2_000, radius=2.0)
         with pytest.warns(UserWarning, match="not finite"):
-            r = szego_reproduce_strip(nan_fn, Octonion(0.5), dom, cfg)
+            (r,) = szego_reproduce_strip([(nan_fn, Octonion(0.5))], dom, cfg)
         assert math.isnan(r.tail_est)
 
     def test_comfortable_radius_is_silent(self):
@@ -404,7 +404,7 @@ class TestFlatReproduction:
         cfg = McConfig(seed=5, samples=60_000, radius=2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            szego_reproduce_strip(f, Octonion(0.5), dom, cfg)
+            szego_reproduce_strip([(f, Octonion(0.5))], dom, cfg)
 
 
 STRIP = StripDomain(1.0)
@@ -444,8 +444,37 @@ ENGINE_CONFIGS = [
 ]
 
 
+# estimators that take a list of (f, z) cases and return one result per case
+REPRODUCERS = {
+    "cauchy_formula_reproduce",
+    "szego_reproduce_ball",
+    "bergman_reproduce_ball",
+    "szego_reproduce_strip",
+    "bergman_reproduce_strip",
+    "szego_reproduce_half_space",
+}
+
+
 def _bits(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def _estimate_one(name, args, cfg, kwargs):
+    """One estimate through the public estimator; a reproduction as a one-case list."""
+    fn = getattr(quadrature, name)
+    if name in REPRODUCERS:
+        (f, z), rest = args[:2], args[2:]
+        (result,) = fn([(f, z)], *rest, cfg, **kwargs)
+        return result
+    return fn(*args, cfg, **kwargs)
+
+
+def _assert_matches(got, want, cfg):
+    want_value, want_err, want_tail, _ = want
+    assert np.array_equal(_bits(got.value.to_array()), _bits(want_value))
+    assert _bits(got.std_err) == _bits(want_err)
+    assert _bits(got.tail_est) == _bits(want_tail)
+    assert got.samples == cfg.samples
 
 
 class TestEngineBitIdentity:
@@ -458,16 +487,12 @@ class TestEngineBitIdentity:
     def test_matches_reference(self, case, cfg):
         name = case.split("[")[0]
         args, kwargs = ESTIMATOR_CASES[case]
-        want_value, want_err, want_tail, want_msg = getattr(
-            oracles, f"{name}_reference"
-        )(*args, cfg, **kwargs)
+        want = getattr(oracles, f"{name}_reference")(*args, cfg, **kwargs)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            got = getattr(quadrature, name)(*args, cfg, **kwargs)
-        assert np.array_equal(_bits(got.value.to_array()), _bits(want_value))
-        assert _bits(got.std_err) == _bits(want_err)
-        assert _bits(got.tail_est) == _bits(want_tail)
-        assert got.samples == cfg.samples
+            got = _estimate_one(name, args, cfg, kwargs)
+        _assert_matches(got, want, cfg)
+        want_msg = want[3]
         assert [str(w.message) for w in caught] == ([want_msg] if want_msg else [])
         # the warning names the estimator's caller, not the engine
         assert all(w.filename == __file__ for w in caught)
@@ -480,3 +505,106 @@ class TestEngineBitIdentity:
         for name in flat:
             args, _ = ESTIMATOR_CASES[name]
             assert getattr(oracles, f"{name}_reference")(*args, cfg)[3] is not None
+
+
+# (f, z) lists with z repeated, then changed, then repeated again, for
+# each reproduction estimator and the arguments after the cases
+MULTI_Z = {
+    "ball": (Octonion(0.0, 0.3), Octonion(0.3, 0.1)),
+    "strip": (Octonion(0.5, 0.2), Octonion(0.3)),
+}
+MULTI_CASES = {
+    "cauchy_formula_reproduce": ("ball", (), {}),
+    "cauchy_formula_reproduce[kernel_first]": ("ball", (), {"grouping": "kernel_first"}),
+    "szego_reproduce_ball": ("ball", (), {}),
+    "bergman_reproduce_ball": ("ball", (), {}),
+    "szego_reproduce_strip": ("strip", (STRIP,), {}),
+    "bergman_reproduce_strip": ("strip", (STRIP,), {}),
+    "szego_reproduce_half_space": ("strip", (), {}),
+}
+
+
+def _multi_cases(kind):
+    f, g = (BALL_F, linear_monogenic()) if kind == "ball" else (STRIP_F, ONE)
+    z1, z2 = MULTI_Z[kind]
+    return [(f, z1), (g, z1), (f, z2), (g, z2), (f, z2), (g, z1)]
+
+
+class TestMultiCaseCalls:
+    """Every case of one call against the single-case oracle, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "cfg", ENGINE_CONFIGS[:3], ids=lambda c: f"n{c.samples}-c{c.chunk}-R{c.radius}-t{c.threads}"
+    )
+    @pytest.mark.parametrize("case", sorted(MULTI_CASES))
+    def test_each_case_matches_its_single_case_oracle(self, case, cfg):
+        name = case.split("[")[0]
+        kind, rest, kwargs = MULTI_CASES[case]
+        cases = _multi_cases(kind)
+        oracle = getattr(oracles, f"{name}_reference")
+        wants = [oracle(f, z, *rest, cfg, **kwargs) for f, z in cases]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = getattr(quadrature, name)(cases, *rest, cfg, **kwargs)
+        assert len(got) == len(cases)
+        for result, want in zip(got, wants):
+            _assert_matches(result, want, cfg)
+        # one warning per case that raises one alone, in case order
+        assert [str(w.message) for w in caught] == [w[3] for w in wants if w[3]]
+        assert all(w.filename == __file__ for w in caught)
+
+    def test_strip_kernel_rows_are_built_once_per_run_of_equal_z(self, monkeypatch):
+        built = []
+        original = quadrature.szego_strip_values
+
+        def counting(u, d, policy):
+            built.append(len(u))
+            return original(u, d, policy)
+
+        monkeypatch.setattr(quadrature, "szego_strip_values", counting)
+        cfg = McConfig(seed=3, samples=10_000, chunk=5_000, radius=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the constant cases' tails are not small
+            szego_reproduce_strip(_multi_cases("strip"), STRIP, cfg)
+        # runs z1 z1 | z2 z2 z2 | z1 in each of two chunks
+        assert built == [5_000] * 6
+
+    @pytest.mark.parametrize("name", sorted(REPRODUCERS))
+    def test_empty_case_list_is_refused_before_sampling(self, monkeypatch, name):
+        def no_sampling(*args):
+            raise AssertionError("sampled before refusing")
+
+        monkeypatch.setattr(quadrature, "_chunk_batch", no_sampling)
+        rest = (STRIP,) if "strip" in name else ()
+        with pytest.raises(DomainError, match="at least one"):
+            getattr(quadrature, name)([], *rest, McConfig(samples=2_000, radius=2.0))
+
+    def test_half_space_checks_every_case_before_sampling(self, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled before refusing")
+
+        monkeypatch.setattr(quadrature, "_chunk_batch", no_sampling)
+        cases = [(STRIP_F, Octonion(1.0)), (STRIP_F, Octonion(-1.0))]
+        with pytest.raises(DomainError, match="positive real part"):
+            szego_reproduce_half_space(cases, McConfig(samples=2_000, radius=2.0))
+
+    def test_a_nan_case_warns_alone(self):
+        # the NaN case raises exactly the warning it raises alone; the
+        # finite case beside it raises none
+        nan_fn = lambda pts: np.full(np.shape(pts), np.nan)  # noqa: E731
+        z = Octonion(0.5)
+        cfg = McConfig(seed=5, samples=2_000, radius=2.0)
+        with warnings.catch_warnings(record=True) as alone:
+            warnings.simplefilter("always")
+            szego_reproduce_strip([(nan_fn, z)], STRIP, cfg)
+        with warnings.catch_warnings(record=True) as finite:
+            warnings.simplefilter("always")
+            szego_reproduce_strip([(STRIP_F, z)], STRIP, cfg)
+        with warnings.catch_warnings(record=True) as both:
+            warnings.simplefilter("always")
+            nan_res, finite_res = szego_reproduce_strip([(nan_fn, z), (STRIP_F, z)], STRIP, cfg)
+        assert len(alone) == 1 and "not finite" in str(alone[0].message)
+        assert finite == []
+        assert [str(w.message) for w in both] == [str(alone[0].message)]
+        assert math.isnan(nan_res.tail_est)
+        assert math.isfinite(finite_res.value.norm())
