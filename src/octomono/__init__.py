@@ -3,7 +3,8 @@
 Layering: ``algebra`` (arithmetic) -> ``regularity`` (Cauchy-Riemann
 operators, Cauchy kernel) -> ``trig_series`` (periodized kernel series) ->
 ``kernels`` (reproducing kernels on ball, strip, half-space) ->
-``quadrature`` (seeded Monte Carlo verification) -> ``cli``.
+``quadrature`` (seeded Monte Carlo verification) -> ``suites``
+(verification suites returning report rows) -> ``cli``.
 """
 
 from .errors import DomainError, PolicyError, SingularityError

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -100,13 +100,6 @@ class Octonion:
         )
 
     @classmethod
-    def from_coords(cls, coords: Iterable[float]) -> "Octonion":
-        c = tuple(float(x) for x in coords)
-        if len(c) != 8:
-            raise DomainError(f"octonion needs exactly 8 coordinates, got {len(c)}")
-        return cls(*c)
-
-    @classmethod
     def basis(cls, k: int) -> "Octonion":
         if not 0 <= k <= 7:
             raise DomainError(f"basis index must be in 0..7, got {k}")
@@ -121,10 +114,6 @@ class Octonion:
     @property
     def real(self) -> float:
         return self._c[0]
-
-    @property
-    def imag(self) -> "Octonion":
-        return Octonion(0.0, *self._c[1:])
 
     def conjugate(self) -> "Octonion":
         c = self._c
@@ -548,20 +537,3 @@ def norm_sq_many(a: np.ndarray) -> np.ndarray:
 def norm_many(a: np.ndarray) -> np.ndarray:
     return np.sqrt(norm_sq_many(a))
 
-
-def random_octonions(
-    rng: np.random.Generator,
-    n: int,
-    scale_range: tuple[float, float] = (0.05, 2.0),
-) -> np.ndarray:
-    """Coordinate array of n random octonions with log-uniform overall scale.
-
-    Bounded scales keep identity residuals near machine precision while
-    still exercising several orders of magnitude.
-    """
-    lo, hi = scale_range
-    if not (0.0 < lo <= hi):
-        raise DomainError("scale_range must satisfy 0 < lo <= hi")
-    scale = np.exp(rng.uniform(np.log(lo), np.log(hi), size=n))
-    coords = rng.uniform(-1.0, 1.0, size=(n, 8))
-    return scale[:, None] * coords

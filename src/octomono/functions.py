@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import Octonion, conj_many, mul_many, parse_octonion
-from .errors import DomainError
+from .algebra import Octonion, conj_many, mul_many
 from .regularity import FunctionHandle, q0_many
 
 
-def constant(value: Octonion | float, name: str | None = None) -> FunctionHandle:
+def constant(value: Octonion | float) -> FunctionHandle:
     vo = Octonion(float(value)) if np.isscalar(value) else value
     row = np.array(vo.coords)
 
@@ -22,7 +21,7 @@ def constant(value: Octonion | float, name: str | None = None) -> FunctionHandle
         pts = np.asarray(points, dtype=np.float64)
         return np.broadcast_to(row, pts.shape).copy()
 
-    return FunctionHandle(name or f"constant({vo})", ev)
+    return FunctionHandle(f"constant({vo})", ev)
 
 
 def identity_map() -> FunctionHandle:
@@ -87,28 +86,3 @@ def bergman_ball_section(w0: Octonion) -> FunctionHandle:
 
     return _ball_section(bergman_ball_values, w0, "bergman_ball")
 
-
-def resolve(spec: str) -> FunctionHandle:
-    """Look up a function by CLI name.
-
-    Plain names: ``one``, ``identity``, ``linear``, ``linear_e3``.
-    Parameterized: ``kernel_shift:<octonion literal>`` for
-    q0(w - center).
-    """
-    name, _, arg = spec.partition(":")
-    if name == "one" and not arg:
-        return constant(1.0, name="one")
-    if name == "identity" and not arg:
-        return identity_map()
-    if name == "linear" and not arg:
-        return linear_monogenic()
-    if name == "linear_e3" and not arg:
-        return right_multiplied(linear_monogenic(), Octonion.basis(3))
-    if name == "kernel_shift":
-        if not arg:
-            raise DomainError("kernel_shift needs a center, e.g. kernel_shift:-0.5")
-        return shifted_cauchy_kernel(parse_octonion(arg))
-    raise DomainError(
-        f"unknown function {spec!r}; choose one, identity, linear, linear_e3, "
-        "or kernel_shift:<octonion>"
-    )

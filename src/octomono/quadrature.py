@@ -102,7 +102,6 @@ class SampleBatch:
 @dataclass(frozen=True)
 class Region:
     name: str
-    kind: str  # "boundary" or "volume"
     sampler: Callable[[np.random.Generator, int, int, int], SampleBatch]
     measure: float  # total area or volume; no sample weight exceeds it
 
@@ -113,6 +112,7 @@ class MCResult:
     std_err: float
     tail_est: float
     samples: int
+    warning: Optional[str]  # the text of the UserWarning the estimate raised, if any
 
 
 # One reproduction case: the function f (a FunctionHandle or a callable on
@@ -143,7 +143,7 @@ def sphere_region(radius: float = 1.0, center: Octonion = Octonion()) -> Region:
         weights = np.full(count, area / total)
         return SampleBatch(c + radius * dirs, weights, dirs)
 
-    return Region("sphere", "boundary", sampler, area)
+    return Region("sphere", sampler, area)
 
 
 def ball_region(radius: float = 1.0, center: Octonion = Octonion()) -> Region:
@@ -154,7 +154,7 @@ def ball_region(radius: float = 1.0, center: Octonion = Octonion()) -> Region:
         pts = c + _uniform_ball(rng, count, 8, radius)
         return SampleBatch(pts, np.full(count, volume / total), None)
 
-    return Region("ball", "volume", sampler, volume)
+    return Region("ball", sampler, volume)
 
 
 def strip_boundary_region(domain: StripDomain, radius: float) -> Region:
@@ -177,7 +177,7 @@ def strip_boundary_region(domain: StripDomain, radius: float) -> Region:
         weights = np.where(on_top, plane_measure / n_top, plane_measure / n_bottom)
         return SampleBatch(pts, weights, normals)
 
-    return Region("strip_boundary", "boundary", sampler, 2.0 * plane_measure)
+    return Region("strip_boundary", sampler, 2.0 * plane_measure)
 
 
 def strip_volume_region(domain: StripDomain, radius: float) -> Region:
@@ -189,7 +189,7 @@ def strip_volume_region(domain: StripDomain, radius: float) -> Region:
         pts[:, 0] = rng.uniform(0.0, domain.d, size=count)
         return SampleBatch(pts, np.full(count, measure / total), None)
 
-    return Region("strip_volume", "volume", sampler, measure)
+    return Region("strip_volume", sampler, measure)
 
 
 def half_space_boundary_region(radius: float) -> Region:
@@ -204,7 +204,7 @@ def half_space_boundary_region(radius: float) -> Region:
         weights = np.full(count, plane_measure / total)
         return SampleBatch(pts, weights, normals)
 
-    return Region("half_space_boundary", "boundary", sampler, plane_measure)
+    return Region("half_space_boundary", sampler, plane_measure)
 
 
 def _chunk_batch(region: Region, cfg: McConfig, i: int) -> SampleBatch:
@@ -215,17 +215,6 @@ def _chunk_batch(region: Region, cfg: McConfig, i: int) -> SampleBatch:
         np.random.Philox(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,)))
     )
     return region.sampler(rng, count, start, cfg.samples)
-
-
-def sample(region: Region, cfg: McConfig):
-    """Yield the deterministic sample batches of a run, one per chunk.
-
-    Each chunk draws from its own counter-based substream keyed by
-    (cfg.seed, chunk index), so the stream is identical to what the
-    estimators consume and independent of the thread count.
-    """
-    for i in range(-(-cfg.samples // cfg.chunk)):
-        yield _chunk_batch(region, cfg, i)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +242,8 @@ def _estimate(
     from its largest shell statistic of any chunk.  Warns, at the
     estimator's caller and once per case that needs it, when an estimate
     is not finite or its tail is not small against it, or when squared
-    sample values underflow to zero.
+    sample values underflow to zero; the case's result keeps the text as
+    ``warning``.
 
     Refuses, before sampling, a truncation radius at which
     ``radius**decay`` or the square of the region's measure, which
@@ -307,17 +297,15 @@ def _estimate(
 
     results = []
     for parts in zip(*chunks):  # one case's parts, in fixed chunk order
-        result, problem = _case_result(parts, cfg, const, decay, width)
-        if problem is not None:
-            warnings.warn(problem, stacklevel=3)
+        result = _case_result(parts, cfg, const, decay, width)
+        if result.warning is not None:
+            warnings.warn(result.warning, stacklevel=3)
         results.append(result)
     return results
 
 
-def _case_result(
-    parts, cfg: McConfig, const: float, decay: int, width: float
-) -> tuple[MCResult, Optional[str]]:
-    """One case's result from its per-chunk parts, and the warning it needs, if any."""
+def _case_result(parts, cfg: McConfig, const: float, decay: int, width: float) -> MCResult:
+    """One case's result from its per-chunk parts, with the warning it needs, if any."""
     total_a = np.zeros(8)
     total_b = 0.0
     for part_a, part_b, _, _ in parts:  # fixed chunk order
@@ -340,9 +328,9 @@ def _case_result(
 
     var = max(total_b - float(total_a @ total_a) / cfg.samples, 0.0)
     value = Octonion(*(const * total_a))
-    result = MCResult(value, const * math.sqrt(var), tail_est, cfg.samples)
-    size = f"|{value.norm():.3e}| +/- {result.std_err:.3e}"
-    if not np.isfinite([*value.coords, result.std_err, tail_est]).all():
+    std_err = const * math.sqrt(var)
+    size = f"|{value.norm():.3e}| +/- {std_err:.3e}"
+    if not np.isfinite([*value.coords, std_err, tail_est]).all():
         problem = f"estimate {size} with truncation tail {tail_est:.3e} is not finite"
     elif any(underflow for *_, underflow in parts):
         problem = (
@@ -350,14 +338,14 @@ def _case_result(
             f"and its truncation tail {tail_est:.3e} understate its error; "
             f"decrease radius"
         )
-    elif tail_est > 0.1 * (value.norm() + result.std_err):
+    elif tail_est > 0.1 * (value.norm() + std_err):
         problem = (
             f"truncation tail estimate {tail_est:.3e} is not small against the "
             f"result {size}; increase radius"
         )
     else:
         problem = None
-    return result, problem
+    return MCResult(value, std_err, tail_est, cfg.samples, problem)
 
 
 def _as_handle(f) -> Callable[[np.ndarray], np.ndarray]:

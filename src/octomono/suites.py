@@ -1,0 +1,337 @@
+"""Verification suites: each checks one part of the package and returns rows.
+
+A suite takes parsed values and config objects, refuses inputs it cannot
+run on (``DomainError``) and returns a list of :class:`Row`.  ``cli``
+turns the rows into the JSON and CSV reports.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+
+from . import kernels, quadrature
+from .algebra import Octonion, conj_many, mul, mul_cayley_dickson, mul_many, norm_many
+from .errors import DomainError, SingularityError
+from .functions import constant, linear_monogenic, shifted_cauchy_kernel
+from .kernels import StripDomain
+from .quadrature import McConfig
+from .regularity import FiniteDiffConfig, o_regularity_residual
+from .trig_series import (
+    TruncationPolicy,
+    combined_relation_gaps,
+    cot,
+    csc,
+    duplication_gap,
+    sec,
+    tan,
+)
+
+
+@dataclass(frozen=True)
+class Row:
+    """One report row.
+
+    ``value`` and ``target`` are scalars, octonions (held as their 8
+    coordinates) or, for a warning, text.  ``d`` is the strip width the
+    row was computed at, if any.  A row is a check exactly when it has a
+    tolerance; the others are informational and carry no verdict.
+    """
+
+    name: str
+    value: object
+    target: object = None
+    residual: Optional[float] = None
+    tolerance: Optional[float] = None
+    tail_bound: Optional[float] = None
+    d: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        for field in ("value", "target"):
+            if isinstance(getattr(self, field), Octonion):
+                object.__setattr__(self, field, getattr(self, field).to_array().tolist())
+
+    @property
+    def passed(self) -> Optional[bool]:
+        if self.tolerance is None:
+            return None
+        # a NaN or an infinite residual fails whatever its sign
+        return bool(math.isfinite(self.residual) and self.residual <= self.tolerance)
+
+
+def _worst(arr) -> float:
+    # np.max keeps a NaN, where the builtin max(0.0, nan) would drop it
+    return float(np.max(np.abs(arr)))
+
+
+def algebra(trials: int, seed: int) -> list[Row]:
+    """The algebra identities on ``trials`` random triples and the basis products."""
+    if trials < 1:
+        raise DomainError("trials must be >= 1")
+    rng = np.random.default_rng(seed)
+    # identity residuals are evaluated in 80-bit extended precision: the
+    # identities hold exactly for the structure constants, and chained
+    # products of magnitude ~1e5 carry ~1e-10 of double roundoff, above
+    # the 1e-11 absolute bar the checks enforce
+    x, y, z = (
+        rng.uniform(-10.0, 10.0, size=(trials, 8)).astype(np.longdouble)
+        for _ in range(3)
+    )
+    # table vs doubling construction on the basis products
+    basis = [Octonion.basis(k) for k in range(8)]
+    table_gap = max(
+        _worst((mul(a, b) - mul_cayley_dickson(a, b)).to_array()) for a in basis for b in basis
+    )
+    rows = [Row("table_vs_cayley_dickson", table_gap, 0.0, table_gap, 1e-14)]
+
+    nx, ny = norm_many(x), norm_many(y)
+    comp = _worst((norm_many(mul_many(x, y)) - nx * ny) / (nx * ny))
+    rows.append(Row("norm_composition_rel", comp, 0.0, comp, 1e-12))
+
+    right = mul_many(x, mul_many(x, y)) - mul_many(mul_many(x, x), y)
+    left = mul_many(mul_many(y, x), x) - mul_many(y, mul_many(x, x))
+    alt = max(_worst(right), _worst(left))
+    rows.append(Row("alternativity", alt, 0.0, alt, 1e-11))
+
+    flex = _worst(mul_many(x, mul_many(y, x)) - mul_many(mul_many(x, y), x))
+    rows.append(Row("flexibility", flex, 0.0, flex, 1e-11))
+
+    mo = _worst(
+        mul_many(mul_many(x, y), mul_many(z, x)) - mul_many(mul_many(x, mul_many(y, z)), x)
+    )
+    rows.append(Row("moufang", mo, 0.0, mo, 1e-11))
+
+    cc = _worst(mul_many(conj_many(x), mul_many(x, y)) - (nx**2)[:, None] * y)
+    rows.append(Row("conjugate_cancel", cc, 0.0, cc, 1e-11))
+
+    anti = _worst(conj_many(mul_many(x, y)) - mul_many(conj_many(y), conj_many(x)))
+    rows.append(Row("conjugation_antiautomorphism", anti, 0.0, anti, 1e-11))
+
+    sq = mul_many(x, conj_many(x))
+    sr = max(_worst(sq[:, 1:]), _worst(sq[:, 0] - nx**2))
+    rows.append(Row("scalar_real", sr, 0.0, sr, 1e-11))
+
+    assoc = mul_many(mul_many(x, y), z) - mul_many(x, mul_many(y, z))
+    assoc_yx = mul_many(mul_many(y, x), z) - mul_many(y, mul_many(x, z))
+    anti_sym = _worst(assoc + assoc_yx)
+    rows.append(Row("associator_alternation", anti_sym, 0.0, anti_sym, 1e-11))
+    return rows
+
+
+def trig_points(rng: np.random.Generator, count: int) -> np.ndarray:
+    """Points with |Im z| in [0.8, 1.6]: far from every lattice pole."""
+    pts = np.empty((count, 8))
+    pts[:, 0] = rng.uniform(-2.0, 2.0, size=count)
+    dirs = rng.standard_normal((count, 7))
+    dirs /= np.sqrt(np.einsum("ij,ij->i", dirs, dirs))[:, None]
+    pts[:, 1:] = dirs * rng.uniform(0.8, 1.6, size=count)[:, None]
+    return pts
+
+
+def _identity_tolerance(*terms) -> float:
+    """Bar of an identity among lattice sums, from (coefficient, SumResult) terms.
+
+    Each sum is within its tail bound of the exact series, so the
+    identity's residual is within the sum of |coefficient| * tail bound;
+    1e-9 covers roundoff where the tails are negligible.
+    """
+    return max(1e-9, sum(abs(k) * res.tail_bound for k, res in terms))
+
+
+def _fd_tolerance(h: float, f_max: float) -> float:
+    """Bar of a Cauchy-Riemann residual by central differences of step h.
+
+    Truncation: the differences err by O(h^2), so the bar grows with the
+    step squared past the default step 1e-5.  Roundoff: each end of a
+    difference carries the evaluation's own error, taken as 2 eps of the
+    largest value f_max (the rounding of a lattice sum's dominant term
+    and of the sum).  A partial takes the difference of two ends over 2h,
+    and the residual adds eight partials, each times a unit octonion, so
+    roundoff stays within 8 * 2 * (2 eps f_max) / (2h) = 16 eps f_max / h.
+    """
+    roundoff = 16.0 * np.finfo(np.float64).eps * f_max / h
+    return max(1e-6 * max(1.0, (h / 1e-5) ** 2), roundoff)
+
+
+def trig(points: int, seed: int, policy: TruncationPolicy, fd: FiniteDiffConfig) -> list[Row]:
+    """The series identities and the monogenicity of cot, tan, csc and sec at
+    ``points`` random points, with bars derived from ``policy`` and ``fd``."""
+    if points < 1:
+        raise DomainError("points must be >= 1")
+    pts = trig_points(np.random.default_rng(seed), points)
+
+    # each distinct lattice sum once; the identities below share them
+    c = cot(pts, policy)
+    c2 = cot(2.0 * pts, policy)
+    t = tan(pts, policy)  # -cot(z + pi/2), the duplication's third sum
+    s = csc(pts, policy)
+    c_half = cot(0.5 * pts, policy)
+    t_half = tan(0.5 * pts, policy)
+    se = sec(pts, policy)
+    cscrel = np.linalg.norm(s.value - c_half.value / 64.0 + c.value, axis=1)
+    cr = combined_relation_gaps(c, c2, t, s, t_half)
+
+    # each identity's residuals with the (coefficient, lattice sum) terms it combines
+    identities = (
+        ("duplication_max", duplication_gap(c, c2, t), ((128.0, c2), (1.0, c), (1.0, t))),
+        ("csc_relation_max", cscrel, ((1.0, s), (1.0 / 64.0, c_half), (1.0, c))),
+    )
+    rows = [
+        Row(name, _worst(gaps), 0.0, _worst(gaps), _identity_tolerance(*terms))
+        for name, gaps, terms in identities
+    ]
+    rows += [
+        # informational: which combined-relation candidate vanishes is
+        # reported, never enforced
+        Row("combined_against_duplication_max", _worst(cr.against_duplication)),
+        Row("combined_against_two_cot_max", _worst(cr.against_two_cot)),
+    ]
+
+    f_max = max(_worst(np.linalg.norm(r.value, axis=1)) for r in (c, t, s, se))
+    fd_tol = _fd_tolerance(fd.h, f_max)
+    for name, fn in (("cot", cot), ("tan", tan), ("csc", csc), ("sec", sec)):
+        resid = o_regularity_residual(lambda a, fn=fn: fn(a, policy).value, pts, h=fd.h)
+        rows.append(Row(f"oregularity_{name}", resid, 0.0, resid, fd_tol))
+    return rows
+
+
+# kernel name -> kernel(z, w), or kernel(z, w, domain, policy) for a *_strip name
+KERNELS = {
+    "szego_ball": kernels.szego_unit_ball,
+    "bergman_ball": kernels.bergman_unit_ball,
+    "szego_halfspace": kernels.szego_half_space,
+    "bergman_halfspace": kernels.bergman_half_space,
+    "szego_strip": kernels.szego_strip,
+    "bergman_strip": kernels.bergman_strip,
+}
+
+
+def eval_kernel(
+    kernel: str, z: Octonion, w: Octonion, policy: TruncationPolicy, d: Optional[float] = None
+) -> list[Row]:
+    """One kernel value; a strip kernel needs the width ``d``."""
+    if not kernel.endswith("_strip"):
+        return [Row(kernel, KERNELS[kernel](z, w), tail_bound=0.0)]
+    if d is None:
+        raise DomainError(f"{kernel} requires --d")
+    domain = StripDomain(d)
+    ev = KERNELS[kernel](z, w, domain, policy)
+    rows = [Row(kernel, ev.value, tail_bound=ev.tail_bound, d=d)]
+    if kernel == "bergman_strip":
+        # informational: the step-d variant reading of the closed form has
+        # poles at points where the kernel is regular
+        try:
+            variant = kernels.bergman_strip_half_step_variant(z, w, domain, policy)
+            delta = (variant - ev.value).norm()
+        except SingularityError:
+            delta = None
+        rows.append(Row("half_step_variant_delta", delta, d=d))
+    return rows
+
+
+def _shift_cases(d: float, tolerance: float) -> list[tuple]:
+    """f = q0(w - c) with its pole c at -1 and at d + 1, reproduced at z = d/2."""
+    z = Octonion(0.5 * d)
+    return [
+        (f"kernel_shift_{label}", shifted_cauchy_kernel(Octonion(c)), z, tolerance, True)
+        for label, c in (("c_minus_1", -1.0), ("c_d_plus_1", d + 1.0))
+    ]
+
+
+# experiment -> (estimator, cases) at strip width d.  A case is (name, f,
+# z, tolerance, relative): a relative case checks |value - f(z)| / |f(z)|,
+# the others |value| against 0 (z outside the region).  Built per run, so
+# a run uses the estimators and function factories bound when it starts
+# (perfbench's tracer rebinds them to count their calls).
+REPRODUCE = {
+    "cauchy_ball": lambda d: (
+        quadrature.cauchy_formula_reproduce,
+        [
+            ("constant_interior", constant(1.0), Octonion(0.0, 0.3), 0.02, True),
+            ("constant_exterior", constant(1.0), Octonion(0.0, 1.3), 0.02, False),
+            ("linear_interior", linear_monogenic(), Octonion(0.0, 0.2, 0.1), 0.05, True),
+        ],
+    ),
+    "szego_ball": lambda d: (
+        quadrature.szego_reproduce_ball,
+        [("constant_boundary", constant(1.0), Octonion(0.3), 0.03, True)],
+    ),
+    "bergman_ball": lambda d: (
+        quadrature.bergman_reproduce_ball,
+        [
+            ("constant_volume", constant(1.0), Octonion(0.0, 0.4), 0.05, True),
+            ("linear_volume", linear_monogenic(), Octonion(0.0, 0.2, 0.1), 0.05, True),
+        ],
+    ),
+    "szego_strip": lambda d: (quadrature.szego_reproduce_strip, _shift_cases(d, 0.05)),
+    "bergman_strip": lambda d: (quadrature.bergman_reproduce_strip, _shift_cases(d, 0.08)),
+}
+
+
+def reproduce(experiment: str, cfg: McConfig, d: float = 1.0) -> list[Row]:
+    """Monte Carlo reproduction of each case of ``experiment`` from one
+    sample stream; the *_strip experiments run on the strip of width ``d``.
+
+    Each case gives a check row and its ``_std_err`` row, a strip case
+    also its ``_tail_est`` row, and a case whose estimate warned a
+    ``_warning`` row with the warning's text.
+    """
+    strip = experiment.endswith("_strip")
+    domain_args = (StripDomain(d),) if strip else ()
+    width = d if strip else None
+    estimator, cases = REPRODUCE[experiment](d)
+    results = estimator([(f, z) for _, f, z, _, _ in cases], *domain_args, cfg)
+    rows = []
+    for (name, f, z, tol, relative), res in zip(cases, results):
+        target = f(z) if relative else Octonion()
+        resid = (res.value - target).norm()
+        if relative:
+            resid /= target.norm()
+        rows.append(Row(name, res.value, target, resid, tol, d=width))
+        rows.append(Row(f"{name}_std_err", res.std_err, d=width))
+        if strip:
+            rows.append(Row(f"{name}_tail_est", res.tail_est, d=width))
+        if res.warning is not None:
+            rows.append(Row(f"{name}_warning", res.warning, d=width))
+    return rows
+
+
+def limit_study(
+    d_values: list[float],
+    z: Octonion,
+    w: Octonion,
+    policy: TruncationPolicy,
+    scale_with_d: bool = True,
+) -> list[Row]:
+    """Gaps between the strip and half-space kernels at each width, and
+    their fitted decay exponents (-7 Szego, -8 Bergman) over two or more
+    widths.  ``scale_with_d`` evaluates at z d/2 and w d/2."""
+    if not d_values:
+        raise DomainError("d_values must list at least one width")
+    if any(d <= 0 for d in d_values):
+        raise DomainError("strip widths must be positive")
+    if len(set(d_values)) < len(d_values):
+        # a slope through repeated widths is fitted to fewer points than it reports
+        raise DomainError("strip widths must be distinct")
+    exponents = {"szego": -7.0, "bergman": -8.0}  # of each kernel's gap against d
+    gaps = {name: [] for name in exponents}
+    rows = []
+    for d in d_values:
+        domain = StripDomain(d)
+        ze, we = (z * (0.5 * d), w * (0.5 * d)) if scale_with_d else (z, w)
+        if not (domain.contains(ze) and domain.contains(we)):
+            raise DomainError(f"evaluation points leave the strip at d={d:g}")
+        for name in exponents:
+            strip, half = KERNELS[f"{name}_strip"], KERNELS[f"{name}_halfspace"]
+            gaps[name].append((strip(ze, we, domain, policy).value - half(ze, we)).norm())
+            rows.append(Row(f"{name}_diff[d={d:g}]", gaps[name][-1], d=d))
+
+    if len(d_values) > 1:
+        logs = np.log(np.asarray(d_values))
+        for name, target in exponents.items():
+            slope = float(np.polyfit(logs, np.log(np.asarray(gaps[name])), 1)[0])
+            rows.append(Row(f"{name}_exponent", slope, target, abs(slope - target), 0.5))
+    return rows

@@ -31,3 +31,14 @@ def octonions(max_component: float = 10.0, min_norm: float = 0.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def random_octonions(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Coordinate array of n random octonions with log-uniform overall scale.
+
+    Scales in [0.05, 2] keep identity residuals near machine precision
+    while still exercising several orders of magnitude.
+    """
+    scale = np.exp(rng.uniform(np.log(0.05), np.log(2.0), size=n))
+    coords = rng.uniform(-1.0, 1.0, size=(n, 8))
+    return scale[:, None] * coords

@@ -17,8 +17,9 @@ import warnings
 import numpy as np
 import pytest
 
+from octomono import suites
 from octomono.algebra import Octonion, conj
-from octomono.cli import _algebra_rows, main
+from octomono.cli import main
 from octomono.functions import (
     bergman_ball_section,
     constant,
@@ -70,32 +71,23 @@ def _report(capsys, index, title, ok, detail):
         print(f"[{index}/10] {title}: {'PASS' if ok else 'FAIL'} ({detail})", flush=True)
 
 
-def _trig_points(rng, count):
-    pts = np.empty((count, 8))
-    pts[:, 0] = rng.uniform(-2.0, 2.0, count)
-    dirs = rng.normal(size=(count, 7))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    pts[:, 1:] = dirs * rng.uniform(0.8, 1.6, (count, 1))
-    return pts
-
-
 def test_01_algebra_identity_suite(capsys):
     t0 = time.monotonic()
-    rows = _algebra_rows(10_000, seed=42)
+    rows = suites.algebra(10_000, seed=42)
     elapsed = time.monotonic() - t0
-    worst = max(r["residual"] for r in rows)
-    ok = all(r["pass"] for r in rows) and elapsed < 5.0
+    worst = max(r.residual for r in rows)
+    ok = all(r.passed for r in rows) and elapsed < 5.0
     _report(
         capsys,
         1,
         "algebra identities, 1e4 tuples",
         ok,
         f"worst residual {worst:.2e}, table gap "
-        f"{[r for r in rows if r['name'] == 'table_vs_cayley_dickson'][0]['residual']:.1e}, "
+        f"{[r for r in rows if r.name == 'table_vs_cayley_dickson'][0].residual:.1e}, "
         f"{elapsed:.1f}s",
     )
     for r in rows:
-        assert r["pass"], f"{r['name']}: {r['residual']:.3e} > {r['tolerance']:.0e}"
+        assert r.passed, f"{r.name}: {r.residual:.3e} > {r.tolerance:.0e}"
     assert elapsed < 5.0
 
 
@@ -122,7 +114,7 @@ def test_02_left_module_counterexample(capsys):
 def test_03_trig_identity_suite(capsys):
     t0 = time.monotonic()
     rng = np.random.default_rng(42)
-    pts = _trig_points(rng, 50)
+    pts = suites.trig_points(rng, 50)
     dup = tanrel = cscrel = secdef = two_cot_max = 0.0
     dup_candidate_min = math.inf
     for p in pts:
@@ -172,7 +164,7 @@ def test_04_series_and_kernel_regularity(capsys):
     residuals = {}
 
     for name, fn in (("cot", cot), ("tan", tan), ("csc", csc), ("sec", sec)):
-        pts = list(_trig_points(rng, 50))
+        pts = list(suites.trig_points(rng, 50))
         residuals[name] = o_regularity_residual(lambda a: fn(a, POLICY).value, pts)
 
     w0 = Octonion(0.0, 0.3, 0.0, 0.2)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from conftest import octonions
+from conftest import octonions, random_octonions
 from oracles import MUL_TABLE, mul_many_reference
 from octomono import algebra
 from octomono.algebra import (
@@ -19,7 +19,6 @@ from octomono.algebra import (
     mul_many,
     norm_many,
     parse_octonion,
-    random_octonions,
 )
 from octomono.errors import DomainError
 

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from octomono import cli
-from octomono.cli import _check_row, _trig_points, main
+from octomono import suites
+from octomono.cli import _write_csv, main
+from octomono.suites import Row, trig_points
 from octomono.trig_series import TruncationPolicy, cot, csc, sec, tan
 
 TOP_KEYS = ["command", "params", "seed", "results", "elapsed_ms"]
@@ -256,7 +258,7 @@ class TestVerificationSuites:
         rows = {r["name"]: r for r in json.loads(out)["results"]}
         # the bars are the coefficient-weighted tail bounds of the sums
         policy = TruncationPolicy(tail_tol=1e-6)
-        pts = _trig_points(np.random.default_rng(42), 50)
+        pts = trig_points(np.random.default_rng(42), 50)
         tail = {
             "cot": cot(pts, policy).tail_bound,
             "cot2": cot(2.0 * pts, policy).tail_bound,
@@ -280,11 +282,11 @@ class TestVerificationSuites:
         fd_bar = rows["oregularity_cot"]["tolerance"]
         for scale, passed in ((0.99, True), (1.01, False)):
             monkeypatch.setattr(
-                cli,
+                suites,
                 "duplication_gap",
                 lambda cot_z, cot_2z, tan_z: np.full(len(cot_z.value), scale * dup_bar),
             )
-            monkeypatch.setattr(cli, "o_regularity_residual", lambda f, z, h: scale * fd_bar)
+            monkeypatch.setattr(suites, "o_regularity_residual", lambda f, z, h: scale * fd_bar)
             code, out = run_cli(capsys, *argv)
             rows = {r["name"]: r for r in json.loads(out)["results"]}
             assert rows["duplication_max"]["pass"] is passed
@@ -300,7 +302,7 @@ class TestVerificationSuites:
         code, out = run_cli(capsys, *argv)
         assert code == 0
         rows = {r["name"]: r for r in json.loads(out)["results"]}
-        pts = _trig_points(np.random.default_rng(seed), 50)
+        pts = trig_points(np.random.default_rng(seed), 50)
         f_max = max(
             float(np.linalg.norm(fn(pts).value, axis=1).max()) for fn in (cot, tan, csc, sec)
         )
@@ -315,7 +317,7 @@ class TestVerificationSuites:
         fd_bar = rows["oregularity_cot"]["tolerance"]
         assert fd_bar > 1e-6
         for scale, passed in ((0.99, True), (1.01, False)):
-            monkeypatch.setattr(cli, "o_regularity_residual", lambda f, z, h: scale * fd_bar)
+            monkeypatch.setattr(suites, "o_regularity_residual", lambda f, z, h: scale * fd_bar)
             code, out = run_cli(capsys, *argv)
             rows = {r["name"]: r for r in json.loads(out)["results"]}
             assert all(rows[n]["pass"] is passed for n in self.OREG_ROWS)
@@ -336,26 +338,25 @@ class TestCheckRow:
     )
     def test_non_finite_residual_fails(self, residual):
         # -inf <= tol is True and nan <= tol only happens to be False
-        row = _check_row("x", residual, 0.0, residual, 1e-6)
-        assert row["pass"] is False
+        row = Row("x", residual, 0.0, residual, 1e-6)
+        assert row.passed is False
 
     @pytest.mark.parametrize(
         "residual, passed",
         [(0.0, True), (1e-6, True), (-1.0, True), (np.float64(5e-7), True), (2e-6, False)],
     )
-    def test_finite_residual_verdict_unchanged(self, residual, passed):
-        row = _check_row("x", 1.5, 0.0, residual, 1e-6, tail_bound=1e-13, d=2.0)
-        assert row == {
-            "name": "x",
-            "value": 1.5,
-            "target": 0.0,
-            "residual": residual,
-            "tolerance": 1e-6,
-            "tail_bound": 1e-13,
-            "pass": passed,
-            "_d": 2.0,
-        }
-        assert row["pass"] is passed
+    def test_finite_residual_verdict_unchanged(self, residual, passed, tmp_path):
+        row = Row("x", 1.5, 0.0, residual, 1e-6, tail_bound=1e-13, d=2.0)
+        assert (row.name, row.value, row.target, row.residual) == ("x", 1.5, 0.0, residual)
+        assert (row.tolerance, row.tail_bound, row.d) == (1e-6, 1e-13, 2.0)
+        assert row.passed is passed
+        path = tmp_path / "row.csv"
+        _write_csv(str(path), [row])
+        assert path.read_text().splitlines()[1] == f"x,2.0,1.5,0.0,{float(residual)!r}"
+
+    @pytest.mark.parametrize("residual", [None, 0.0, math.nan])
+    def test_row_without_tolerance_has_no_verdict(self, residual):
+        assert Row("x", 1.5, residual=residual).passed is None
 
 
 class TestLimitStudy:
@@ -527,6 +528,38 @@ class TestCsvOutput:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "name,d,value,target,residual"
         assert len(lines) > 1
+
+
+class TestWarningRows:
+    # at radius 1e20 both strip cases underflow with the same warning text,
+    # which Python's default filter prints once for the two of them
+    ARGV = ("--radius", "1e20", "reproduce", "--experiment", "szego_strip", "--samples", "100000")
+    WARNED = ["kernel_shift_c_minus_1_warning", "kernel_shift_c_d_plus_1_warning"]
+
+    def run(self, capsys, *argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run_cli(capsys, *argv, *self.ARGV)
+        assert code == 1
+        return [str(w.message) for w in caught], json.loads(out)["results"]
+
+    def test_each_warned_case_has_its_row(self, capsys, tmp_path):
+        reports = []
+        for threads in ("1", "2"):
+            path = tmp_path / f"rows{threads}.csv"
+            raised, rows = self.run(capsys, "--threads", threads, "--csv", str(path))
+            warned = [r for r in rows if r["name"].endswith("_warning")]
+            assert [r["name"] for r in warned] == self.WARNED
+            assert [r["value"] for r in warned] == raised
+            assert all("underflow to zero" in text for text in raised)
+            assert all(r["pass"] is None and r["target"] is None for r in warned)
+            with open(path, newline="") as fh:
+                cells = {line[0]: line for line in csv.reader(fh)}
+            assert [cells[name][2] for name in self.WARNED] == raised
+            assert [cells[name][1] for name in self.WARNED] == ["1.0", "1.0"]
+            reports.append(rows)
+        # the same rows at both thread counts and without --csv
+        assert reports[0] == reports[1] == self.run(capsys)[1]
 
 
 # Every flag value is drawn from a fixed list that mixes valid values with

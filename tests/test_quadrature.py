@@ -34,7 +34,6 @@ from octomono.quadrature import (
     inner_product_bergman_ball,
     inner_product_hardy_ball,
     inner_product_strip_volume,
-    sample,
     sphere_region,
     strip_boundary_region,
     strip_volume_region,
@@ -49,6 +48,12 @@ ONE = constant(Octonion(1.0))
 # oracle's default resolution; frozen because the 2-D Simpson grid takes
 # ~30 s to evaluate
 BERGMAN_STRIP_ORACLE_R2 = 0.058434123642714594
+
+
+def sample(region, cfg):
+    """The sample batches of a run, one per chunk, as the estimators draw them."""
+    for i in range(-(-cfg.samples // cfg.chunk)):
+        yield quadrature._chunk_batch(region, cfg, i)
 
 
 def _gather(region, cfg):
@@ -493,6 +498,7 @@ class TestEngineBitIdentity:
             got = _estimate_one(name, args, cfg, kwargs)
         _assert_matches(got, want, cfg)
         want_msg = want[3]
+        assert got.warning == want_msg
         assert [str(w.message) for w in caught] == ([want_msg] if want_msg else [])
         # the warning names the estimator's caller, not the engine
         assert all(w.filename == __file__ for w in caught)
@@ -549,6 +555,7 @@ class TestMultiCaseCalls:
         assert len(got) == len(cases)
         for result, want in zip(got, wants):
             _assert_matches(result, want, cfg)
+            assert result.warning == want[3]
         # one warning per case that raises one alone, in case order
         assert [str(w.message) for w in caught] == [w[3] for w in wants if w[3]]
         assert all(w.filename == __file__ for w in caught)
