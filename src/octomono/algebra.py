@@ -473,17 +473,22 @@ def mul_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     its first axis into blocks of about ``_BLOCK_ROWS`` rows, few enough
     that a float64 block's working set stays in L2 cache through the
     120 passes of the term loop (the constant records the measurement).
-    Each block of each operand is moved to a small coordinate-major
-    (8, ...) array, and each output coordinate ``k`` of the block is one
-    contiguous row, in one (8, ...) output, summing its eight signed
-    products ``a_i * b_j`` in the order ``i = 0..7``, starting from
-    ``+0.0`` (the closing ``row += 0.0`` turns a ``-0.0`` sum into
-    ``+0.0``).  Every element sees the same operations in the same
-    order whatever the block size, so every bit, zero signs included,
-    matches the plain row-major table loop; only a NaN's sign may
-    differ, since the loop adds a negated product where this
-    subtracts.  The output is transposed once at the end into a
-    C-contiguous (..., 8) array.
+    The loop reads each operand's block as eight contiguous coordinate
+    rows: an ``f_contiguous`` (n, 8) operand of the result dtype holds
+    them already and is read in place; any other operand's block is
+    moved to a small (8, ...) array.  Each output coordinate ``k`` of the
+    block is one contiguous row, summing its eight signed products
+    ``a_i * b_j`` in the order ``i = 0..7``, starting from ``+0.0`` (the
+    closing ``row += 0.0`` turns a ``-0.0`` sum into ``+0.0``).  Every
+    element sees the same operations in the same order whatever the
+    block size and layout, so every bit, zero signs included, matches
+    the plain row-major table loop; only a NaN's sign may differ, since
+    the loop adds a negated product where this subtracts.
+
+    The result owns its data, and its layout follows the operands like
+    numpy's ``order="K"``: ``f_contiguous``, written through its
+    coordinate rows, when every operand that spans an (n, 8) batch is
+    read in place; otherwise C-contiguous, transposed once at the end.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -495,14 +500,29 @@ def mul_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     shape = np.broadcast_shapes(a.shape, b.shape)[:-1]
     batch = shape or (1,)
     ndim = len(batch) + 1
+    # an f_contiguous (n, 8) operand of the result dtype holds each
+    # coordinate as one contiguous row of its transpose: read it in place
+    spans = [x.ndim == ndim and x.shape[0] != 1 for x in (a, b)]
+    in_place = [
+        x.T if span and ndim == 2 and x.dtype == dtype and x.flags.f_contiguous else None
+        for x, span in zip((a, b), spans)
+    ]
+    # the result keeps that layout when every operand that spans the batch has it
+    keep = any(spans) and all(r is not None for r, span in zip(in_place, spans) if span)
     step = max(1, _BLOCK_ROWS // max(1, math.prod(batch[1:])))
-    out = np.empty((8,) + shape, dtype=dtype)
-    rows = out.reshape((8,) + batch)  # a view, with a batch axis to block
+    if keep:
+        out = np.empty(shape + (8,), dtype=dtype, order="F")
+        rows = out.T
+    else:
+        out = np.empty((8,) + shape, dtype=dtype)
+        rows = out.reshape((8,) + batch)  # a view, with a batch axis to block
     term = np.empty((min(step, batch[0]),) + batch[1:], dtype=dtype)
     for lo in range(0, batch[0], step):
         hi = min(lo + step, batch[0])
-        ac = _coordinate_major(a, ndim, lo, hi, dtype)
-        bc = _coordinate_major(b, ndim, lo, hi, dtype)
+        ac, bc = (
+            x_rows[:, lo:hi] if x_rows is not None else _coordinate_major(x, ndim, lo, hi, dtype)
+            for x, x_rows in zip((a, b), in_place)
+        )
         block = rows[:, lo:hi]
         tb = term[: hi - lo]
         for k, terms in enumerate(_TERMS):
@@ -516,6 +536,8 @@ def mul_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 else:
                     np.add(row, tb, out=row)
             row += 0.0
+    if keep:
+        return out
     # an array that owns its data, so numpy can reuse it as a temporary
     return np.ascontiguousarray(np.moveaxis(out, 0, -1))
 

@@ -18,8 +18,9 @@ def constant(value: Octonion | float) -> FunctionHandle:
     row = np.array(vo.coords)
 
     def ev(points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        return np.broadcast_to(row, pts.shape).copy()
+        out = np.empty_like(points, dtype=np.float64)
+        out[...] = row
+        return out
 
     return FunctionHandle(f"constant({vo})", ev)
 

@@ -303,7 +303,8 @@ def bergman_half_space_values(u: np.ndarray) -> np.ndarray:
 
 def _ball_argument(z: Octonion, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """u = 1 - conj(z) w (n, 8) and |u|^2 (n,), refusing a singular row."""
-    u = _ONE - mul_many(np.array(z.conjugate().coords), np.asarray(w, dtype=np.float64))
+    u = mul_many(np.array(z.conjugate().coords), np.asarray(w, dtype=np.float64))
+    np.subtract(_ONE, u, out=u)  # in place, so no second (n, 8) array is live
     n2 = np.einsum("ij,ij->i", u, u)
     if np.any(n2 < 1e-24):
         raise SingularityError(
@@ -315,7 +316,8 @@ def _ball_argument(z: Octonion, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def szego_ball_values(z: Octonion, w: np.ndarray) -> np.ndarray:
     """Boundary kernel rows S(z, w_k) for fixed z and sample points w (n, 8)."""
     u, n2 = _ball_argument(z, w)
-    return u / (n2**4)[:, None]
+    u /= (n2**4)[:, None]
+    return u
 
 
 def bergman_ball_values(z: Octonion, w: np.ndarray) -> np.ndarray:
@@ -325,4 +327,6 @@ def bergman_ball_values(z: Octonion, w: np.ndarray) -> np.ndarray:
     w2 = np.einsum("ij,ij->i", w, w)
     bracket = 2.0 * u
     bracket[:, 0] += 6.0 * (1.0 - z.norm_sq() * w2)
-    return mul_many(bracket, u) / (n2**5)[:, None]
+    rows = mul_many(bracket, u)
+    rows /= (n2**5)[:, None]
+    return rows

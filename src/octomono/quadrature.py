@@ -7,6 +7,14 @@ checks are the pairing (L conj(nu)) (nu f) of ``_paired``: L is conj(g)
 or a kernel section, nu is w on the unit sphere, w/|w| in the ball and 1
 on the flat regions, where the pairing is L f.
 
+Samples are coordinate-major: each sampler returns its (n, 8) points
+and normals as ``f_contiguous`` arrays, whose eight coordinates are each
+one contiguous row, drawn from the same Philox draws in the same order
+as row-major arrays would be.  The kernels, the test functions and
+:func:`~octomono.algebra.mul_many` keep that layout, so no product of an
+integrand moves an operand.  The layout also fixes the order in which
+numpy sums over the coordinate axis and over a chunk's rows.
+
 The reproduction estimators take a sequence of cases (f, z) and return
 one :class:`MCResult` per case, in order; the inner products and
 ``cauchy_theorem_check`` estimate one integral.  The cases of one call
@@ -124,7 +132,7 @@ def _directions(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     g = rng.standard_normal((count, dim))
     n = np.sqrt(np.einsum("ij,ij->i", g, g))
     n[n == 0.0] = 1.0
-    return g / n[:, None]
+    return np.divide(g, n[:, None], out=np.empty((dim, count)).T)
 
 
 def _uniform_ball(rng: np.random.Generator, count: int, dim: int, radius: float) -> np.ndarray:
@@ -165,12 +173,12 @@ def strip_boundary_region(domain: StripDomain, radius: float) -> Region:
     def sampler(rng, count, start, total):
         if total < 2:
             raise DomainError("strip boundary sampling needs at least 2 samples")
-        pts = np.zeros((count, 8))
+        pts = np.zeros((count, 8), order="F")
         pts[:, 1:] = _uniform_ball(rng, count, 7, radius)
         idx = start + np.arange(count)
         on_top = (idx % 2) == 1
         pts[on_top, 0] = domain.d
-        normals = np.zeros((count, 8))
+        normals = np.zeros((count, 8), order="F")
         normals[:, 0] = np.where(on_top, 1.0, -1.0)
         n_bottom = (total + 1) // 2
         n_top = total // 2
@@ -184,7 +192,7 @@ def strip_volume_region(domain: StripDomain, radius: float) -> Region:
     measure = domain.d * ball7_volume(radius)
 
     def sampler(rng, count, start, total):
-        pts = np.empty((count, 8))
+        pts = np.empty((count, 8), order="F")
         pts[:, 1:] = _uniform_ball(rng, count, 7, radius)
         pts[:, 0] = rng.uniform(0.0, domain.d, size=count)
         return SampleBatch(pts, np.full(count, measure / total), None)
@@ -197,9 +205,9 @@ def half_space_boundary_region(radius: float) -> Region:
     plane_measure = ball7_volume(radius)
 
     def sampler(rng, count, start, total):
-        pts = np.zeros((count, 8))
+        pts = np.zeros((count, 8), order="F")
         pts[:, 1:] = _uniform_ball(rng, count, 7, radius)
-        normals = np.zeros((count, 8))
+        normals = np.zeros((count, 8), order="F")
         normals[:, 0] = -1.0
         weights = np.full(count, plane_measure / total)
         return SampleBatch(pts, weights, normals)

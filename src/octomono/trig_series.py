@@ -306,17 +306,6 @@ def sec(z: PointLike, policy: TruncationPolicy = TruncationPolicy()) -> SumResul
     return csc(_shift_half_pi(z), policy)
 
 
-def duplication_residual(
-    z: PointLike, policy: TruncationPolicy = TruncationPolicy()
-) -> Union[float, np.ndarray]:
-    """|128*cot(2z) - cot(z) - cot(z + pi/2)|, zero up to truncation.
-
-    A float for a point, one residual per row for a batch (n, 8).
-    """
-    zc = as_coords(z)
-    return duplication_gap(cot(zc, policy), cot(2.0 * zc, policy), tan(zc, policy))
-
-
 def duplication_gap(
     cot_z: SumResult, cot_2z: SumResult, tan_z: SumResult
 ) -> Union[float, np.ndarray]:
@@ -335,26 +324,6 @@ class CombinedRelationResiduals(NamedTuple):
 
     against_duplication: Union[float, np.ndarray]
     against_two_cot: Union[float, np.ndarray]
-
-
-def combined_relation_residuals(
-    z: PointLike, policy: TruncationPolicy = TruncationPolicy()
-) -> CombinedRelationResiduals:
-    """Measure both candidate right-hand sides of the combined relation.
-
-    ``against_duplication`` compares to ``128*cot(2z)`` and
-    ``against_two_cot`` compares to ``2*cot(z) - 128*cot(2z)``.  Which
-    one vanishes is a property of the function family, not an input to
-    this routine; callers should measure rather than assume.
-    """
-    zc = as_coords(z)
-    return combined_relation_gaps(
-        cot(zc, policy),
-        cot(2.0 * zc, policy),
-        tan(zc, policy),
-        csc(zc, policy),
-        tan(0.5 * zc, policy),
-    )
 
 
 def combined_relation_gaps(

@@ -474,6 +474,11 @@ def _accumulate_reference(sampler, integrand, cfg):
         seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,))
         rng = np.random.Generator(np.random.Philox(seed))
         batch = sampler(rng, min(cfg.chunk, cfg.samples - start), start, cfg.samples)
+        # the package keeps samples coordinate-major, and numpy sums the
+        # norms and the chunk reduction in an order set by the layout; the
+        # same values in the same layout give the same bits
+        normals = None if batch.normals is None else np.asfortranarray(batch.normals)
+        batch = SampleBatch(np.asfortranarray(batch.points), batch.weights, normals)
         values, aux = integrand(batch)
         weighted = batch.weights[:, None] * values
         part_a = weighted.sum(axis=0)

@@ -17,6 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import combined_relation_residuals, duplication_residual
 from octomono import suites
 from octomono.algebra import Octonion, conj
 from octomono.cli import main
@@ -52,15 +53,7 @@ from octomono.regularity import (
     partial_derivative,
     q0_many,
 )
-from octomono.trig_series import (
-    TruncationPolicy,
-    combined_relation_residuals,
-    cot,
-    csc,
-    duplication_residual,
-    sec,
-    tan,
-)
+from octomono.trig_series import TruncationPolicy, cot, csc, sec, tan
 
 POLICY = TruncationPolicy(tail_tol=1e-12)
 AC9_ELAPSED: dict[str, float] = {}

@@ -298,6 +298,65 @@ class TestMulManyAcrossBlocks:
         assert not np.signbit(got[B + 1]).any()
 
 
+class TestMulManyLayout:
+    """The result's layout follows the operands', like numpy's order="K"."""
+
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1])
+    def test_coordinate_major_operands_give_a_coordinate_major_result(self, rng, n):
+        a = np.asfortranarray(rng.uniform(-5, 5, (n, 8)))
+        b = np.asfortranarray(rng.uniform(-5, 5, (n, 8)))
+        got = mul_many(a, b)
+        # written in place through its coordinate rows, and still an
+        # array that owns its data, so numpy can reuse it as a temporary
+        assert got.flags.f_contiguous and not got.flags.c_contiguous and got.flags.owndata
+        assert_same_bits(got, mul_many_reference(a, b))
+
+    @pytest.mark.parametrize("row_first", [True, False])
+    def test_a_broadcast_row_keeps_the_layout(self, rng, row_first):
+        rows = np.asfortranarray(rng.standard_normal((2 * B + 1, 8)))
+        row = rng.standard_normal(8)
+        a, b = (row, rows) if row_first else (rows, row)
+        got = mul_many(a, b)
+        assert got.flags.f_contiguous and got.flags.owndata
+        assert_same_bits(got, mul_many_reference(a, b))
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            ("C", "C"),
+            ("F", "C"),
+            ("C", "F"),
+            ("F rank 3", "F rank 3"),
+            ("longdouble C", "F"),
+        ],
+    )
+    def test_other_inputs_give_a_row_major_result(self, rng, a, b):
+        def operand(kind):
+            x = rng.standard_normal((2 * B + 1, 8))
+            if "rank 3" in kind:
+                x = rng.standard_normal((B + 1, 2, 8))
+            if "longdouble" in kind:
+                x = x.astype(np.longdouble)
+            return np.asfortranarray(x) if kind.startswith("F") else x
+
+        x, y = operand(a), operand(b)
+        got = mul_many(x, y)
+        assert got.flags.c_contiguous and got.flags.owndata
+        assert_same_bits(got, mul_many_reference(x, y))
+
+    def test_coordinate_major_product_moves_no_operand(self, rng, monkeypatch):
+        a = np.asfortranarray(rng.standard_normal((2 * B + 1, 8)))
+        b = np.asfortranarray(rng.standard_normal((2 * B + 1, 8)))
+
+        def refuse(*args):
+            raise AssertionError("a coordinate-major operand was moved")
+
+        monkeypatch.setattr(algebra, "_coordinate_major", refuse)
+        got = mul_many(a, b)
+        monkeypatch.undo()
+        assert_same_bits(got, mul_many_reference(a, b))
+
+
 class TestParseFormat:
     @pytest.mark.parametrize(
         "text,want",

@@ -9,8 +9,8 @@ from oracles import (
     half_space_szego_wall_integral,
     strip_szego_wall_integral,
 )
-from octomono import quadrature
-from octomono.algebra import Octonion
+from octomono import algebra, quadrature, suites
+from octomono.algebra import Octonion, conj_many
 from octomono.errors import DomainError
 from octomono.functions import (
     constant,
@@ -18,7 +18,14 @@ from octomono.functions import (
     shifted_cauchy_kernel,
     szego_ball_section,
 )
-from octomono.kernels import StripDomain, szego_unit_ball
+from octomono.kernels import (
+    StripDomain,
+    bergman_ball_values,
+    bergman_strip_values,
+    szego_ball_values,
+    szego_strip_values,
+    szego_unit_ball,
+)
 from octomono.quadrature import (
     BALL8_VOLUME,
     SPHERE6_AREA,
@@ -41,6 +48,7 @@ from octomono.quadrature import (
     szego_reproduce_half_space,
     szego_reproduce_strip,
 )
+from octomono.regularity import q0_many
 
 ONE = constant(Octonion(1.0))
 
@@ -615,3 +623,91 @@ class TestMultiCaseCalls:
         assert [str(w.message) for w in both] == [str(alone[0].message)]
         assert math.isnan(nan_res.tail_est)
         assert math.isfinite(finite_res.value.norm())
+
+
+# each region, and its sampler in oracles, at radius 2 where the region is unbounded
+LAYOUT_REGIONS = {
+    "sphere": (sphere_region(1.0), oracles.sphere_sampler_reference(1.0)),
+    "ball": (ball_region(1.0), oracles.ball_sampler_reference(1.0)),
+    "strip_boundary": (
+        strip_boundary_region(STRIP, 2.0),
+        oracles.strip_boundary_sampler_reference(STRIP.d, 2.0),
+    ),
+    "strip_volume": (
+        strip_volume_region(STRIP, 2.0),
+        oracles.strip_volume_sampler_reference(STRIP.d, 2.0),
+    ),
+    "half_space_boundary": (
+        half_space_boundary_region(2.0),
+        oracles.half_space_sampler_reference(2.0),
+    ),
+}
+
+
+def _coordinate_major(x):
+    return x.flags.f_contiguous and not x.flags.c_contiguous
+
+
+class TestCoordinateMajorLayout:
+    """Samples are coordinate-major from the sampler to the engine, so the
+    products of the hot path move no operand."""
+
+    @pytest.mark.parametrize("name", sorted(LAYOUT_REGIONS))
+    def test_samplers_draw_the_reference_samples_coordinate_major(self, name):
+        region, reference = LAYOUT_REGIONS[name]
+        cfg = McConfig(seed=5, samples=2_501, chunk=1_000, radius=2.0)
+        for i, batch in enumerate(sample(region, cfg)):
+            start = i * cfg.chunk
+            rng = np.random.Generator(
+                np.random.Philox(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,)))
+            )
+            want = reference(rng, min(cfg.chunk, cfg.samples - start), start, cfg.samples)
+            assert np.array_equal(batch.weights, want.weights)
+            assert (batch.normals is None) == (want.normals is None)
+            for got, ref in ((batch.points, want.points), (batch.normals, want.normals)):
+                if ref is not None:
+                    assert _coordinate_major(got)
+                    assert np.array_equal(got, ref)
+
+    def test_hot_path_steps_keep_coordinate_major_input(self):
+        rng = np.random.default_rng(11)
+        ball = rng.uniform(-0.5, 0.5, (300, 8))
+        z = Octonion(0.1, 0.2)
+
+        def strip_u(p):
+            return z.to_array() + conj_many(p + np.eye(8)[0])  # 0.6 < Re u < 1.6
+
+        steps = {
+            "q0_many": q0_many,
+            "conj_many": conj_many,
+            "szego_ball_values": lambda p: szego_ball_values(z, p),
+            "bergman_ball_values": lambda p: bergman_ball_values(z, p),
+            "szego_strip_values": lambda p: szego_strip_values(strip_u(p), 1.0)[0],
+            "bergman_strip_values": lambda p: bergman_strip_values(strip_u(p), 1.0)[0],
+            "_unit_rows": quadrature._unit_rows,
+            "constant": constant(1.5).eval_batch,
+            "linear_monogenic": linear_monogenic().eval_batch,
+        }
+
+        for name, step in steps.items():
+            got = step(np.asfortranarray(ball))
+            want = step(ball)
+            assert _coordinate_major(got), name
+            assert want.flags.c_contiguous, name
+            # the norms over the coordinate axis may sum in another order
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0, err_msg=name)
+
+    @pytest.mark.parametrize("experiment", sorted(suites.REPRODUCE))
+    def test_reproduce_moves_only_broadcast_rows(self, experiment, monkeypatch):
+        moved = []
+        move = algebra._coordinate_major
+
+        def watched(x, *args):
+            moved.append(x.shape)
+            return move(x, *args)
+
+        monkeypatch.setattr(algebra, "_coordinate_major", watched)
+        rows = suites.reproduce(experiment, McConfig(seed=4, samples=3_000, radius=2.0))
+        assert rows
+        # only a fixed (8,) factor such as conj(z) in 1 - conj(z) w is moved
+        assert all(shape == (8,) for shape in moved), moved

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import combined_relation_residuals, duplication_residual
 from oracles import brute_lattice_sum, brute_lattice_sum_longdouble, end_corrected_count
 from octomono.algebra import Octonion
 from octomono.errors import PolicyError, SingularityError
@@ -10,10 +11,8 @@ from octomono.trig_series import (
     CombinedRelationResiduals,
     PeriodizedSumSpec,
     TruncationPolicy,
-    combined_relation_residuals,
     cot,
     csc,
-    duplication_residual,
     periodized_deriv_sum,
     periodized_sum,
     sec,
