@@ -24,10 +24,15 @@ kernels, after their domain checks, ``*_strip_values``, returning a
 straight to the lattice-sum engine of :mod:`octomono.trig_series` at
 step ``2d``: the Szego kernel is the alternating sum, the Bergman
 kernel ``-2`` times the derivative sum, and one tail bound covers every
-row.  They apply no interior checks, only the pole guard; the Monte
-Carlo layer uses them, including at exterior evaluation points where
-the reproduction integral must vanish instead of reproducing.  The
-other ``*_values`` helpers are the batched closed forms.
+row.  The engine evaluates both as the complex csc (Szego) and cot
+(Bergman) and their derivatives on the slice through ``u``, with
+``kappa = pi/2d``, on every row where that closed form's rounding bound
+is within the tail bound, and as the direct sum elsewhere (real ``u``,
+rows near a pole).  The helpers apply no interior checks, only the
+pole guard; the Monte Carlo layer uses them, including at exterior
+evaluation points where the reproduction integral must vanish instead
+of reproducing.  The other ``*_values`` helpers are the batched closed
+forms.
 """
 
 from __future__ import annotations

@@ -273,13 +273,25 @@ def _estimate(
         parts = []
         shell_y = None  # |Im w|^decay on the outer calibration shell, and the shell's mask
         for values in integrand(batch):
-            weighted = batch.weights[:, None] * values
-            part_a = weighted.sum(axis=0)
-            part_b = float(
-                (batch.weights**2 * np.einsum("ij,ij->i", values, values)).sum()
-            )
+            # the weighted squares, then one coordinate's weighted values
+            buf = np.einsum("ij,ij->i", values, values)
+            buf *= batch.weights**2
+            part_b = float(buf.sum())
             # nonzero values whose squares all underflow leave no variance
-            underflow = part_b == 0.0 and bool(weighted.any())
+            underflow = False
+            if values.flags.f_contiguous:
+                # a coordinate at a time: a contiguous column sums in the
+                # order the columns of the (n, 8) product would
+                part_a = np.empty(8)
+                for j in range(8):
+                    np.multiply(batch.weights, values[:, j], out=buf)
+                    part_a[j] = buf.sum()
+                    underflow = underflow or (part_b == 0.0 and bool(buf.any()))
+            else:
+                weighted = batch.weights[:, None] * values
+                part_a = weighted.sum(axis=0)
+                underflow = part_b == 0.0 and bool(weighted.any())
+                del weighted
             shell = 0.0  # max |value| * |Im w|^decay over the outer calibration shell
             if decay:
                 if shell_y is None:
@@ -289,11 +301,12 @@ def _estimate(
                     del y
                 y_decay, mask = shell_y
                 if y_decay.size:
-                    mags = np.sqrt(np.einsum("ij,ij->i", values[mask], values[mask]))
+                    shell_rows = values[mask]
+                    mags = np.sqrt(np.einsum("ij,ij->i", shell_rows, shell_rows))
                     shell = float((mags * y_decay).max())
-                    del mags
+                    del shell_rows, mags
             parts.append((part_a, part_b, shell, underflow))
-            del values, weighted  # before the next case's rows are built
+            del values, buf  # before the next case's rows are built
         return parts
 
     n_chunks = -(-cfg.samples // cfg.chunk)

@@ -4,14 +4,37 @@ Every series here is the lattice sum ``sum_{k in Z} s^k K(u + step*k*e0)``
 with ``s = -1`` (alternating, cosecant-type) or ``s = 1``, and ``K`` the
 Cauchy kernel ``q0`` (order 0) or its x0-derivative (order 1, used by
 the strip volume kernels).  One engine, :func:`_lattice_sum`, evaluates
-it on an ``(n, 8)`` batch in the radial form ``t = u0 + step*k``,
-``r^2 = t^2 + |Im u|^2``, with one real and one imaginary accumulator
-per row; a point is a batch of one.  Each row adds its terms in the
-order ``k = -N..N`` and then, if the sum has one, its two end-correction
-terms, at ``u + h*e0`` and then ``u - h*e0``.
+it on an ``(n, 8)`` batch, a point being a batch of one, by one of two
+routes per row:
 
-Tail table per (order, alternating), with ``s`` the step,
-``h = s*(N + 1/2)`` and ``rho = h - max|Re u|``:
+- the direct route (:func:`_direct`) in the radial form
+  ``t = u0 + step*k``, ``r^2 = t^2 + |Im u|^2``, with one real and one
+  imaginary accumulator per row.  Each row adds its terms in the order
+  ``k = -N..N`` and then, if the sum has one, its two end-correction
+  terms, at ``u + h*e0`` and then ``u - h*e0``;
+- the closed form (:func:`_closed_form`): on the complex slice through
+  ``u`` the two end-corrected sums are finite combinations of the
+  complex csc or cot and their first four derivatives, with no
+  truncation at all.
+
+=========================  ==================================================
+sum                        route
+=========================  ==================================================
+order 0, plain (cot, tan)  direct, every row
+order 1, alternating       direct, every row
+order 0, alternating       closed form on each row with ``|Im u| > 0``, a
+(strip Szego, csc, sec)    normal ``e^(-kappa |Im u|)`` and a rounding bound
+order 1, plain             within the batch's tail bound; direct, with the
+(strip Bergman)            end correction, on every other row
+=========================  ==================================================
+
+The batch's ``N`` and its one tail bound come from the tables below
+whichever route its rows take, so a direct row's bits do not depend on
+the other rows' routes, and the tail bound also bounds the rounding of
+every closed-form row.  There is no option: the rule picks the route.
+
+Tail table of the direct route per (order, alternating), with ``s`` the
+step, ``h = s*(N + 1/2)`` and ``rho = h - max|Re u|``:
 
 ==============  ====================================  ==========================
 sum             terms                                 bound on the remainder
@@ -64,6 +87,72 @@ On the real axis ``|d^n/dt^n q0|`` equals its bound, and the ``rho^-9``
 term of each per-side bound is that side's leading remainder itself, so
 neither ``rho^-9`` constant can be lowered.
 
+The closed form.  On the slice, with ``v = t + iy``, ``c = 2iy`` and
+``vbar = v - c``, the kernel and its ``t``-derivative split into partial
+fractions:
+
+``q0 = -10/(c^6 v) - 6/(c^5 v^2) - 3/(c^4 v^3) - 1/(c^3 v^4)
++ 10/(c^6 vbar) - 4/(c^5 vbar^2) + 1/(c^4 vbar^3)``
+
+``d/dt q0 = 10/(c^6 v^2) + 12/(c^5 v^3) + 9/(c^4 v^4) + 4/(c^3 v^5)
+- 10/(c^6 vbar^2) + 8/(c^5 vbar^3) - 3/(c^4 vbar^4)``
+
+Each power sums over the lattice in closed form,
+``sum_k s^k (w + k*step)^-j = ((-1)^(j-1)/(j-1)!) kappa^j f^(j-1)(kappa w)``
+with ``kappa = pi/step`` and ``f = csc`` (alternating) or ``cot``
+(plain, ``j >= 2``; the plain derivative sum has no ``j = 1`` term):
+
+===  ==============================  ==============================
+j    alternating sum / kappa^j       plain sum / kappa^j
+===  ==============================  ==============================
+1    ``csc``                         --
+2    ``csc cot``                     ``csc^2``
+3    ``csc (2 cot^2 + 1) / 2``       ``cot csc^2``
+4    ``csc cot (6 cot^2 + 5) / 6``   ``csc^2 (3 csc^2 - 2) / 3``
+5    --                              ``cot csc^2 (3 csc^2 - 1) / 3``
+===  ==============================  ==============================
+
+written in ``csc^2`` where that keeps relative accuracy as ``|Im u|``
+grows (``cot' = -csc^2``, not ``1 - cot^2``).  The sums at ``vbar`` are
+the conjugates of those at ``v``, so one ``h = e^(i kappa v)``, with
+``|h| = e^(-kappa y) < 1``, gives everything:
+``csc(kappa v) = -2ih/(1 - h^2)`` and ``cot(kappa v) = -i(1 + h^2)/(1 - h^2)``.
+The complex result ``a + ib`` maps back to ``a + b Im u / y``.
+
+Rounding bound of the closed form.  With ``u`` the unit roundoff
+``2^-53``, ``A = 1/|1 - h^2|``, ``a = 2|h|A = |csc|`` and
+``b = (1 + |h|^2)A >= |cot|``, let ``M`` be the sum over the seven
+partial-fraction terms of the modulus of each coefficient times its
+lattice sum from the table, with ``csc`` and ``cot`` replaced by ``a``
+and ``b`` and each bracket by the sum of its terms' moduli; ``M``
+bounds the sum of the terms' moduli.  To first order in ``u``:
+
+- the computed ``h`` is ``h (1 + eta)``, ``|eta| <= u (21 + 3 kappa|t| +
+  7 kappa y)``: ``kappa`` is within ``1.5u`` of ``pi/step`` and ``y``,
+  the root of the rounded sum of seven squares, within ``4.5u``, so the
+  exponent ``kappa y`` is off by at most ``7u kappa y`` and the phase
+  ``kappa t`` by ``3u kappa |t|``; ``exp`` is within 4 ulp (``8u``),
+  ``cos + i sin`` within ``12u`` of its unit modulus, and the product
+  within ``u``;
+- ``h d/dh = -i d/dz`` takes ``csc`` to at most ``a b`` and ``cot`` to
+  ``|csc|^2 = a^2``, so a monomial ``csc^i cot^k`` moves by at most
+  ``(i b + k a^2/b) |eta|`` of its majorant ``a^i b^k``: ``sigma = b +
+  3a^2/b`` for the alternating terms (``i = 1``, ``k <= 3``) and ``4b +
+  a^2/b`` for the plain ones (``i <= 4``, ``k <= 1``).  This is the
+  ``1/|1 - h^2|`` amplification near the real axis;
+- from the computed ``h``: ``1/(1 - h^2)`` is within ``(5 + 3A)u``, so
+  ``h/(1 - h^2)`` within ``(8 + 3A)u`` of ``a/2`` and
+  ``(1 + h^2)/(1 - h^2)`` within ``(12 + 3A)u`` of ``b`` (complex
+  products within ``3u``); a term multiplies at most five such factors
+  with five more roundings, ``55u + 15uA``; its power of ``kappa`` adds
+  at most ``11u``, its ``(2y)^-6`` at most ``33u``, the evaluation in
+  powers of ``1/(2y)`` ``11u`` and the division by ``y`` and product
+  with ``Im u`` ``6.5u``: ``117u + 15uA`` in all.
+
+So a row's error is at most ``u M (sigma (21 + 3 kappa|t| + 7 kappa y)
++ 120 + 15A)``.  ``eta`` stays far below 1 at any ``|Re u|`` the term
+budget admits, so the first-order terms hold.
+
 Normalization: ``cot(z) = sum_n q0(z + pi*n*e0)`` and
 ``csc(z) = sum_n (-1)^n q0(z + pi*n*e0)``; the shifted companions are
 ``tan(z) = -cot(z + pi/2)`` and ``sec(z) = csc(z + pi/2)``.
@@ -94,6 +183,13 @@ _END_LAW = {(0, True): (63.0, 3.5, 3), (1, False): (21.0, 7.0 / 3.0, 2)}
 # Batch rows evaluated together as one (terms, rows) block.
 _BLOCK_ROWS = 512
 
+# Batch rows evaluated together in the closed form of an end-corrected sum.
+_CLOSED_ROWS = 8192
+
+# Unit roundoff 2^-53 and the least normal float64.
+_UNIT = 0.5 * np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).tiny
+
 
 @dataclass(frozen=True)
 class TruncationPolicy:
@@ -121,8 +217,9 @@ class PeriodizedSumSpec:
 class SumResult:
     """Values, one tail bound valid for every row, and terms per row.
 
-    ``terms`` counts the ``2N + 1`` lattice terms, plus the two
-    evaluations at ``u +- h*e0`` in a sum with an end correction.
+    ``terms`` counts the direct route's ``2N + 1`` lattice terms, plus
+    the two evaluations at ``u +- h*e0`` in a sum with an end correction,
+    also where rows take the closed form.
     """
 
     value: PointLike
@@ -164,34 +261,19 @@ def _end_corrected_count(
     return n_side, bound(n_side)
 
 
-def _lattice_sum(
-    u: np.ndarray, step: float, alternating: bool, order: int, policy: TruncationPolicy
-) -> tuple[np.ndarray, float, int]:
-    """Lattice sum of ``q0`` (order 0) or ``d/dx0 q0`` (order 1) on rows of u (n, 8).
-
-    Returns ``(values (n, 8), tail bound for every row, terms per row)``.
-    Only the pole guard is enforced, so any finite argument off the
-    lattice is accepted.
-    """
-    u0 = u[:, 0]
-    uim = u[:, 1:]
-    s2 = np.einsum("ij,ij->i", uim, uim)
-    max_norm = math.sqrt(float(np.max(u0 * u0 + s2, initial=0.0)))
-    if not math.isfinite(max_norm):
-        raise DomainError("lattice sum argument is not finite")
-    end_law = _END_LAW.get((order, alternating))
-    if end_law is None:
-        num, den, power = _TAIL_LAW[order]
-        margin = (num / (den * step * policy.tail_tol)) ** (1.0 / power)
-        n_side = int(math.floor((max_norm + margin) / step)) + 1
-        _check_budget(n_side, policy)
-        tail = num / (den * step) * (step * n_side - max_norm) ** -power
-    else:
-        max_re = float(np.max(np.abs(u0), initial=0.0))
-        n_side, tail = _end_corrected_count(step, max_re, end_law, policy)
-
+def _direct(
+    u0: np.ndarray,
+    s2: np.ndarray,
+    step: float,
+    alternating: bool,
+    order: int,
+    n_side: int,
+    end_corrected: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The terms ``k = -N..N`` (and the end correction) added per row, in
+    blocks of rows; returns the real and imaginary accumulators."""
     shifts = step * np.arange(-n_side, n_side + 1, dtype=np.float64)
-    if end_law is not None:
+    if end_corrected:
         # the end correction is q0 at u + h*e0 and u - h*e0, weighted by w,
         # evaluated as the last two rows of each block
         h = step * (n_side + 0.5)
@@ -225,11 +307,11 @@ def _lattice_sum(
         if order == 0:
             re = np.divide(t, r8, out=t)
             im = np.divide(1.0, r8, out=r8)
-            if end_law is not None:
+            if end_corrected:
                 re[-2:] *= w
                 im[-2:] *= w
         else:
-            if end_law is not None:
+            if end_corrected:
                 # q0's -Im u part enters the +Im u accumulator negated
                 ends = (t[-2:] / r8[-2:] * w, -1.0 / r8[-2:] * w)
             r10 = np.multiply(r8, r2, out=r2)
@@ -239,20 +321,167 @@ def _lattice_sum(
             re = np.divide(1.0, r8, out=r8)
             re -= t
             im /= r10
-            if end_law is not None:
+            if end_corrected:
                 re[-2:], im[-2:] = ends
         if alternating:
             re[odd] *= -1.0
             im[odd] *= -1.0
         re.sum(axis=0, out=acc_re[cols])
         im.sum(axis=0, out=acc_im[cols])
+    return acc_re[:n_rows], acc_im[:n_rows]
+
+
+def _closed_form(
+    u0: np.ndarray, s2: np.ndarray, step: float, order: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An end-corrected sum in closed form, and each row's rounding bound.
+
+    Returns the real and imaginary accumulators in :func:`_direct`'s
+    convention and the bound of the module docstring, which is infinite
+    where ``|Im u| = 0`` or ``e^(-kappa |Im u|)`` is not a normal float
+    and not a number where the closed form overflows.
+    """
+    kap = math.pi / step
+    acc_re = np.empty_like(u0)
+    acc_im = np.empty_like(u0)
+    bounds = np.empty_like(u0)
+    # rows at |Im u| = 0 or near a pole make infinities and NaNs here,
+    # which their bound turns away
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for lo in range(0, u0.size, _CLOSED_ROWS):
+            rows = slice(lo, lo + _CLOSED_ROWS)
+            t = u0[rows]
+            y = np.sqrt(s2[rows])
+            ky = kap * y
+            mag = np.exp(-ky)  # |h|, h = e^(i kappa v)
+            phase = kap * t
+            h = np.empty(t.shape, dtype=np.complex128)
+            np.multiply(mag, np.cos(phase), out=h.real)
+            np.multiply(mag, np.sin(phase), out=h.imag)
+            h2 = h * h
+            den = 1.0 - h2
+            amp2 = den.real * den.real
+            amp2 += den.imag * den.imag
+            np.divide(1.0, amp2, out=amp2)  # A^2 = 1/|1 - h^2|^2
+            np.conjugate(den, out=den)
+            den *= amp2  # 1/(1 - h^2)
+            x = h * den  # csc = -2i x
+            g = np.add(h2, 1.0, out=h2)
+            g *= den  # cot = -i g
+            amp = np.sqrt(amp2)
+            p = 0.5 / y
+            a = 2.0 * mag * amp  # |csc|
+            b = mag * mag
+            b += 1.0
+            b *= amp  # >= |cot|
+            if order == 0:
+                xg = x * g
+                g2 = g * g
+                q = x * (1.0 - 2.0 * g2)
+                r = xg * (5.0 - 6.0 * g2)
+                re = p * (4.0 * kap**2) * xg.imag
+                re -= (2.0 * kap**3) * q.imag
+                re *= p
+                re -= (kap**4 / 3.0) * r.imag
+                # -Im S: the direct route's imaginary accumulator carries -Im S/y
+                im = p * (40.0 * kap) * x.real
+                im += (20.0 * kap**2) * xg.real
+                im *= p
+                im -= (4.0 * kap**3) * q.real
+                im *= p
+                im -= (kap**4 / 3.0) * r.real
+                im /= y
+                size = p * 20.0 + (10.0 * kap) * b
+                size *= p
+                size += (2.0 * kap**2) * (2.0 * b * b + 1.0)
+                size *= p
+                size += (kap**3 / 6.0) * b * (6.0 * b * b + 5.0)
+                size *= kap * a
+                sens = b + 3.0 * a * a / b
+            else:
+                w = x * x
+                v = g * w
+                z = w * (6.0 * w + 1.0)
+                yy = v * (12.0 * w + 1.0)
+                re = p * (16.0 * kap**3) * v.real
+                re += (16.0 * kap**4) * z.real
+                re *= p
+                re += (16.0 * kap**5 / 3.0) * yy.real
+                im = p * (80.0 * kap**2) * w.imag
+                im += (80.0 * kap**3) * v.imag
+                im *= p
+                im += (32.0 * kap**4) * z.imag
+                im *= p
+                im += (16.0 * kap**5 / 3.0) * yy.imag
+                im /= y
+                a2 = a * a
+                size = p * 20.0 + (20.0 * kap) * b
+                size *= p
+                size += (4.0 * kap**2) * (3.0 * a2 + 2.0)
+                size *= p
+                size += (4.0 * kap**3 / 3.0) * b * (3.0 * a2 + 1.0)
+                size *= kap * kap * a2
+                sens = 4.0 * b + a2 / b
+            p3 = p * p * p
+            re *= p3
+            im *= p3
+            size *= p3
+            # the rounding bound of the module docstring
+            grow = 3.0 * kap * np.abs(t)
+            grow += 7.0 * ky
+            grow += 21.0
+            grow *= sens
+            grow += 15.0 * amp
+            grow += 120.0
+            bound = np.multiply(grow, size, out=bounds[rows])
+            bound *= _UNIT
+            bound[(y == 0.0) | (mag < _TINY)] = np.inf
+            acc_re[rows] = re
+            acc_im[rows] = im
+    return acc_re, acc_im, bounds
+
+
+def _lattice_sum(
+    u: np.ndarray, step: float, alternating: bool, order: int, policy: TruncationPolicy
+) -> tuple[np.ndarray, float, int]:
+    """Lattice sum of ``q0`` (order 0) or ``d/dx0 q0`` (order 1) on rows of u (n, 8).
+
+    Returns ``(values (n, 8), tail bound for every row, terms per row)``.
+    Only the pole guard is enforced, so any finite argument off the
+    lattice is accepted.
+    """
+    u0 = u[:, 0]
+    uim = u[:, 1:]
+    s2 = np.einsum("ij,ij->i", uim, uim)
+    max_norm = math.sqrt(float(np.max(u0 * u0 + s2, initial=0.0)))
+    if not math.isfinite(max_norm):
+        raise DomainError("lattice sum argument is not finite")
+    end_law = _END_LAW.get((order, alternating))
+    if end_law is None:
+        num, den, power = _TAIL_LAW[order]
+        margin = (num / (den * step * policy.tail_tol)) ** (1.0 / power)
+        n_side = int(math.floor((max_norm + margin) / step)) + 1
+        _check_budget(n_side, policy)
+        tail = num / (den * step) * (step * n_side - max_norm) ** -power
+        acc_re, acc_im = _direct(u0, s2, step, alternating, order, n_side, False)
+    else:
+        max_re = float(np.max(np.abs(u0), initial=0.0))
+        n_side, tail = _end_corrected_count(step, max_re, end_law, policy)
+        acc_re, acc_im, bounds = _closed_form(u0, s2, step, order)
+        # rows whose closed form is not certified within the tail (NaN included)
+        rest = np.flatnonzero(~(bounds <= tail))
+        if rest.size:
+            acc_re[rest], acc_im[rest] = _direct(
+                u0[rest], s2[rest], step, alternating, order, n_side, True
+            )
 
     out = np.empty_like(u)
-    out[:, 0] = acc_re[:n_rows]
+    out[:, 0] = acc_re
     # q0 = conj(u)/|u|^8 puts -Im u on the imaginary part; its
     # x0-derivative puts +Im u there
-    out[:, 1:] = (-uim if order == 0 else uim) * acc_im[:n_rows, None]
-    return out, tail, len(shifts)
+    np.multiply(uim, (-acc_im if order == 0 else acc_im)[:, None], out=out[:, 1:])
+    terms = 2 * n_side + (3 if end_law is not None else 1)
+    return out, tail, terms
 
 
 def _periodized(

@@ -85,6 +85,42 @@ def brute_lattice_sum_longdouble(
     return total, float(norms.sum())
 
 
+def poisson_lattice_sum(
+    z: np.ndarray, step: float, alternating: bool, order: int, terms: int = 40
+) -> np.ndarray:
+    """sum over n of s^n q0 (order 0) or d/dx0 q0 (order 1) at z + step*n*e0,
+    by Poisson summation in longdouble; needs |Im z| = y > 0.
+
+    On the complex slice through z, q0 is g(t) = (t + iy)^-4 (t - iy)^-3,
+    whose transform int g(t) e^(-i xi t) dt is, with a = |xi| y,
+    -i pi (2a^3 + 9a^2 + 18a + 15) e^-a / (48 y^6) for xi > 0,
+    -i pi (a^2 + 4a + 5) e^-a / (16 y^6) for xi < 0 and -5i pi / (16 y^6)
+    at 0; d/dt multiplies it by i xi.  The lattice sum is (1/step) times
+    the sum of transform(xi) e^(i xi t) over xi = pi (2m + 1)/step
+    (alternating) or 2 pi m/step, |m| <= terms.
+    """
+    z = np.asarray(z, dtype=np.longdouble)
+    t = z[0]
+    y = np.sqrt((z[1:] ** 2).sum())
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    m = np.arange(-terms, terms + 1).astype(np.longdouble)
+    xi = pi * (2 * m + 1) / step if alternating else 2 * pi * m / step
+    a = np.abs(xi) * y
+    transform = np.where(
+        xi > 0,
+        (2 * a**3 + 9 * a**2 + 18 * a + 15) / (48 * y**6),
+        (a**2 + 4 * a + 5) / (16 * y**6),
+    ) * (-1j * pi * np.exp(-a))
+    if order == 1:
+        transform = transform * (1j * xi)
+    total = (transform * np.exp(1j * xi * t)).sum() / np.longdouble(step)
+    # the slice's imaginary unit is Im z / y
+    out = np.empty(8, dtype=np.longdouble)
+    out[0] = total.real
+    out[1:] = z[1:] * (total.imag / y)
+    return out
+
+
 def brute_deriv_sum(z: np.ndarray, step: float, n_terms: int) -> np.ndarray:
     """Central-difference d/dx0 of the non-alternating lattice sum."""
     h = 1e-6

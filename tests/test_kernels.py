@@ -12,6 +12,7 @@ from oracles import (
     brute_deriv_sum,
     brute_lattice_sum,
     lambda_sum,
+    poisson_lattice_sum,
     szego_strip_reference,
     szego_strip_values_reference,
 )
@@ -352,9 +353,10 @@ def _strip_combined_args(rng, n, d, radius=2.0):
     return u
 
 
+@pytest.mark.usefixtures("direct_route")
 class TestStripValuesBitIdentity:
-    """The lattice-sum engine reproduces the per-k loop bit for bit, so
-    Monte Carlo reports keep their bytes at every batch size."""
+    """The lattice-sum engine's direct route reproduces the per-k loop bit
+    for bit at every batch size."""
 
     @pytest.mark.parametrize(
         "n", [1, 2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 82_496, 131_072]
@@ -375,6 +377,28 @@ class TestStripValuesBitIdentity:
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
             tails = np.array([got_tail, want_tail])
             assert tails.view(np.int64)[0] == tails.view(np.int64)[1]
+
+
+class TestStripKernelsFarFromTheWalls:
+    """At large |Im u| the kernels are exponentially small; the closed form
+    keeps them to 1e-12 relative, where the direct sum's absolute
+    truncation error would swamp them."""
+
+    @pytest.mark.parametrize(
+        "y, szego_norm, bergman_norm", [(20.0, 8.31e-19, 9.04e-31), (50.0, 1.67e-40, 6.40e-73)]
+    )
+    def test_relative_accuracy(self, y, szego_norm, bergman_norm):
+        u = np.zeros((1, 8))
+        u[0, 0] = 0.5
+        u[0, 2], u[0, 6] = 0.6 * y, -0.8 * y
+        for values, alternating, order, scale, norm in (
+            (szego_strip_values, True, 0, 1.0, szego_norm),
+            (bergman_strip_values, False, 1, -2.0, bergman_norm),
+        ):
+            got = values(u, 1.0)[0][0]
+            want = scale * poisson_lattice_sum(u[0], 2.0, alternating, order).astype(np.float64)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            assert np.linalg.norm(want) == pytest.approx(norm, rel=1e-2)
 
 
 class TestBatchHelpers:
@@ -428,6 +452,7 @@ class TestScalarViewsBitIdentity:
     stencil keep the bits of the code they replace (copies in
     ``tests/oracles.py``)."""
 
+    # Both on the direct route of the end-corrected sums.
     # "series": the scalar kernels against the old series route.
     # "closed_form": the closed forms the tests compare against, built from
     # the public sums as test_05 and the kernels' docstrings write them,
@@ -440,6 +465,7 @@ class TestScalarViewsBitIdentity:
         [(szego_strip, szego_strip_reference), (bergman_strip, bergman_strip_reference)],
         ids=["szego", "bergman"],
     )
+    @pytest.mark.usefixtures("direct_route")
     def test_strip_kernels(self, rng, kernel, reference, d, tail_tol, method):
         policy = TruncationPolicy(tail_tol=tail_tol)
         s = math.pi / (2.0 * d)

@@ -49,6 +49,7 @@ from octomono.quadrature import (
     szego_reproduce_strip,
 )
 from octomono.regularity import q0_many
+from octomono.trig_series import TruncationPolicy
 
 ONE = constant(Octonion(1.0))
 
@@ -381,6 +382,21 @@ class TestFlatReproduction:
         cfg = McConfig(seed=3, samples=200_000, radius=2.0)
         (r,) = szego_reproduce_strip([(f, Octonion(-0.5))], dom, cfg)
         assert r.value.norm() <= 5.0 * r.std_err + r.tail_est
+
+    @pytest.mark.parametrize("estimator", [szego_reproduce_strip, bergman_reproduce_strip])
+    def test_radius_50_tail_reads_the_kernel_not_its_truncation(self, estimator):
+        # beyond |Im w| = 40 every kernel row takes the closed form, so the
+        # shell statistic does not depend on the truncation tolerance
+        dom = StripDomain(1.0)
+        f = shifted_cauchy_kernel(Octonion(-1.0))
+        cfg = McConfig(seed=42, samples=20_000, radius=50.0)
+        tails = [
+            estimator([(f, Octonion(0.5))], dom, cfg, TruncationPolicy(tail_tol=tol))[0].tail_est
+            for tol in (1e-12, 1e-9)
+        ]
+        assert _bits(tails[0]) == _bits(tails[1])
+        # the direct sum's truncation noise put it near 1e-16
+        assert 0.0 < tails[0] < 1e-20
 
     def test_half_space_matches_simpson_oracle(self):
         f = shifted_cauchy_kernel(Octonion(-1.0))

@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import combined_relation_residuals, duplication_residual
-from oracles import brute_lattice_sum, brute_lattice_sum_longdouble, end_corrected_count
+from oracles import (
+    bergman_strip_values_reference,
+    brute_lattice_sum,
+    brute_lattice_sum_longdouble,
+    end_corrected_count,
+    szego_strip_values_reference,
+)
+from octomono import trig_series
 from octomono.algebra import Octonion
 from octomono.errors import PolicyError, SingularityError
+from octomono.kernels import bergman_strip_values, szego_strip_values
 from octomono.trig_series import (
     CombinedRelationResiduals,
     PeriodizedSumSpec,
@@ -205,6 +213,89 @@ class TestEndCorrection:
         assert res.terms == 2 * n_side + 1
         bound = num / (den * math.pi) * (math.pi * n_side - z.norm()) ** -power
         assert res.tail_bound == pytest.approx(bound, rel=1e-12)
+
+
+def _closed_rows(u, step, order):
+    """The closed form's values (n, 8) and rounding bounds on rows of u."""
+    s2 = np.einsum("ij,ij->i", u[:, 1:], u[:, 1:])
+    acc_re, acc_im, bounds = trig_series._closed_form(u[:, 0], s2, step, order)
+    values = np.empty_like(u)
+    values[:, 0] = acc_re
+    values[:, 1:] = u[:, 1:] * (-acc_im if order == 0 else acc_im)[:, None]
+    return values, bounds
+
+
+STRIP_KERNELS = [
+    (szego_strip_values, szego_strip_values_reference),
+    (bergman_strip_values, bergman_strip_values_reference),
+]
+
+
+class TestClosedForm:
+    """The end-corrected sums take the complex csc/cot closed form on the
+    rows whose derived rounding bound is within the tail bound, and the
+    direct route on every other row."""
+
+    @pytest.mark.parametrize("step", [2.0, 1.4, math.pi])
+    @pytest.mark.parametrize("order, alternating", [(0, True), (1, False)], ids=END_IDS)
+    def test_within_its_bound_of_the_longdouble_sum(self, rng, order, alternating, step):
+        re_parts = np.linspace(-3.1, 2.5 * step, 17)
+        n_terms = 4000
+        ld_eps = float(np.finfo(np.longdouble).eps)
+        # the oracle's truncation: its alternating q0 sum stops within
+        # 2 rho^-7 of the limit and its plain dq0 sum within (2/step) rho^-7,
+        # rho = n_terms * step - max|t|
+        oracle_tail = 2.0 * (1.0 + 1.0 / step) * (n_terms * step - 3.1 - 2.5 * step) ** -7
+        for y in (0.5, 1.0, 3.0, 8.0):
+            u = _rows(rng, re_parts, np.full(re_parts.size, y))
+            values, bounds = _closed_rows(u, step, order)
+            assert np.isfinite(bounds).all()
+            for row, value, bound in zip(u, values, bounds):
+                want, abs_sum = brute_lattice_sum_longdouble(row, step, n_terms, alternating, order)
+                err = float(np.linalg.norm((value - want).astype(np.float64)))
+                # plus the oracle's own longdouble rounding
+                assert err <= bound + 4.0 * ld_eps * abs_sum + oracle_tail
+
+    @pytest.mark.parametrize("kernel, reference", STRIP_KERNELS, ids=END_IDS)
+    def test_real_near_pole_and_underflowing_rows_keep_the_direct_bits(self, kernel, reference):
+        # at d = 1, so the lattice step is 2; the per-k loop is the direct
+        # route at the batch's N
+        u = np.zeros((5, 8))
+        u[:, 0] = [0.5, 1e-6, 0.5, 0.3, 1.7]
+        u[:, 3] = [0.0, 1e-6, 1e20, 2.0, 1.5]  # real, near the pole at 0, e^-(kappa y) = 0
+        got, tail = kernel(u, 1.0)
+        want, want_tail = reference(u, 1.0)
+        assert tail == want_tail
+        assert np.array_equal(got[:3].view(np.int64), want[:3].view(np.int64))
+        # the last two rows take the closed form
+        assert not np.array_equal(got[3:].view(np.int64), want[3:].view(np.int64))
+        assert np.abs(got[3:] - want[3:]).max() <= 1e-12
+
+    @pytest.mark.parametrize("kernel, reference", STRIP_KERNELS, ids=END_IDS)
+    def test_mixed_batch_direct_rows_keep_the_per_k_bits(self, rng, kernel, reference):
+        # strip combined arguments at d = 1 with |Im u| in [0, 2]: the rows
+        # nearest the real axis take the direct route at the batch's N
+        u = _rows(rng, rng.uniform(0.05, 1.95, 3000), rng.uniform(0.0, 2.0, 3000))
+        got, tail = kernel(u, 1.0)
+        want, want_tail = reference(u, 1.0)
+        assert tail == want_tail
+        order = 0 if kernel is szego_strip_values else 1
+        # the kernels' tail bound is twice the sum's for the Bergman kernel
+        _, bounds = _closed_rows(u, 2.0, order)
+        direct = ~(bounds <= (tail if order == 0 else tail / 2.0))
+        assert 0 < direct.sum() < len(u)
+        assert np.array_equal(got[direct].view(np.int64), want[direct].view(np.int64))
+        assert np.linalg.norm(got - want, axis=1).max() <= 2.0 * tail
+
+    @pytest.mark.parametrize(
+        "fn, alternating", [(periodized_sum, True), (periodized_deriv_sum, False)], ids=END_IDS
+    )
+    def test_pole_guard_still_raises(self, fn, alternating):
+        u = np.zeros((3, 8))
+        u[:, 0] = [0.5, 2.0, 1.0]
+        u[:, 1] = [2.0, 1e-13, 1.0]  # the middle row is 1e-13 from the pole at 2
+        with pytest.raises(SingularityError):
+            fn(u, PeriodizedSumSpec(2.0, alternating))
 
 
 class TestBatches:
