@@ -24,6 +24,7 @@ with conjugation ``(conj(A), -B)``.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -452,6 +453,34 @@ _TERMS = _product_terms()
 _BLOCK_ROWS = 8192
 
 
+def _block_plan(ac: np.ndarray, bc: np.ndarray) -> tuple[tuple, bool]:
+    # The terms of a block's coordinate-major operands that are not +-0
+    # on every element, and whether either operand has a coordinate that
+    # is zero on every element.
+    ac, bc = ac.reshape(8, -1), bc.reshape(8, -1)
+    # a coordinate with a nonzero first element is not zero on every element
+    if not ((ac[:, :1] == 0.0).any() or (bc[:, :1] == 0.0).any()):
+        return _TERMS, False
+    masks = []
+    for x in (ac, bc):
+        hi = x.max(axis=1, initial=-np.inf)  # max and min keep a NaN
+        lo = x.min(axis=1, initial=np.inf)
+        masks += [(hi == 0.0) & (lo == 0.0), np.isfinite(hi) & np.isfinite(lo)]
+    return _term_plan(np.concatenate(masks).tobytes()), bool(masks[0].any() or masks[2].any())
+
+
+@functools.lru_cache(maxsize=256)
+def _term_plan(masks: bytes) -> tuple[tuple[tuple[int, int, bool], ...], ...]:
+    # _TERMS without the terms a_i * b_j that are +-0 on every element:
+    # a_i zero and b_j finite, or b_j zero and a_i finite.  ``masks``
+    # holds the bytes of a's zero and finite masks, then b's.
+    za, fa, zb, fb = (masks[8 * m : 8 * m + 8] for m in range(4))
+    return tuple(
+        tuple(t for t in terms if not (za[t[0]] and fb[t[1]] or zb[t[1]] and fa[t[0]]))
+        for terms in _TERMS
+    )
+
+
 def _coordinate_major(x: np.ndarray, ndim: int, lo: int, hi: int, dtype: np.dtype) -> np.ndarray:
     # Rows lo:hi of x as a contiguous (8, ...) array.  An operand that
     # lacks the batch's first axis, or has it at length 1, broadcasts
@@ -477,13 +506,34 @@ def mul_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     rows: an ``f_contiguous`` (n, 8) operand of the result dtype holds
     them already and is read in place; any other operand's block is
     moved to a small (8, ...) array.  Each output coordinate ``k`` of the
-    block is one contiguous row, summing its eight signed products
-    ``a_i * b_j`` in the order ``i = 0..7``, starting from ``+0.0`` (the
-    closing ``row += 0.0`` turns a ``-0.0`` sum into ``+0.0``).  Every
-    element sees the same operations in the same order whatever the
-    block size and layout, so every bit, zero signs included, matches
-    the plain row-major table loop; only a NaN's sign may differ, since
-    the loop adds a negated product where this subtracts.
+    block is one contiguous row, summing its signed products ``a_i * b_j``
+    in the order ``i = 0..7``; the closing ``row += 0.0`` turns a ``-0.0``
+    sum into ``+0.0``.
+
+    Zero terms: per block where some coordinate of an operand has a zero
+    first element, each operand's per-coordinate ``max`` and ``min``
+    (both keep a NaN) mark its coordinates that are zero on every
+    element (both 0) and those that are finite on every element.
+    A term with ``a_i`` zero and ``b_j`` finite, or ``b_j`` zero and
+    ``a_i`` finite, is +-0 on every element and is left out; the
+    finiteness keeps the NaN of ``0 * inf``.  Each pattern's plan of
+    kept terms is cached.  Leaving out a +-0 term changes a sum only
+    where the partial sum is a zero, and then only its sign: ``x +- 0``
+    is ``x`` for any other ``x``, and a zero plus a nonzero term is that
+    term.  The closing ``row += 0.0`` maps either zero to ``+0.0``, so
+    the bits are the same.  The first kept term is the multiply itself,
+    written as ``0.0 - t`` when negative (``np.negative`` would flip a
+    NaN's sign, the subtraction keeps it as ``row - t`` does); a row with
+    no kept term is ``+0.0``.  A coordinate that is zero on every row of
+    the batch is zero in block 0, so when block 0 has none in either
+    operand the later blocks are not checked; a dense product reads the
+    first element of each coordinate of block 0 and nothing more.
+
+    So every element gets the same bits whatever the block size, layout
+    and zero pattern, zero signs included, and they match the plain
+    row-major table loop.  Only a NaN's sign may differ: the loop adds a
+    negated product where this subtracts, and numpy's add of two NaNs
+    keeps either one's sign, depending on the shape of a broadcast loop.
 
     The result owns its data, and its layout follows the operands like
     numpy's ``order="K"``: ``f_contiguous``, written through its
@@ -517,18 +567,30 @@ def mul_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         out = np.empty((8,) + shape, dtype=dtype)
         rows = out.reshape((8,) + batch)  # a view, with a batch axis to block
     term = np.empty((min(step, batch[0]),) + batch[1:], dtype=dtype)
+    check = True
     for lo in range(0, batch[0], step):
         hi = min(lo + step, batch[0])
         ac, bc = (
             x_rows[:, lo:hi] if x_rows is not None else _coordinate_major(x, ndim, lo, hi, dtype)
             for x, x_rows in zip((a, b), in_place)
         )
+        if check:
+            plan, zeros = _block_plan(ac, bc)
+            # a coordinate zero on every row of the batch is zero in block 0
+            check = lo > 0 or zeros
         block = rows[:, lo:hi]
         tb = term[: hi - lo]
-        for k, terms in enumerate(_TERMS):
+        for k, terms in enumerate(plan):
             row = block[k]
-            # i = 0 is the real unit: a_0 * b_k with sign +1
-            np.multiply(ac[0], bc[k], out=row)
+            if not terms:
+                row[...] = 0.0
+                continue
+            # the first kept term; with nothing dropped, the real unit a_0 * b_k
+            i, j, negative = terms[0]
+            np.multiply(ac[i], bc[j], out=row)
+            if negative:
+                # not np.negative, which would flip a NaN's sign
+                np.subtract(0.0, row, out=row)
             for i, j, negative in terms[1:]:
                 np.multiply(ac[i], bc[j], out=tb)
                 if negative:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from octomono import trig_series
+from octomono import algebra, trig_series
 from octomono.algebra import Octonion, PointLike, as_coords
 from octomono.trig_series import (
     CombinedRelationResiduals,
@@ -51,6 +51,21 @@ def direct_route(monkeypatch):
         return np.empty_like(u0), np.empty_like(u0), np.full_like(u0, np.inf)
 
     monkeypatch.setattr(trig_series, "_closed_form", uncertified)
+
+
+@pytest.fixture
+def term_counts(monkeypatch):
+    """How many of the 64 product terms each block plan of mul_many keeps, in order."""
+    counts = []
+    plan = algebra._block_plan
+
+    def watched(ac, bc):
+        terms, zeros = plan(ac, bc)
+        counts.append(sum(map(len, terms)))
+        return terms, zeros
+
+    monkeypatch.setattr(algebra, "_block_plan", watched)
+    return counts
 
 
 def random_octonions(rng: np.random.Generator, n: int) -> np.ndarray:

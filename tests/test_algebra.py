@@ -1,6 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from conftest import octonions, random_octonions
 from oracles import MUL_TABLE, mul_many_reference
@@ -160,6 +162,18 @@ def assert_same_bits(got, want):
         assert np.array_equal(got.view(uint), want.view(uint))
 
 
+def assert_same_bits_but_nan_sign(got, want):
+    """assert_same_bits, except that a NaN may have either sign.
+
+    The reference adds a negated product where mul_many subtracts, which
+    can give a NaN the other sign; every other bit agrees.
+    """
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    numbers = ~np.isnan(got)
+    assert np.array_equal(np.signbit(got[numbers]), np.signbit(want[numbers]))
+
+
 class TestMulManyBitIdentity:
     """mul_many against the original row-major loop in oracles.py."""
 
@@ -289,11 +303,7 @@ class TestMulManyAcrossBlocks:
             whole = mul_many(a, b)
         # blocks change no bit, a NaN's sign included
         assert_same_bits(got, whole)
-        # the reference adds a negated product where mul_many subtracts,
-        # which can give a NaN the other sign; every other bit agrees
-        assert np.array_equal(got, want, equal_nan=True)
-        numbers = ~np.isnan(got)
-        assert np.array_equal(np.signbit(got[numbers]), np.signbit(want[numbers]))
+        assert_same_bits_but_nan_sign(got, want)
         assert np.isnan(got[B - 1 : B + 1]).any()
         assert not np.signbit(got[B + 1]).any()
 
@@ -355,6 +365,91 @@ class TestMulManyLayout:
         got = mul_many(a, b)
         monkeypatch.undo()
         assert_same_bits(got, mul_many_reference(a, b))
+
+
+# a small block, so that every example spans several
+SMALL_B = 16
+
+
+@st.composite
+def sparse_operands(draw):
+    """Two operands with whole-zero coordinates (+0.0, -0.0 or mixed), in
+    every block or in some, and NaN and +-inf among the other entries."""
+    dtype = draw(st.sampled_from([np.float64, np.longdouble, np.float32]))
+    n = draw(st.sampled_from([1, SMALL_B - 1, SMALL_B, SMALL_B + 1, 2 * SMALL_B + 1]))
+    r = draw(st.integers(1, 3))
+    shapes = draw(
+        st.sampled_from(
+            [
+                ((n, 8), (n, 8)),
+                ((8,), (n, 8)),
+                ((n, 8), (8,)),
+                ((n, r, 8), (n, r, 8)),
+                ((n, 1, 8), (r, 8)),
+                ((r, 8), (n, 1, 8)),
+            ]
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    operands = []
+    for shape in shapes:
+        x = rng.uniform(-5.0, 5.0, shape)
+        rows = x.reshape(shape[0], -1, 8) if len(shape) > 1 else x.reshape(1, 1, 8)
+        every = draw(st.integers(0, 255))  # zero coordinates of every row
+        for lo in range(0, len(rows), SMALL_B):
+            zero = every | draw(st.sampled_from([0, draw(st.integers(0, 255))]))
+            for c in range(8):
+                if zero >> c & 1:
+                    seg = rows[lo : lo + SMALL_B, :, c]
+                    seg[...] = rng.choice([[0.0], [-0.0], [0.0, -0.0]][rng.integers(3)], seg.shape)
+        for _ in range(draw(st.integers(0, 3))):
+            x.reshape(-1)[rng.integers(x.size)] = rng.choice([np.nan, np.inf, -np.inf])
+        if len(shape) == 2 and draw(st.booleans()):
+            x = np.asfortranarray(x)  # coordinate-major, read in place
+        operands.append(x.astype(dtype, order="K"))
+    return operands
+
+
+class TestMulManyDropsZeroTerms:
+    """mul_many leaves out the terms that are +-0 on every element of a block."""
+
+    @given(sparse_operands())
+    def test_same_bits_as_the_reference_loop(self, operands):
+        a, b = operands
+        with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf
+            want = mul_many_reference(a, b)
+            with mock.patch.object(algebra, "_BLOCK_ROWS", SMALL_B):
+                got = mul_many(a, b)
+            with mock.patch.object(algebra, "_BLOCK_ROWS", 64 * SMALL_B):
+                whole = mul_many(a, b)
+        if max(a.ndim, b.ndim) == 2:
+            # blocks change no bit, a NaN's sign included
+            assert_same_bits(got, whole)
+        else:
+            # numpy's add of two NaNs keeps either one's sign, depending on
+            # the shape of the broadcast loop, and a block changes that shape
+            assert_same_bits_but_nan_sign(got, whole)
+        assert_same_bits_but_nan_sign(got, want)
+
+    def test_kept_terms(self, rng, term_counts):
+        dense = np.asfortranarray(rng.standard_normal((2 * B + 1, 8)))
+        constant = np.zeros_like(dense)
+        constant[:, 0] = 1.0
+        linear = np.zeros_like(dense)
+        linear[:, 0], linear[:, 4] = dense[:, 1], -dense[:, 2]
+        real_row = np.array([2.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        cases = [
+            (dense, constant, [8, 8, 8]),  # one plan per block
+            (linear, dense, [16, 16, 16]),
+            (real_row, dense, [8, 8, 8]),
+            # no zero coordinate in block 0: later blocks are not checked
+            (dense, dense, [64]),
+        ]
+        for a, b, kept in cases:
+            term_counts.clear()
+            got = mul_many(a, b)
+            assert term_counts == kept
+            assert_same_bits(got, mul_many_reference(a, b))
 
 
 class TestParseFormat:

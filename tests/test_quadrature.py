@@ -727,3 +727,12 @@ class TestCoordinateMajorLayout:
         assert rows
         # only a fixed (8,) factor such as conj(z) in 1 - conj(z) w is moved
         assert all(shape == (8,) for shape in moved), moved
+
+    def test_ball_products_drop_zero_terms(self, term_counts):
+        # one chunk of 3,000 rows is one block, so one plan per product
+        for experiment in ("cauchy_ball", "bergman_ball"):
+            suites.reproduce(experiment, McConfig(seed=4, samples=3_000))
+        # sparse: n * constant(1) and n * linear (cauchy_ball), nu * f and
+        # conj(z) * w at z = 0.4 e1 and 0.2 e1 + 0.1 e2 (bergman_ball)
+        assert len(term_counts) == 16
+        assert sorted(term_counts) == [8] * 4 + [16] * 3 + [64] * 9
