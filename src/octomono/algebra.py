@@ -481,15 +481,6 @@ def _term_plan(masks: bytes) -> tuple[tuple[tuple[int, int, bool], ...], ...]:
     )
 
 
-def _coordinate_major(x: np.ndarray, ndim: int, lo: int, hi: int, dtype: np.dtype) -> np.ndarray:
-    # Rows lo:hi of x as a contiguous (8, ...) array.  An operand that
-    # lacks the batch's first axis, or has it at length 1, broadcasts
-    # and is taken whole.
-    if x.ndim == ndim and x.shape[0] != 1:
-        x = x[lo:hi]
-    return np.ascontiguousarray(np.moveaxis(x, -1, 0), dtype=dtype)
-
-
 def mul_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Componentwise octonion product of (..., 8) coordinate arrays, broadcasting.
 
@@ -502,11 +493,12 @@ def mul_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     its first axis into blocks of about ``_BLOCK_ROWS`` rows, few enough
     that a float64 block's working set stays in L2 cache through the
     120 passes of the term loop (the constant records the measurement).
-    The loop reads each operand's block as eight contiguous coordinate
-    rows: an ``f_contiguous`` (n, 8) operand of the result dtype holds
-    them already and is read in place; any other operand's block is
-    moved to a small (8, ...) array.  Each output coordinate ``k`` of the
-    block is one contiguous row, summing its signed products ``a_i * b_j``
+    The loop reads each operand in place through its coordinate view
+    ``np.moveaxis(x, -1, 0)``, whose eight rows are contiguous for an
+    ``f_contiguous`` (n, 8) operand and strided for a row-major one; an
+    operand of a lower dtype is cast as the ufuncs read it, which is
+    exact.  Each output coordinate ``k`` of the block is one row of the
+    result's coordinate view, summing its signed products ``a_i * b_j``
     in the order ``i = 0..7``; the closing ``row += 0.0`` turns a ``-0.0``
     sum into ``+0.0``.
 
@@ -535,10 +527,9 @@ def mul_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     negated product where this subtracts, and numpy's add of two NaNs
     keeps either one's sign, depending on the shape of a broadcast loop.
 
-    The result owns its data, and its layout follows the operands like
-    numpy's ``order="K"``: ``f_contiguous``, written through its
-    coordinate rows, when every operand that spans an (n, 8) batch is
-    read in place; otherwise C-contiguous, transposed once at the end.
+    The result is coordinate-major for every input (``order="F"``, each
+    coordinate one contiguous row) and owns its data, so numpy can reuse
+    it as a temporary.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -549,31 +540,17 @@ def mul_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     dtype = np.result_type(a, b)
     shape = np.broadcast_shapes(a.shape, b.shape)[:-1]
     batch = shape or (1,)
-    ndim = len(batch) + 1
-    # an f_contiguous (n, 8) operand of the result dtype holds each
-    # coordinate as one contiguous row of its transpose: read it in place
-    spans = [x.ndim == ndim and x.shape[0] != 1 for x in (a, b)]
-    in_place = [
-        x.T if span and ndim == 2 and x.dtype == dtype and x.flags.f_contiguous else None
-        for x, span in zip((a, b), spans)
-    ]
-    # the result keeps that layout when every operand that spans the batch has it
-    keep = any(spans) and all(r is not None for r, span in zip(in_place, spans) if span)
+    # each operand's coordinate view, and whether it spans the batch's
+    # first axis (an operand without it, or with it at length 1, broadcasts)
+    views = [(np.moveaxis(x, -1, 0), x.ndim == len(batch) + 1 and x.shape[0] != 1) for x in (a, b)]
     step = max(1, _BLOCK_ROWS // max(1, math.prod(batch[1:])))
-    if keep:
-        out = np.empty(shape + (8,), dtype=dtype, order="F")
-        rows = out.T
-    else:
-        out = np.empty((8,) + shape, dtype=dtype)
-        rows = out.reshape((8,) + batch)  # a view, with a batch axis to block
+    out = np.empty(shape + (8,), dtype=dtype, order="F")
+    rows = np.moveaxis(out.reshape(batch + (8,)), -1, 0)  # a view, with a batch axis to block
     term = np.empty((min(step, batch[0]),) + batch[1:], dtype=dtype)
     check = True
     for lo in range(0, batch[0], step):
         hi = min(lo + step, batch[0])
-        ac, bc = (
-            x_rows[:, lo:hi] if x_rows is not None else _coordinate_major(x, ndim, lo, hi, dtype)
-            for x, x_rows in zip((a, b), in_place)
-        )
+        ac, bc = (x[:, lo:hi] if spans else x for x, spans in views)
         if check:
             plan, zeros = _block_plan(ac, bc)
             # a coordinate zero on every row of the batch is zero in block 0
@@ -598,10 +575,7 @@ def mul_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 else:
                     np.add(row, tb, out=row)
             row += 0.0
-    if keep:
-        return out
-    # an array that owns its data, so numpy can reuse it as a temporary
-    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
+    return out
 
 
 def conj_many(a: np.ndarray) -> np.ndarray:
@@ -613,8 +587,9 @@ def conj_many(a: np.ndarray) -> np.ndarray:
 
 def norm_sq_many(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
-    if a.dtype.kind != "f":
-        a = a.astype(np.float64)
+    # einsum's order of a row's eight squares follows the layout; a C
+    # copy sums them in one order whatever the operand's layout
+    a = np.ascontiguousarray(a, dtype=a.dtype if a.dtype.kind == "f" else np.float64)
     return np.einsum("...i,...i->...", a, a)
 
 

@@ -44,7 +44,14 @@ import numpy as np
 
 from .algebra import Octonion, PointLike, as_coords, mul, mul_many
 from .errors import DomainError, SingularityError
-from .regularity import FiniteDiffConfig, cauchy_kernel, central_difference, dq0_dx0, q0_many
+from .regularity import (
+    FiniteDiffConfig,
+    cauchy_kernel,
+    central_difference,
+    dq0_dx0,
+    dq0_dx0_many,
+    q0_many,
+)
 from .trig_series import (
     PeriodizedSumSpec,
     TruncationPolicy,
@@ -301,8 +308,6 @@ def szego_half_space_values(u: np.ndarray) -> np.ndarray:
 
 
 def bergman_half_space_values(u: np.ndarray) -> np.ndarray:
-    from .regularity import dq0_dx0_many
-
     return -2.0 * dq0_dx0_many(u)
 
 

@@ -10,10 +10,13 @@ on the flat regions, where the pairing is L f.
 Samples are coordinate-major: each sampler returns its (n, 8) points
 and normals as ``f_contiguous`` arrays, whose eight coordinates are each
 one contiguous row, drawn from the same Philox draws in the same order
-as row-major arrays would be.  The kernels, the test functions and
-:func:`~octomono.algebra.mul_many` keep that layout, so no product of an
-integrand moves an operand.  The layout also fixes the order in which
-numpy sums over the coordinate axis and over a chunk's rows.
+as row-major arrays would be.  The kernels and the test functions keep
+that layout, so the products of an integrand read contiguous rows.
+Every integrand ends in a :func:`~octomono.algebra.mul_many` product,
+which is coordinate-major for any operand, so the engine reduces one
+layout: each coordinate of a chunk's weighted values is summed on its
+own, and an estimate's bits do not depend on the layout a test function
+returns.
 
 The reproduction estimators take a sequence of cases (f, z) and return
 one :class:`MCResult` per case, in order; the inner products and
@@ -279,19 +282,11 @@ def _estimate(
             part_b = float(buf.sum())
             # nonzero values whose squares all underflow leave no variance
             underflow = False
-            if values.flags.f_contiguous:
-                # a coordinate at a time: a contiguous column sums in the
-                # order the columns of the (n, 8) product would
-                part_a = np.empty(8)
-                for j in range(8):
-                    np.multiply(batch.weights, values[:, j], out=buf)
-                    part_a[j] = buf.sum()
-                    underflow = underflow or (part_b == 0.0 and bool(buf.any()))
-            else:
-                weighted = batch.weights[:, None] * values
-                part_a = weighted.sum(axis=0)
-                underflow = part_b == 0.0 and bool(weighted.any())
-                del weighted
+            part_a = np.empty(8)
+            for j in range(8):  # a coordinate at a time, each summed on its own
+                np.multiply(batch.weights, values[:, j], out=buf)
+                part_a[j] = buf.sum()
+                underflow = underflow or (part_b == 0.0 and bool(buf.any()))
             shell = 0.0  # max |value| * |Im w|^decay over the outer calibration shell
             if decay:
                 if shell_y is None:

@@ -123,11 +123,6 @@ def central_difference(f: ArrayFn, zc: np.ndarray, units: np.ndarray, h: float) 
     return (ends[0] - ends[1]) / (2.0 * h)
 
 
-def partial_derivative(f: ArrayFn, z: PointLike, axis: int, h: float = 1e-5) -> PointLike:
-    """Central-difference partial along one coordinate axis, at a point or a batch."""
-    return like(z, central_difference(f, as_coords(z), _BASIS[axis], h))
-
-
 def _apply_D(src: np.ndarray, sgn: np.ndarray, f: ArrayFn, z: PointLike, h: float) -> PointLike:
     """The image at a point or at each point of a (..., 8) batch, from one call of f.
 
@@ -138,8 +133,9 @@ def _apply_D(src: np.ndarray, sgn: np.ndarray, f: ArrayFn, z: PointLike, h: floa
     rows = central_difference(f, zc[..., None, :], _BASIS, h)  # rows[..., i, :] = df/dxi
     # sum_i e_i * rows[i] (rows[i] * e_i for the right tables), added in the
     # order i = 0..7; a sum started at +0.0 gives a zero the sign the
-    # mul_many(_BASIS, rows) form gives it, so for finite rows both agree
-    # bit for bit (an inf row gives inf here where 0 * inf made NaN there)
+    # row-major product form, mul_many's bits summed over i = 0..7, gives
+    # it, so for finite rows both agree bit for bit (an inf row gives inf
+    # here where 0 * inf made NaN there)
     image = (sgn * rows[..., _ROWS, src]).sum(axis=-2, initial=0.0)
     # the gather leaves the batch axis innermost; C order lets a row's
     # np.sum add its eight coordinates in the order it does for one point

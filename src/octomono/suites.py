@@ -75,9 +75,10 @@ def algebra(trials: int, seed: int) -> list[Row]:
     # identity residuals are evaluated in 80-bit extended precision: the
     # identities hold exactly for the structure constants, and chained
     # products of magnitude ~1e5 carry ~1e-10 of double roundoff, above
-    # the 1e-11 absolute bar the checks enforce
+    # the 1e-11 absolute bar the checks enforce; coordinate-major
+    # operands give mul_many contiguous coordinate rows to read
     x, y, z = (
-        rng.uniform(-10.0, 10.0, size=(trials, 8)).astype(np.longdouble)
+        np.asfortranarray(rng.uniform(-10.0, 10.0, size=(trials, 8)), dtype=np.longdouble)
         for _ in range(3)
     )
     # table vs doubling construction on the basis products

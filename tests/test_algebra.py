@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -162,6 +163,12 @@ def assert_same_bits(got, want):
         assert np.array_equal(got.view(uint), want.view(uint))
 
 
+def assert_coordinate_major(got):
+    """Each coordinate is one contiguous row, in an array that owns its
+    data, so numpy can reuse it as a temporary."""
+    assert got.flags.f_contiguous and got.flags.owndata
+
+
 def assert_same_bits_but_nan_sign(got, want):
     """assert_same_bits, except that a NaN may have either sign.
 
@@ -182,7 +189,8 @@ class TestMulManyBitIdentity:
         a = rng.uniform(-5, 5, (300, 8)).astype(dtype)
         b = rng.uniform(-5, 5, (300, 8)).astype(dtype)
         got = mul_many(a, b)
-        assert got.dtype == dtype and got.flags.c_contiguous
+        assert got.dtype == dtype
+        assert_coordinate_major(got)
         assert_same_bits(got, mul_many_reference(a, b))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
@@ -241,8 +249,7 @@ class TestMulManyAcrossBlocks:
         a = rng.uniform(-5, 5, (n, 8))
         b = rng.uniform(-5, 5, (n, 8))
         got = mul_many(a, b)
-        # an array that owns its data, so numpy can reuse it as a temporary
-        assert got.flags.c_contiguous and got.flags.owndata
+        assert_coordinate_major(got)
         assert_same_bits(got, mul_many_reference(a, b))
 
     @pytest.mark.parametrize("dtype", [np.longdouble, np.float32])
@@ -268,7 +275,7 @@ class TestMulManyAcrossBlocks:
         a = rng.standard_normal(a_shape)
         b = rng.standard_normal(b_shape)
         got = mul_many(a, b)
-        assert got.flags.c_contiguous
+        assert_coordinate_major(got)
         assert_same_bits(got, mul_many_reference(a, b))
 
     def test_non_contiguous_views(self, rng):
@@ -309,16 +316,14 @@ class TestMulManyAcrossBlocks:
 
 
 class TestMulManyLayout:
-    """The result's layout follows the operands', like numpy's order="K"."""
+    """Every operand is read in place, and the result is coordinate-major."""
 
     @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1])
     def test_coordinate_major_operands_give_a_coordinate_major_result(self, rng, n):
         a = np.asfortranarray(rng.uniform(-5, 5, (n, 8)))
         b = np.asfortranarray(rng.uniform(-5, 5, (n, 8)))
         got = mul_many(a, b)
-        # written in place through its coordinate rows, and still an
-        # array that owns its data, so numpy can reuse it as a temporary
-        assert got.flags.f_contiguous and not got.flags.c_contiguous and got.flags.owndata
+        assert_coordinate_major(got)
         assert_same_bits(got, mul_many_reference(a, b))
 
     @pytest.mark.parametrize("row_first", [True, False])
@@ -327,7 +332,7 @@ class TestMulManyLayout:
         row = rng.standard_normal(8)
         a, b = (row, rows) if row_first else (rows, row)
         got = mul_many(a, b)
-        assert got.flags.f_contiguous and got.flags.owndata
+        assert_coordinate_major(got)
         assert_same_bits(got, mul_many_reference(a, b))
 
     @pytest.mark.parametrize(
@@ -337,34 +342,59 @@ class TestMulManyLayout:
             ("F", "C"),
             ("C", "F"),
             ("F rank 3", "F rank 3"),
+            ("C rank 3", "point"),
             ("longdouble C", "F"),
+            ("float32 C", "F"),
+            ("point", "point"),
         ],
     )
-    def test_other_inputs_give_a_row_major_result(self, rng, a, b):
+    def test_every_input_gives_a_coordinate_major_result(self, rng, a, b):
         def operand(kind):
             x = rng.standard_normal((2 * B + 1, 8))
             if "rank 3" in kind:
                 x = rng.standard_normal((B + 1, 2, 8))
+            if kind == "point":
+                x = rng.standard_normal(8)
             if "longdouble" in kind:
                 x = x.astype(np.longdouble)
+            if "float32" in kind:
+                x = x.astype(np.float32)
             return np.asfortranarray(x) if kind.startswith("F") else x
 
         x, y = operand(a), operand(b)
         got = mul_many(x, y)
-        assert got.flags.c_contiguous and got.flags.owndata
+        assert_coordinate_major(got)
         assert_same_bits(got, mul_many_reference(x, y))
 
-    def test_coordinate_major_product_moves_no_operand(self, rng, monkeypatch):
-        a = np.asfortranarray(rng.standard_normal((2 * B + 1, 8)))
-        b = np.asfortranarray(rng.standard_normal((2 * B + 1, 8)))
-
-        def refuse(*args):
-            raise AssertionError("a coordinate-major operand was moved")
-
-        monkeypatch.setattr(algebra, "_coordinate_major", refuse)
-        got = mul_many(a, b)
-        monkeypatch.undo()
+    @pytest.mark.parametrize("layout", ["row-major", "coordinate-major", "broadcast row"])
+    def test_operands_are_read_in_place(self, rng, layout):
+        # the peak is the result and one block's term buffer: no operand
+        # is moved or copied, and the result is not transposed at the end
+        n = 2 * B + 1
+        a = rng.standard_normal((n, 8))
+        b = rng.standard_normal((n, 8))
+        if layout == "coordinate-major":
+            a, b = np.asfortranarray(a), np.asfortranarray(b)
+        elif layout == "broadcast row":
+            a = rng.standard_normal(8)
+        mul_many(a, b)  # the plan cache and numpy's first-call state
+        tracemalloc.start()
+        try:
+            got = mul_many(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= got.nbytes + B * got.itemsize + 16 * 1024
         assert_same_bits(got, mul_many_reference(a, b))
+
+
+class TestNormLayout:
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_norm_many_does_not_depend_on_layout(self, rng, dtype):
+        x = rng.uniform(-10.0, 10.0, (2 * B + 1, 8)).astype(dtype)
+        # a coordinate-major copy, and a row-major view with a row stride of 16
+        for y in (np.asfortranarray(x), np.hstack([x, x])[:, :8]):
+            assert_same_bits(norm_many(y), norm_many(x))
 
 
 # a small block, so that every example spans several
