@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 
@@ -54,7 +55,8 @@ def _write_csv(path: str, rows: list[suites.Row]) -> None:
             writer.writerow([r.name, *map(_cell, (r.d, r.value, r.target, r.residual))])
 
 
-def _report(args, params: dict, rows: list[suites.Row], t0: float) -> int:
+def _report(args, params: dict, rows: list[suites.Row], t0: float) -> str:
+    """The JSON report; writes the CSV first if ``--csv`` asks for it."""
     elapsed_ms = int((time.monotonic() - t0) * 1000.0)
     if args.csv:
         # written before the JSON, so a path that cannot be opened leaves stdout empty
@@ -68,8 +70,7 @@ def _report(args, params: dict, rows: list[suites.Row], t0: float) -> int:
         "results": results,
         "elapsed_ms": elapsed_ms,
     }
-    print(json.dumps(report, indent=2))
-    return 1 if any(r.passed is False for r in rows) else 0
+    return json.dumps(report, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +216,20 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         params, rows = args.func(args)
-        return _report(args, params, rows, t0)
+        report = _report(args, params, rows, t0)
     except (DomainError, SingularityError, PolicyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        print(report)
+        sys.stdout.flush()  # here, so a closed pipe raises inside the try
+    except BrokenPipeError:
+        # the reader stopped early (``| head``); point stdout at devnull so
+        # that the flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return 1 if any(r.passed is False for r in rows) else 0
 
 
 if __name__ == "__main__":

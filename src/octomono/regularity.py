@@ -76,8 +76,10 @@ def q0_many(points: np.ndarray) -> np.ndarray:
     if np.any(r2 < _MIN_NORM_SQ):
         raise SingularityError("Cauchy kernel evaluated too close to 0")
     r8 = (r2 * r2) ** 2
-    out = -p / r8[..., None]
-    out[..., 0] *= -1.0
+    out = p / r8[..., None]
+    # IEEE division is symmetric in sign, so negating the quotient gives
+    # the bits of -p / r8 without a negated copy of p
+    np.negative(out[..., 1:], out=out[..., 1:])
     return out
 
 

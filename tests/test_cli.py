@@ -3,13 +3,18 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import octomono
 from octomono import suites
 from octomono.cli import _write_csv, main
 from octomono.suites import Row, trig_points
@@ -67,6 +72,26 @@ class TestReportShape:
         _, after = run_cli(capsys, "algebra", "--trials", "100", "--seed", "7")
         assert strip_elapsed(before) == strip_elapsed(after)
         assert json.loads(before)["seed"] == 7
+
+
+class TestClosedPipe:
+    def test_a_reader_that_stops_early_gets_the_exit_code_and_no_traceback(self, capsys):
+        # as under `octomono ... | head -1`: the pipe's read end is closed
+        # before the report is written
+        src = str(Path(octomono.__file__).resolve().parents[1])
+        path = [src, os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "octomono.cli", *BALL_MC],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert code == run_cli(capsys, *BALL_MC)[0]
 
 
 class TestDeterminism:

@@ -1,5 +1,7 @@
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -226,6 +228,27 @@ class TestEngine:
                 sq += (r.value - Octonion(1.0)).norm() ** 2
             rms[n] = math.sqrt(sq / 6.0)
         assert rms[200_000] / rms[50_000] <= 0.7
+
+    def test_chunk_samples_are_freed_without_the_cycle_collector(self, monkeypatch, small_blocks):
+        # a reference cycle through the engine's closures would hold every
+        # chunk's samples until the cycle collector happens to run
+        refs = []
+        original = quadrature._chunk_batch
+
+        def recording(region, cfg, i):
+            batch = original(region, cfg, i)
+            refs.append(weakref.ref(batch.points))
+            return batch
+
+        monkeypatch.setattr(quadrature, "_chunk_batch", recording)
+        gc.disable()
+        try:
+            cfg = McConfig(samples=15_000, chunk=5_000)
+            cauchy_formula_reproduce([(ONE, Octonion(0.0, 0.3))], cfg)
+            alive = [ref for ref in refs if ref() is not None]
+        finally:
+            gc.enable()
+        assert len(refs) == 3 and alive == []
 
     def test_estimators_reject_zero_samples(self):
         with pytest.raises(DomainError):
@@ -506,6 +529,61 @@ def _assert_matches(got, want, cfg):
     assert got.samples == cfg.samples
 
 
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Engine blocks of at most 1,000 rows, so every chunk of the engine
+    configurations above crosses several blocks."""
+    monkeypatch.setattr(quadrature, "_BLOCK_ROWS", 1_000)
+
+
+class TestPairwiseBlocks:
+    """The engine's blocks follow numpy's pairwise-summation tree."""
+
+    @pytest.mark.parametrize("block", [quadrature._BLOCK_ROWS, 1_000, 129])
+    @pytest.mark.parametrize(
+        "n", [1, 7, 8, 9, 127, 128, 129, 5_000, 10_000, 32_768, 32_769, 82_496, 131_072]
+    )
+    def test_block_sums_added_up_the_tree_have_the_bits_of_the_whole_sum(
+        self, n, block, monkeypatch
+    ):
+        monkeypatch.setattr(quadrature, "_BLOCK_ROWS", block)
+        rng = np.random.default_rng(n)
+        x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+        x[rng.random(n) < 0.1] = 0.0
+        x[rng.random(n) < 0.1] = -0.0
+        blocks = []
+
+        def leaf(lo, hi):
+            blocks.append((lo, hi))
+            return x[lo:hi].sum()
+
+        got = quadrature._tree_reduce(n, leaf, lambda a, b: a + b)
+        assert _bits(got) == _bits(x.sum())
+        # the blocks tile the rows in order, none longer than the bound
+        assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+        assert blocks[-1][1] == n
+        assert max(hi - lo for lo, hi in blocks) <= block
+
+    @pytest.mark.parametrize("n", [7, 5_000, 82_496])
+    def test_a_sum_of_negative_zeros_is_positive_zero_as_numpy_gives_it(self, n, small_blocks):
+        x = np.full(n, -0.0)
+        got = quadrature._tree_reduce(n, lambda lo, hi: x[lo:hi].sum(), lambda a, b: a + b)
+        assert _bits(got) == _bits(x.sum()) == _bits(0.0)
+
+    def test_adding_parts_keeps_a_nan_shell_statistic_from_either_side(self):
+        zeros = np.zeros(8)
+        for left, right in ((1.0, math.nan), (math.nan, 1.0)):
+            ((_, _, shell, _),) = quadrature._add_parts(
+                [(zeros, 0.0, left, False)], [(zeros, 0.0, right, False)]
+            )
+            assert math.isnan(shell)
+
+    def test_a_default_chunk_is_four_blocks_of_32768_rows(self):
+        blocks = []
+        quadrature._tree_reduce(131_072, lambda lo, hi: blocks.append(hi - lo), lambda a, b: None)
+        assert blocks == [32_768] * 4
+
+
 class TestEngineBitIdentity:
     """Every estimator against its pre-engine form in ``oracles``, bit for bit."""
 
@@ -526,6 +604,13 @@ class TestEngineBitIdentity:
         assert [str(w.message) for w in caught] == ([want_msg] if want_msg else [])
         # the warning names the estimator's caller, not the engine
         assert all(w.filename == __file__ for w in caught)
+
+    @pytest.mark.parametrize(
+        "cfg", ENGINE_CONFIGS, ids=lambda c: f"n{c.samples}-c{c.chunk}-R{c.radius}-t{c.threads}"
+    )
+    @pytest.mark.parametrize("case", sorted(ESTIMATOR_CASES))
+    def test_matches_reference_in_small_blocks(self, case, cfg, small_blocks):
+        self.test_matches_reference(case, cfg)
 
     def test_small_radius_config_warns_for_every_flat_estimator(self):
         # guards the configuration above: the warning path is exercised
@@ -583,6 +668,15 @@ class TestMultiCaseCalls:
         # one warning per case that raises one alone, in case order
         assert [str(w.message) for w in caught] == [w[3] for w in wants if w[3]]
         assert all(w.filename == __file__ for w in caught)
+
+    @pytest.mark.parametrize(
+        "cfg", ENGINE_CONFIGS[:3], ids=lambda c: f"n{c.samples}-c{c.chunk}-R{c.radius}-t{c.threads}"
+    )
+    @pytest.mark.parametrize("case", sorted(MULTI_CASES))
+    def test_each_case_matches_its_single_case_oracle_in_small_blocks(
+        self, case, cfg, small_blocks
+    ):
+        self.test_each_case_matches_its_single_case_oracle(case, cfg)
 
     def test_strip_kernel_rows_are_built_once_per_run_of_equal_z(self, monkeypatch):
         built = []

@@ -33,6 +33,22 @@ class TestCauchyKernel:
         pts = _points_away_from_origin(rng, 50, 0.3, 3.0)
         assert np.allclose(q0_many(pts), q0_inline(pts), rtol=1e-14, atol=0)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_has_the_bits_of_the_negated_quotient(self, rng, order):
+        # conj(p)/|p|^8 as -p / |p|^8 with coordinate 0 negated back, on
+        # magnitudes from 1e-20 to 1e20 and signed zeros in coordinates 0-6
+        pts = _points_away_from_origin(rng, 400) * 10.0 ** rng.integers(-20, 21, (400, 1))
+        zeros = rng.random((400, 7))
+        pts[:, :7][zeros < 0.2] = 0.0
+        pts[:, :7][zeros > 0.8] = -0.0
+        p = np.asarray(pts, order=order)
+        r2 = np.einsum("...i,...i->...", p, p)
+        r8 = (r2 * r2) ** 2
+        want = -p / r8[:, None]
+        want[:, 0] *= -1.0
+        got = q0_many(p)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_homogeneity_degree_minus_7(self, rng):
         pts = _points_away_from_origin(rng, 20)
         for lam in (0.5, 2.0, 7.0):
