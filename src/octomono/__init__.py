@@ -13,7 +13,6 @@ from .algebra import (
     associator,
     commutator,
     conj,
-    dot,
     format_octonion,
     inverse,
     mul,
@@ -32,7 +31,6 @@ __all__ = [
     "associator",
     "commutator",
     "conj",
-    "dot",
     "format_octonion",
     "inverse",
     "mul",

@@ -121,7 +121,12 @@ class Octonion:
         return Octonion(c[0], -c[1], -c[2], -c[3], -c[4], -c[5], -c[6], -c[7])
 
     def norm_sq(self) -> float:
-        return sum(x * x for x in self._c)
+        # in coordinate order, as norm_sq_many adds a row; the builtin sum
+        # compensates a float sum from Python 3.12 on
+        s = 0.0
+        for x in self._c:
+            s += x * x
+        return s
 
     def norm(self) -> float:
         return self.norm_sq() ** 0.5
@@ -283,11 +288,6 @@ def inverse(a: Octonion) -> Octonion:
 
 def norm(a: Octonion) -> float:
     return a.norm()
-
-
-def dot(a: Octonion, b: Octonion) -> float:
-    """Euclidean inner product of the coordinate vectors."""
-    return sum(x * y for x, y in zip(a.coords, b.coords))
 
 
 def associator(a: Octonion, b: Octonion, c: Octonion) -> Octonion:
@@ -586,11 +586,26 @@ def conj_many(a: np.ndarray) -> np.ndarray:
 
 
 def norm_sq_many(a: np.ndarray) -> np.ndarray:
+    """Squared norms of the rows of a (..., k) array: the package's one squared norm.
+
+    Each row's squares are added in coordinate order 0..k-1, whatever the
+    operand's layout, dtype or row count, so a row's bits equal
+    :meth:`Octonion.norm_sq` and do not depend on the batch it sits in.
+    ``einsum`` adds coordinate by coordinate only where each coordinate
+    is a contiguous run of at least two rows; a one-row array is both C-
+    and F-contiguous and takes its vector kernel, which adds in another
+    order.  Every other operand accumulates over the coordinate view.
+    """
     a = np.asarray(a)
-    # einsum's order of a row's eight squares follows the layout; a C
-    # copy sums them in one order whatever the operand's layout
-    a = np.ascontiguousarray(a, dtype=a.dtype if a.dtype.kind == "f" else np.float64)
-    return np.einsum("...i,...i->...", a, a)
+    if a.dtype.kind != "f":
+        a = a.astype(np.float64)
+    if a.ndim == 2 and len(a) > 1 and a.strides[0] == a.itemsize:
+        return np.einsum("ij,ij->i", a, a)
+    cols = np.moveaxis(a, -1, 0)
+    out = cols[0] * cols[0]
+    for col in cols[1:]:
+        out += col * col
+    return out
 
 
 def norm_many(a: np.ndarray) -> np.ndarray:

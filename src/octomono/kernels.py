@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Octonion, PointLike, as_coords, mul, mul_many
+from .algebra import Octonion, PointLike, as_coords, mul, mul_many, norm_sq_many
 from .errors import DomainError, SingularityError
 from .regularity import (
     FiniteDiffConfig,
@@ -164,8 +164,8 @@ def bergman_unit_ball_potential_residual(
         pts = np.asarray(points, dtype=np.float64)
         u = -mul_many(pts, np.array(zo.conjugate().coords))
         u[..., 0] += 1.0
-        n2 = np.einsum("...i,...i->...", u, u)
-        w2 = np.einsum("...i,...i->...", pts, pts)
+        n2 = norm_sq_many(u)
+        w2 = norm_sq_many(pts)
         return (1.0 - zn2 * w2) / n2**4
 
     grad = central_difference(potential, wo.to_array(), np.eye(8), fd.h)
@@ -247,16 +247,12 @@ def strip_relation_residual(
     w: PointLike,
     domain: StripDomain,
     policy: TruncationPolicy = TruncationPolicy(),
-    method: str = "analytic",
-    fd: FiniteDiffConfig = FiniteDiffConfig(),
 ) -> float:
     """|B(z/2, w/2) - B((z+d)/2, (w+d)/2) + 512 d/dx0 S(z, w)|.
 
     Halving maps the strip into itself, so both volume kernel terms stay
-    admissible whenever z and w are interior.  ``method='analytic'``
-    differentiates the boundary series term by term;  ``method='fd'``
-    uses a central difference of the boundary kernel in the first
-    argument's real coordinate.
+    admissible whenever z and w are interior.  d/dx0 S is the boundary
+    series differentiated term by term.
     """
     zo, wo, u = _strip_argument(z, w, domain)
 
@@ -264,19 +260,8 @@ def strip_relation_residual(
         bergman_strip(zo * 0.5, wo * 0.5, domain, policy).value
         - bergman_strip((zo + domain.d) * 0.5, (wo + domain.d) * 0.5, domain, policy).value
     )
-    if method == "analytic":
-        ds = periodized_deriv_sum(
-            u, PeriodizedSumSpec(2.0 * domain.d, alternating=True), policy
-        )
-        rhs = ds.value * -512.0
-    elif method == "fd":
-        h = fd.h
-        plus = szego_strip(zo + h, wo, domain, policy).value
-        minus = szego_strip(zo - h, wo, domain, policy).value
-        rhs = (plus - minus) * (-512.0 / (2.0 * h))
-    else:
-        raise ValueError(f"method must be 'analytic' or 'fd', got {method!r}")
-    return (lhs - rhs).norm()
+    ds = periodized_deriv_sum(u, PeriodizedSumSpec(2.0 * domain.d, alternating=True), policy)
+    return (lhs - ds.value * -512.0).norm()
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +300,7 @@ def _ball_argument(z: Octonion, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """u = 1 - conj(z) w (n, 8) and |u|^2 (n,), refusing a singular row."""
     u = mul_many(np.array(z.conjugate().coords), np.asarray(w, dtype=np.float64))
     np.subtract(_ONE, u, out=u)  # in place, so no second (n, 8) array is live
-    n2 = np.einsum("ij,ij->i", u, u)
+    n2 = norm_sq_many(u)
     if np.any(n2 < 1e-24):
         raise SingularityError(
             f"1 - conj(z) w is singular, |u| = {math.sqrt(float(n2.min())):.3e}"
@@ -334,7 +319,7 @@ def bergman_ball_values(z: Octonion, w: np.ndarray) -> np.ndarray:
     """Volume kernel rows B(z, w_k) for fixed z and sample points w (n, 8)."""
     w = np.asarray(w, dtype=np.float64)
     u, n2 = _ball_argument(z, w)
-    w2 = np.einsum("ij,ij->i", w, w)
+    w2 = norm_sq_many(w)
     bracket = 2.0 * u
     bracket[:, 0] += 6.0 * (1.0 - z.norm_sq() * w2)
     rows = mul_many(bracket, u)

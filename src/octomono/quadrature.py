@@ -69,7 +69,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .algebra import Octonion, conj_many, mul_many
+from .algebra import Octonion, conj_many, mul_many, norm_many, norm_sq_many
 from .errors import DomainError
 from .kernels import (
     StripDomain,
@@ -146,6 +146,9 @@ Case = tuple[object, Octonion]
 
 def _directions(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     g = rng.standard_normal((count, dim))
+    # einsum's own order on the row-major draws, not norm_sq_many's: these
+    # norms are part of the seeded sample stream, and every sample and
+    # report would move with them
     n = np.sqrt(np.einsum("ij,ij->i", g, g))
     n[n == 0.0] = 1.0
     return np.divide(g, n[:, None], out=np.empty((dim, count)).T)
@@ -351,8 +354,18 @@ def _estimate(
         parts = []
         shell_y = None  # |Im w|^decay on the outer calibration shell, and the shell's mask
         for values in integrand(block):
-            # the weighted squares, then one coordinate's weighted values
-            buf = np.einsum("ij,ij->i", values, values)
+            buf = norm_sq_many(values)  # the squared norms, for the shell too
+            shell = 0.0  # max |value| * |Im w|^decay over the outer calibration shell
+            if decay:
+                if shell_y is None:
+                    y = norm_many(block.points[:, 1:])
+                    mask = y > SHELL_FRACTION * cfg.radius
+                    shell_y = y[mask] ** decay, mask
+                    del y
+                y_decay, mask = shell_y
+                if y_decay.size:
+                    shell = float((np.sqrt(buf[mask]) * y_decay).max())
+            # then the weighted squares, then one coordinate's weighted values
             buf *= w2
             part_b = float(buf.sum())
             nonzero = False
@@ -361,19 +374,6 @@ def _estimate(
                 np.multiply(block.weights, values[:, j], out=buf)
                 part_a[j] = buf.sum()
                 nonzero = nonzero or (part_b == 0.0 and bool(buf.any()))
-            shell = 0.0  # max |value| * |Im w|^decay over the outer calibration shell
-            if decay:
-                if shell_y is None:
-                    y = np.sqrt(np.einsum("ij,ij->i", block.points[:, 1:], block.points[:, 1:]))
-                    mask = y > SHELL_FRACTION * cfg.radius
-                    shell_y = y[mask] ** decay, mask
-                    del y
-                y_decay, mask = shell_y
-                if y_decay.size:
-                    shell_rows = values[mask]
-                    mags = np.sqrt(np.einsum("ij,ij->i", shell_rows, shell_rows))
-                    shell = float((mags * y_decay).max())
-                    del shell_rows, mags
             parts.append((part_a, part_b, shell, nonzero))
             del values, buf  # before the next case's rows are built
         return parts
@@ -511,7 +511,7 @@ def _conj_of(g) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _unit_rows(points: np.ndarray) -> np.ndarray:
-    n = np.sqrt(np.einsum("ij,ij->i", points, points))
+    n = norm_many(points)
     safe = n > 1e-12
     unit = np.zeros_like(points)
     np.divide(points, n[:, None], out=unit, where=safe[:, None])

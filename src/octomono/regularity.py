@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Union
 
 import numpy as np
 
-from .algebra import MUL_IDX, MUL_SGN, PointLike, as_coords, like
+from .algebra import MUL_IDX, MUL_SGN, PointLike, as_coords, like, norm_many, norm_sq_many
 from .errors import DomainError, SingularityError
 
 ArrayFn = Callable[[np.ndarray], np.ndarray]
@@ -72,7 +72,7 @@ class FunctionHandle:
 def q0_many(points: np.ndarray) -> np.ndarray:
     """Cauchy kernel conj(z)/|z|^8 on a coordinate array (..., 8)."""
     p = np.asarray(points, dtype=np.float64)
-    r2 = np.einsum("...i,...i->...", p, p)
+    r2 = norm_sq_many(p)
     if np.any(r2 < _MIN_NORM_SQ):
         raise SingularityError("Cauchy kernel evaluated too close to 0")
     r8 = (r2 * r2) ** 2
@@ -91,7 +91,7 @@ def cauchy_kernel(z: PointLike) -> PointLike:
 def dq0_dx0_many(points: np.ndarray) -> np.ndarray:
     """First-coordinate partial of the Cauchy kernel, in closed form."""
     p = np.asarray(points, dtype=np.float64)
-    r2 = np.einsum("...i,...i->...", p, p)
+    r2 = norm_sq_many(p)
     if np.any(r2 < _MIN_NORM_SQ):
         raise SingularityError("Cauchy kernel derivative too close to 0")
     r8 = (r2 * r2) ** 2
@@ -139,9 +139,7 @@ def _apply_D(src: np.ndarray, sgn: np.ndarray, f: ArrayFn, z: PointLike, h: floa
     # it, so for finite rows both agree bit for bit (an inf row gives inf
     # here where 0 * inf made NaN there)
     image = (sgn * rows[..., _ROWS, src]).sum(axis=-2, initial=0.0)
-    # the gather leaves the batch axis innermost; C order lets a row's
-    # np.sum add its eight coordinates in the order it does for one point
-    return like(z, np.ascontiguousarray(image))
+    return like(z, image)
 
 
 def apply_D_left(f: ArrayFn, z: PointLike, h: float = 1e-5) -> PointLike:
@@ -182,5 +180,5 @@ def o_regularity_residual(
     for lo in range(0, len(zs), _POINTS_PER_CALL):
         image = apply(f, zs[lo : lo + _POINTS_PER_CALL], h)
         # np.max keeps a NaN norm, where the builtin max(0.0, nan) would drop it
-        worst = np.max(np.sqrt(np.sum(image * image, axis=-1)), initial=worst)
+        worst = np.max(norm_many(image), initial=worst)
     return float(worst)

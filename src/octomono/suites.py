@@ -129,6 +129,8 @@ def trig_points(rng: np.random.Generator, count: int) -> np.ndarray:
     pts = np.empty((count, 8))
     pts[:, 0] = rng.uniform(-2.0, 2.0, size=count)
     dirs = rng.standard_normal((count, 7))
+    # einsum's own order on the row-major draws, not norm_sq_many's: the
+    # points are a seeded stream, and every trig report would move with it
     dirs /= np.sqrt(np.einsum("ij,ij->i", dirs, dirs))[:, None]
     pts[:, 1:] = dirs * rng.uniform(0.8, 1.6, size=count)[:, None]
     return pts
@@ -174,7 +176,7 @@ def trig(points: int, seed: int, policy: TruncationPolicy, fd: FiniteDiffConfig)
     c_half = cot(0.5 * pts, policy)
     t_half = tan(0.5 * pts, policy)
     se = sec(pts, policy)
-    cscrel = np.linalg.norm(s.value - c_half.value / 64.0 + c.value, axis=1)
+    cscrel = norm_many(s.value - c_half.value / 64.0 + c.value)
     cr = combined_relation_gaps(c, c2, t, s, t_half)
 
     # each identity's residuals with the (coefficient, lattice sum) terms it combines
@@ -193,7 +195,7 @@ def trig(points: int, seed: int, policy: TruncationPolicy, fd: FiniteDiffConfig)
         Row("combined_against_two_cot_max", _worst(cr.against_two_cot)),
     ]
 
-    f_max = max(_worst(np.linalg.norm(r.value, axis=1)) for r in (c, t, s, se))
+    f_max = max(_worst(norm_many(r.value)) for r in (c, t, s, se))
     fd_tol = _fd_tolerance(fd.h, f_max)
     for name, fn in (("cot", cot), ("tan", tan), ("csc", csc), ("sec", sec)):
         resid = o_regularity_residual(lambda a, fn=fn: fn(a, policy).value, pts, h=fd.h)

@@ -166,7 +166,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .algebra import PointLike, as_coords, like
+from .algebra import PointLike, as_coords, like, norm_many, norm_sq_many
 from .errors import DomainError, PolicyError, SingularityError
 
 # Distance from a lattice pole below which evaluation is refused.
@@ -452,7 +452,7 @@ def _lattice_sum(
     """
     u0 = u[:, 0]
     uim = u[:, 1:]
-    s2 = np.einsum("ij,ij->i", uim, uim)
+    s2 = norm_sq_many(uim)
     max_norm = math.sqrt(float(np.max(u0 * u0 + s2, initial=0.0)))
     if not math.isfinite(max_norm):
         raise DomainError("lattice sum argument is not finite")
@@ -542,7 +542,7 @@ def duplication_gap(
 
     tan(z) is -cot(z + pi/2), so subtracting it adds cot(z + pi/2).
     """
-    return np.linalg.norm(128.0 * cot_2z.value - (cot_z.value - tan_z.value), axis=-1)
+    return norm_many(128.0 * cot_2z.value - (cot_z.value - tan_z.value))
 
 
 class CombinedRelationResiduals(NamedTuple):
@@ -567,6 +567,6 @@ def combined_relation_gaps(
     dup = 128.0 * cot_2z.value
     two_cot = 2.0 * cot_z.value - dup
     return CombinedRelationResiduals(
-        against_duplication=np.linalg.norm(combo - dup, axis=-1),
-        against_two_cot=np.linalg.norm(combo - two_cot, axis=-1),
+        against_duplication=norm_many(combo - dup),
+        against_two_cot=norm_many(combo - two_cot),
     )

@@ -39,6 +39,16 @@ SPHERE6_AREA = 16.0 * np.pi**3 / 15.0
 REPRO_CONST = 3.0 / np.pi**4
 
 
+def norm_sq_reference(a: np.ndarray) -> np.ndarray:
+    """Squared norms of the rows of a (..., k) array, each row's squares
+    added one coordinate at a time in the order 0..k-1."""
+    a = np.asarray(a)
+    out = a[..., 0] * a[..., 0]
+    for k in range(1, a.shape[-1]):
+        out = out + a[..., k] * a[..., k]
+    return out
+
+
 def q0_inline(p: np.ndarray) -> np.ndarray:
     """conj(p)/|p|^8 written out directly."""
     p = np.asarray(p, dtype=np.float64)
@@ -177,7 +187,7 @@ def szego_strip_values_reference(
     n_side, tail = end_corrected_count(np.abs(u[:, 0]).max(), step, 63.0, 3.5, 3, tail_tol)
     u0 = u[:, 0]
     uim = u[:, 1:]
-    s2 = np.einsum("ij,ij->i", uim, uim)
+    s2 = norm_sq_reference(uim)
     acc_re = np.zeros_like(u0)
     acc_im = np.zeros_like(u0)
     for k in range(-n_side, n_side + 1):
@@ -211,7 +221,7 @@ def bergman_strip_values_reference(
     )
     u0 = u[:, 0]
     uim = u[:, 1:]
-    s2 = np.einsum("ij,ij->i", uim, uim)
+    s2 = norm_sq_reference(uim)
     acc_re = np.zeros_like(u0)
     acc_im = np.zeros_like(u0)
     for k in range(-n_side, n_side + 1):
@@ -270,8 +280,8 @@ def bergman_unit_ball_potential_residual_reference(
         pts = np.asarray(points, dtype=np.float64)
         u = -mul_many(pts, np.array(z.conjugate().coords))
         u[..., 0] += 1.0
-        n2 = np.einsum("...i,...i->...", u, u)
-        w2 = np.einsum("...i,...i->...", pts, pts)
+        n2 = norm_sq_reference(u)
+        w2 = norm_sq_reference(pts)
         return (1.0 - zn2 * w2) / n2**4
 
     eye = np.eye(8)
@@ -511,14 +521,14 @@ def _accumulate_reference(sampler, integrand, cfg):
         rng = np.random.Generator(np.random.Philox(seed))
         batch = sampler(rng, min(cfg.chunk, cfg.samples - start), start, cfg.samples)
         # the package keeps samples coordinate-major, and numpy sums the
-        # norms and the chunk reduction in an order set by the layout; the
-        # same values in the same layout give the same bits
+        # chunk reduction in an order set by the layout; the same values in
+        # the same layout give the same bits
         normals = None if batch.normals is None else np.asfortranarray(batch.normals)
         batch = SampleBatch(np.asfortranarray(batch.points), batch.weights, normals)
         values, aux = integrand(batch)
         weighted = batch.weights[:, None] * values
         part_a = weighted.sum(axis=0)
-        part_b = float((batch.weights**2 * np.einsum("ij,ij->i", values, values)).sum())
+        part_b = float((batch.weights**2 * norm_sq_reference(values)).sum())
         parts.append((part_a, part_b, aux))
     total_a = np.zeros(8)
     total_b = 0.0
@@ -545,11 +555,11 @@ def _result_reference(total_a, total_b, cfg, const, tail_est=0.0):
 
 
 def _shell_stat_reference(values, points, radius, decay):
-    y = np.sqrt(np.einsum("ij,ij->i", points[:, 1:], points[:, 1:]))
+    y = np.sqrt(norm_sq_reference(points[:, 1:]))
     mask = y > _SHELL_FRACTION * radius
     if not mask.any():
         return 0.0
-    mags = np.sqrt(np.einsum("ij,ij->i", values[mask], values[mask]))
+    mags = np.sqrt(norm_sq_reference(values[mask]))
     return float((mags * y[mask] ** decay).max())
 
 
@@ -566,7 +576,7 @@ def _flat_reference(sampler, integrand, cfg, decay, width):
 
 
 def _unit_rows_reference(points):
-    n = np.sqrt(np.einsum("ij,ij->i", points, points))
+    n = np.sqrt(norm_sq_reference(points))
     unit = np.zeros_like(points)
     safe = n > 1e-12
     unit[safe] = points[safe] / n[safe, None]

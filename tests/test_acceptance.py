@@ -276,9 +276,7 @@ def test_06_kernel_derivative_relations(capsys):
         w[1:] = rng.normal(size=7) * 0.3
         an_worst = max(
             an_worst,
-            strip_relation_residual(
-                Octonion(*z), Octonion(*w), dom, POLICY, method="analytic"
-            ),
+            strip_relation_residual(Octonion(*z), Octonion(*w), dom, POLICY),
         )
     ok = fd_worst < 1e-6 and an_worst < 1e-8
     _report(

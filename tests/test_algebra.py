@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import octonions, random_octonions
-from oracles import MUL_TABLE, mul_many_reference
+from oracles import MUL_TABLE, mul_many_reference, norm_sq_reference
 from octomono import algebra
 from octomono.algebra import (
     Octonion,
@@ -14,13 +14,13 @@ from octomono.algebra import (
     commutator,
     conj,
     conj_many,
-    dot,
     format_octonion,
     inverse,
     mul,
     mul_cayley_dickson,
     mul_many,
     norm_many,
+    norm_sq_many,
     parse_octonion,
 )
 from octomono.errors import DomainError
@@ -124,12 +124,6 @@ class TestAlgebraIdentities:
     def test_inverse_of_zero_raises(self):
         with pytest.raises(DomainError):
             inverse(Octonion())
-
-    @given(octonions(), octonions())
-    def test_dot_polarization(self, x, y):
-        direct = dot(x, y)
-        polar = 0.25 * ((x + y).norm_sq() - (x - y).norm_sq())
-        assert abs(direct - polar) <= 1e-9 * max(x.norm() * y.norm(), 1.0)
 
 
 class TestBatchHelpers:
@@ -389,12 +383,35 @@ class TestMulManyLayout:
 
 
 class TestNormLayout:
+    """norm_sq_many adds each row's squares in coordinate order 0..k-1: by
+    einsum on coordinate-major blocks of two or more rows, by accumulation
+    over the coordinate view elsewhere, with the same bits either way."""
+
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
-    def test_norm_many_does_not_depend_on_layout(self, rng, dtype):
-        x = rng.uniform(-10.0, 10.0, (2 * B + 1, 8)).astype(dtype)
-        # a coordinate-major copy, and a row-major view with a row stride of 16
-        for y in (np.asfortranarray(x), np.hstack([x, x])[:, :8]):
-            assert_same_bits(norm_many(y), norm_many(x))
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 128, 32_768])
+    def test_norm_many_does_not_depend_on_layout(self, rng, dtype, n):
+        # magnitudes from 1e-8 to 1e8, so that any other order of the
+        # additions shows in the last bits
+        x = rng.uniform(-1.0, 1.0, (n, 8)) * 10.0 ** rng.uniform(-8.0, 8.0, (n, 8))
+        x = x.astype(dtype)
+        f = np.asfortranarray(x)
+        m = -(-n // 16)  # stencil points: 16 rows each, about n rows in all
+        steps = 1e-5 * np.eye(8, dtype=dtype)
+        layouts = {
+            "C": x,
+            "F": f,
+            "F row slice": np.asfortranarray(np.vstack([x, x]))[::2],
+            "C row stride 16": np.hstack([x, x])[:, :8],
+            "7-column slice": f[:, 1:],
+            "stencil": np.stack((x[:m, None, :] + steps, x[:m, None, :] - steps)),
+        }
+        for y in layouts.values():
+            got = norm_sq_many(y)
+            assert_same_bits(got, norm_sq_reference(y))
+            if dtype == np.float64 and y.shape[-1] == 8:
+                rows = y.reshape(-1, 8)
+                scalar = np.array([Octonion(*row).norm_sq() for row in rows])
+                assert_same_bits(got.reshape(-1), scalar)
 
 
 # a small block, so that every example spans several

@@ -1,7 +1,11 @@
 """``cli.py`` stays thin: it parses flags, builds the config objects, calls
 one suite from ``octomono.suites`` and prints the report.  The suites and
 whatever they use live in the library, so the CLI imports nothing else
-from the package."""
+from the package.
+
+The package has one squared norm, ``algebra.norm_sq_many``: no other
+function calls ``einsum`` or ``linalg.norm``, except the two that
+normalise seeded draws in einsum's own order."""
 
 import ast
 from pathlib import Path
@@ -77,3 +81,57 @@ def test_guard_catches_a_package_import(source):
 
 def test_guard_ignores_the_standard_library():
     assert disallowed_imports("import json\nfrom dataclasses import dataclass") == []
+
+
+# (module, function) that may call einsum or linalg.norm: the one squared
+# norm, and the two normalisations that are part of a seeded sample stream
+NORM_SITES = {
+    ("algebra", "norm_sq_many"),
+    ("quadrature", "_directions"),
+    ("suites", "trig_points"),
+}
+
+
+def squared_norm_calls(source: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of each einsum or linalg.norm call."""
+    found = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                owner = f.value if isinstance(f, ast.Attribute) else None
+                owner_name = getattr(owner, "attr", getattr(owner, "id", None))
+                if name == "einsum" or (name == "norm" and owner_name == "linalg"):
+                    found.append((function, child.lineno))
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_norm_sq_many_is_the_one_squared_norm():
+    stray = [
+        f"{path.name}:{line} in {function}"
+        for path in sorted(Path(octomono.cli.__file__).parent.glob("*.py"))
+        for function, line in squared_norm_calls(path.read_text())
+        if (path.stem, function) not in NORM_SITES
+    ]
+    assert stray == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "n = np.einsum('ij,ij->i', x, x)",
+        "def f(x):\n    return numpy.linalg.norm(x, axis=1)\n",
+        "class K:\n    def f(self, x):\n        return einsum('i,i', x, x)\n",
+        "def f(x):\n    return linalg.norm(x)\n",
+    ],
+)
+def test_norm_guard_catches_a_squared_norm(source):
+    assert squared_norm_calls(source) != []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import mul_many_reference, q0_inline
+from oracles import mul_many_reference, norm_sq_reference, q0_inline
 from octomono.algebra import Octonion
 from octomono.errors import DomainError, SingularityError
 from octomono.functions import (
@@ -42,7 +42,7 @@ class TestCauchyKernel:
         pts[:, :7][zeros < 0.2] = 0.0
         pts[:, :7][zeros > 0.8] = -0.0
         p = np.asarray(pts, order=order)
-        r2 = np.einsum("...i,...i->...", p, p)
+        r2 = norm_sq_reference(p)
         r8 = (r2 * r2) ** 2
         want = -p / r8[:, None]
         want[:, 0] *= -1.0

@@ -9,6 +9,7 @@ from oracles import (
     brute_lattice_sum,
     brute_lattice_sum_longdouble,
     end_corrected_count,
+    norm_sq_reference,
     szego_strip_values_reference,
 )
 from octomono import trig_series
@@ -217,7 +218,7 @@ class TestEndCorrection:
 
 def _closed_rows(u, step, order):
     """The closed form's values (n, 8) and rounding bounds on rows of u."""
-    s2 = np.einsum("ij,ij->i", u[:, 1:], u[:, 1:])
+    s2 = norm_sq_reference(u[:, 1:])
     acc_re, acc_im, bounds = trig_series._closed_form(u[:, 0], s2, step, order)
     values = np.empty_like(u)
     values[:, 0] = acc_re
