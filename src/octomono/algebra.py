@@ -441,16 +441,26 @@ def _product_terms() -> tuple[tuple[tuple[int, int, bool], ...], ...]:
 
 _TERMS = _product_terms()
 
-# Rows per block of mul_many.  A float64 block's two coordinate-major
-# operands, its output columns and the term buffer take about 1.6 MiB,
-# which stays in a 2 MiB L2, so the 120 passes of the term loop read
-# cache instead of memory.  Median time of a (131072, 8) float64
-# product on an Intel Xeon with 2 MiB of L2 per core, by rows per
-# block: 1024 14.7 ms, 2048 11.4, 4096 9.4, 8192 9.1, 16384 10.8,
-# 32768 13.1, all rows in one block 18.0.  Longdouble products are
-# bound by the x87 arithmetic, not by memory, and take about the same
-# time at any of these sizes.
-_BLOCK_ROWS = 8192
+# The package's one row block.  mul_many cuts its batches into blocks of
+# this many rows, and the MC engine cuts each chunk into blocks of at
+# most this many (quadrature._tree_reduce), so each product of an engine
+# block is one block here.  The block bounds two costs.  One is the
+# working set: a float64 block's (n, 8) arrays take 2 MiB each, below
+# numpy's 4 MiB huge-page threshold, and their memory is reused from
+# block to block.  The other is the GIL: the term loop makes one ufunc
+# call per term and block, and numpy hands the GIL off around each, so
+# two threads' small calls queue on it.  Median time per product of
+# (32768, 8) float64 coordinate-major operands, on a 2-vCPU Intel Xeon
+# KVM guest with 2 MiB of L2 per core, at 8,192 and 32,768 rows per
+# block: one thread 3.0 and 3.0 ms, two threads each on its own
+# operands 3.7 and 1.8-2.2 ms (wall time over both threads' products).
+# A block picked from one-thread timings alone can serialise
+# ``--threads 2``; so can an engine block: 1e6-sample reproduce runs at
+# 131,072, 32,768 and 8,192 rows per engine block took 0.81, 0.64 and
+# 0.60 s (cauchy_ball, one thread) and 0.70, 0.70 and 0.84 s
+# (bergman_ball, two threads).  Longdouble products are bound by the
+# x87 arithmetic and take about the same time at any block size.
+BLOCK_ROWS = 32_768
 
 
 def _block_plan(ac: np.ndarray, bc: np.ndarray) -> tuple[tuple, bool]:
@@ -490,9 +500,13 @@ def mul_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     double roundoff.
 
     Layout and bit-identity contract: the broadcast batch is cut along
-    its first axis into blocks of about ``_BLOCK_ROWS`` rows, few enough
-    that a float64 block's working set stays in L2 cache through the
-    120 passes of the term loop (the constant records the measurement).
+    its first axis into blocks of about ``BLOCK_ROWS`` rows, the row
+    block the Monte Carlo engine cuts its chunks by, so an engine block's
+    product is one block.  The block bounds both the working set of the
+    120 passes of the term loop and the number of ufunc calls, around
+    each of which numpy hands off the GIL, so the products of two
+    threads do not queue on it (the constant records the measurement at
+    one and two threads).
     The loop reads each operand in place through its coordinate view
     ``np.moveaxis(x, -1, 0)``, whose eight rows are contiguous for an
     ``f_contiguous`` (n, 8) operand and strided for a row-major one; an
@@ -543,7 +557,7 @@ def mul_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # each operand's coordinate view, and whether it spans the batch's
     # first axis (an operand without it, or with it at length 1, broadcasts)
     views = [(np.moveaxis(x, -1, 0), x.ndim == len(batch) + 1 and x.shape[0] != 1) for x in (a, b)]
-    step = max(1, _BLOCK_ROWS // max(1, math.prod(batch[1:])))
+    step = max(1, BLOCK_ROWS // max(1, math.prod(batch[1:])))
     out = np.empty(shape + (8,), dtype=dtype, order="F")
     rows = np.moveaxis(out.reshape(batch + (8,)), -1, 0)  # a view, with a batch axis to block
     term = np.empty((min(step, batch[0]),) + batch[1:], dtype=dtype)

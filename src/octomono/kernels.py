@@ -42,16 +42,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Octonion, PointLike, as_coords, mul, mul_many, norm_sq_many
+from .algebra import Octonion, PointLike, as_coords, mul_many, norm_sq_many
 from .errors import DomainError, SingularityError
-from .regularity import (
-    FiniteDiffConfig,
-    cauchy_kernel,
-    central_difference,
-    dq0_dx0,
-    dq0_dx0_many,
-    q0_many,
-)
+from .regularity import cauchy_kernel, dq0_dx0, q0_many
 from .trig_series import (
     PeriodizedSumSpec,
     TruncationPolicy,
@@ -91,11 +84,6 @@ def _as_oct(z: PointLike) -> Octonion:
     if arr.shape != (8,):
         raise DomainError(f"expected a single point of shape (8,), got {arr.shape}")
     return Octonion(*arr)
-
-
-def _check_ball(z: Octonion, name: str) -> None:
-    if z.norm_sq() >= 1.0:
-        raise DomainError(f"{name} must lie in the open unit ball, |{name}| = {z.norm():.6g}")
 
 
 def _combined(z: Octonion, w: Octonion) -> Octonion:
@@ -141,36 +129,6 @@ def szego_unit_ball(z: PointLike, w: PointLike) -> Octonion:
 def bergman_unit_ball(z: PointLike, w: PointLike) -> Octonion:
     """Volume kernel (6 (1 - |z|^2 |w|^2) + 2u) u / |u|^10, u = 1 - conj(z) w."""
     return Octonion(*bergman_ball_values(_as_oct(z), _as_oct(w).to_array()[None])[0])
-
-
-def bergman_unit_ball_potential_residual(
-    z: PointLike, w: PointLike, fd: FiniteDiffConfig = FiniteDiffConfig()
-) -> float:
-    """Check that conj(B(z, w)) conj(z) is a w-gradient of a real potential.
-
-    The candidate potential is p(w) = (1 - |z|^2 |w|^2) / |1 - w conj(z)|^8
-    and the comparison side applies the conjugated Cauchy-Riemann operator
-    d/dw0 - sum_i ei d/dwi to it by central differences.
-    """
-    zo, wo = _as_oct(z), _as_oct(w)
-    _check_ball(zo, "z")
-    _check_ball(wo, "w")
-    b = bergman_unit_ball(zo, wo)
-    lhs = mul(b.conjugate(), zo.conjugate())
-
-    zn2 = zo.norm_sq()
-
-    def potential(points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        u = -mul_many(pts, np.array(zo.conjugate().coords))
-        u[..., 0] += 1.0
-        n2 = norm_sq_many(u)
-        w2 = norm_sq_many(pts)
-        return (1.0 - zn2 * w2) / n2**4
-
-    grad = central_difference(potential, wo.to_array(), np.eye(8), fd.h)
-    rhs = Octonion(grad[0], *(-grad[1:]))
-    return (lhs - rhs).norm()
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +248,6 @@ def bergman_strip_values(
 
 def szego_half_space_values(u: np.ndarray) -> np.ndarray:
     return q0_many(u)
-
-
-def bergman_half_space_values(u: np.ndarray) -> np.ndarray:
-    return -2.0 * dq0_dx0_many(u)
 
 
 def _ball_argument(z: Octonion, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

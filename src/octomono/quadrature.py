@@ -22,10 +22,12 @@ The reproduction estimators take a sequence of cases (f, z) and return
 one :class:`MCResult` per case, in order; the inner products and
 ``cauchy_theorem_check`` estimate one integral.  The cases of one call
 share one sample stream: each chunk is drawn once and cut into blocks
-of at most ``_BLOCK_ROWS`` rows, and the shell statistic's |Im w|, the
-twist nu and the kernel rows of each run of consecutive cases at the
-same z are computed once per block.  Each case keeps its own partial
-sums, tail and warning.
+of at most :data:`~octomono.algebra.BLOCK_ROWS` rows, the package's one
+row block, and the shell statistic's |Im w|, the twist nu and the
+kernel rows of each run of consecutive cases at the same z are computed
+once per block.  Each case keeps its own partial sums, tail and warning.
+:func:`~octomono.algebra.mul_many` cuts its batches by the same
+constant, so each product of an engine block is one block of it.
 
 The blocks are the nodes of numpy's pairwise-summation tree over the
 chunk (:func:`_tree_reduce`), so the block sums added back up that tree
@@ -69,7 +71,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .algebra import Octonion, conj_many, mul_many, norm_many, norm_sq_many
+from .algebra import BLOCK_ROWS, Octonion, conj_many, mul_many, norm_many, norm_sq_many
 from .errors import DomainError
 from .kernels import (
     StripDomain,
@@ -253,20 +255,6 @@ def _chunk_batch(region: Region, cfg: McConfig, i: int) -> SampleBatch:
 # ---------------------------------------------------------------------------
 # Engine
 
-# Rows per block of a chunk's integrand and reduction, at most; more
-# than 128, where numpy's pairwise tree has leaves of its own.  A
-# 32,768-row block's (n, 8) float64 arrays take 2 MiB each, so the
-# engine's temporaries stay near the L2 cache and below numpy's 4 MiB
-# huge-page threshold, and their memory is reused from block to block
-# instead of faulted in again per chunk.  Median wall times of 1e6-sample
-# reproduce runs in one process after warm-up, on a 2-vCPU Intel Xeon
-# KVM guest with 2 MiB of L2 per core, at 131,072 (one block per chunk),
-# 32,768 and 8,192 rows per block: cauchy_ball at one thread 0.81, 0.64
-# and 0.60 s, at two threads 0.50, 0.47 and 0.51 s; bergman_ball at two
-# threads 0.70, 0.70 and 0.84 s.  Smaller blocks gain at one thread and
-# lose at two.
-_BLOCK_ROWS = 32_768
-
 
 def _tree_reduce(n: int, leaf: Callable, combine: Callable, lo: int = 0):
     """``leaf(lo, hi)`` on each block of rows of numpy's pairwise-sum tree
@@ -275,13 +263,16 @@ def _tree_reduce(n: int, leaf: Callable, combine: Callable, lo: int = 0):
     numpy sums a contiguous array of n > 128 terms as the sum of its
     first ``n2 = n//2 - (n//2) % 8`` terms and the rest, each summed the
     same way; the blocks are the nodes of that tree that hold at most
-    ``_BLOCK_ROWS`` rows.  So with ``leaf`` numpy's ``.sum()`` of a
+    :data:`~octomono.algebra.BLOCK_ROWS` rows, the row block of
+    :func:`~octomono.algebra.mul_many`, so a block's products are not cut
+    again.  The bound is more than 128, where numpy's pairwise tree has
+    leaves of its own.  So with ``leaf`` numpy's ``.sum()`` of a
     block's terms and ``combine`` an IEEE add, the result has the bits
     of ``.sum()`` of all n terms: a block's ``.sum()`` starts at +0.0,
     which changes a partial sum only where it is -0.0 and then only to
     +0.0, as the whole sum's own start at +0.0 does.
     """
-    if n <= _BLOCK_ROWS:
+    if n <= BLOCK_ROWS:
         return leaf(lo, lo + n)
     half = n // 2
     n2 = half - half % 8

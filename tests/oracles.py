@@ -27,7 +27,7 @@ from octomono.kernels import (
 )
 from octomono.kernels import bergman_unit_ball
 from octomono.quadrature import SampleBatch
-from octomono.regularity import q0_many
+from octomono.regularity import dq0_dx0_many, q0_many
 from octomono.trig_series import (
     PeriodizedSumSpec,
     TruncationPolicy,
@@ -290,6 +290,11 @@ def bergman_unit_ball_potential_residual_reference(
     )
     rhs = Octonion(grad[0], *(-grad[1:]))
     return (lhs - rhs).norm()
+
+
+def bergman_half_space_values(u: np.ndarray) -> np.ndarray:
+    """Half-space volume kernel rows -2 d/dx0 q0(u) at combined arguments u (n, 8)."""
+    return -2.0 * dq0_dx0_many(u)
 
 
 def lambda_sum(s: float, terms: int = 200_000) -> float:

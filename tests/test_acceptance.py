@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import combined_relation_residuals, duplication_residual
+from oracles import bergman_half_space_values
 from octomono import suites
 from octomono.algebra import Octonion, conj
 from octomono.cli import main
@@ -34,7 +35,6 @@ from octomono.kernels import (
     bergman_half_space,
     bergman_strip,
     bergman_strip_values,
-    bergman_half_space_values,
     strip_relation_residual,
     szego_half_space,
     szego_half_space_values,

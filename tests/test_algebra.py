@@ -232,7 +232,7 @@ class TestMulManyBitIdentity:
         assert_same_bits(mul_many(rows, eye), mul_many_reference(rows, eye))
 
 
-B = algebra._BLOCK_ROWS
+B = algebra.BLOCK_ROWS
 
 
 class TestMulManyAcrossBlocks:
@@ -300,7 +300,7 @@ class TestMulManyAcrossBlocks:
         with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf
             got = mul_many(a, b)
             want = mul_many_reference(a, b)
-            monkeypatch.setattr(algebra, "_BLOCK_ROWS", 4 * B)
+            monkeypatch.setattr(algebra, "BLOCK_ROWS", 4 * B)
             whole = mul_many(a, b)
         # blocks change no bit, a NaN's sign included
         assert_same_bits(got, whole)
@@ -465,9 +465,9 @@ class TestMulManyDropsZeroTerms:
         a, b = operands
         with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf
             want = mul_many_reference(a, b)
-            with mock.patch.object(algebra, "_BLOCK_ROWS", SMALL_B):
+            with mock.patch.object(algebra, "BLOCK_ROWS", SMALL_B):
                 got = mul_many(a, b)
-            with mock.patch.object(algebra, "_BLOCK_ROWS", 64 * SMALL_B):
+            with mock.patch.object(algebra, "BLOCK_ROWS", 64 * SMALL_B):
                 whole = mul_many(a, b)
         if max(a.ndim, b.ndim) == 2:
             # blocks change no bit, a NaN's sign included

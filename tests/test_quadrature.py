@@ -533,20 +533,20 @@ def _assert_matches(got, want, cfg):
 def small_blocks(monkeypatch):
     """Engine blocks of at most 1,000 rows, so every chunk of the engine
     configurations above crosses several blocks."""
-    monkeypatch.setattr(quadrature, "_BLOCK_ROWS", 1_000)
+    monkeypatch.setattr(quadrature, "BLOCK_ROWS", 1_000)
 
 
 class TestPairwiseBlocks:
     """The engine's blocks follow numpy's pairwise-summation tree."""
 
-    @pytest.mark.parametrize("block", [quadrature._BLOCK_ROWS, 1_000, 129])
+    @pytest.mark.parametrize("block", [quadrature.BLOCK_ROWS, 1_000, 129])
     @pytest.mark.parametrize(
         "n", [1, 7, 8, 9, 127, 128, 129, 5_000, 10_000, 32_768, 32_769, 82_496, 131_072]
     )
     def test_block_sums_added_up_the_tree_have_the_bits_of_the_whole_sum(
         self, n, block, monkeypatch
     ):
-        monkeypatch.setattr(quadrature, "_BLOCK_ROWS", block)
+        monkeypatch.setattr(quadrature, "BLOCK_ROWS", block)
         rng = np.random.default_rng(n)
         x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
         x[rng.random(n) < 0.1] = 0.0
@@ -836,3 +836,12 @@ class TestCoordinateMajorLayout:
         # conj(z) * w at z = 0.4 e1 and 0.2 e1 + 0.1 e2 (bergman_ball)
         assert len(term_counts) == 16
         assert sorted(term_counts) == [8] * 4 + [16] * 3 + [64] * 9
+
+    def test_a_product_of_an_engine_block_is_one_block_of_mul_many(self, term_counts):
+        # a default chunk is four engine blocks; mul_many plans each of its
+        # own blocks of a sparse product (nu * f and conj(z) * w at both z)
+        # and block 0 of a dense one, so one block per product gives
+        # 4 * (4 sparse + 6 dense) plans
+        suites.reproduce("bergman_ball", McConfig(seed=4, samples=131_072))
+        assert len(term_counts) == 40
+        assert sorted(term_counts) == [8] * 8 + [16] * 8 + [64] * 24
