@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from conftest import octonions, random_octonions
 from oracles import MUL_TABLE, mul_many_reference, norm_sq_reference
-from octomono import algebra
+from octomono import algebra, quadrature
 from octomono.algebra import (
     Octonion,
     associator,
@@ -307,6 +307,18 @@ class TestMulManyAcrossBlocks:
         assert_same_bits_but_nan_sign(got, want)
         assert np.isnan(got[B - 1 : B + 1]).any()
         assert not np.signbit(got[B + 1]).any()
+
+    def test_an_engine_block_is_one_block(self, rng, term_counts):
+        # a sparse operand makes mul_many plan each of its blocks, so the
+        # plans count the blocks; the engine cuts its chunks by the same rows
+        assert quadrature.BLOCK_ROWS == B
+        a = rng.uniform(-5, 5, (2 * B + 1, 8))
+        b = np.zeros((2 * B + 1, 8))
+        b[:, 0] = rng.uniform(-5, 5, 2 * B + 1)
+        for n, blocks in [(B, 1), (B + 1, 2), (2 * B + 1, 3)]:
+            term_counts.clear()
+            assert_same_bits(mul_many(a[:n], b[:n]), mul_many_reference(a[:n], b[:n]))
+            assert term_counts == [8] * blocks
 
 
 class TestMulManyLayout:
