@@ -9,9 +9,9 @@ on the flat regions, where the pairing is L f.
 
 Samples are coordinate-major: each sampler returns its (n, 8) points
 and normals as ``f_contiguous`` arrays, whose eight coordinates are each
-one contiguous row, drawn from the same Philox draws in the same order
-as row-major arrays would be.  The kernels and the test functions keep
-that layout, so the products of an integrand read contiguous rows.
+one contiguous row, which the generator fills directly, a coordinate
+at a time (:func:`_directions`).  The kernels and the test functions
+keep that layout, so the products of an integrand read contiguous rows.
 Every integrand ends in a :func:`~octomono.algebra.mul_many` product,
 which is coordinate-major for any operand, so the engine reduces one
 layout: each coordinate of a chunk's weighted values is summed on its
@@ -36,10 +36,11 @@ have the bits of numpy's sum over the whole chunk.
 Determinism contract: for a fixed (seed, samples, chunk) the result is
 bit-identical at any thread count, and each case of a call is
 bit-identical to a call with that case alone.  Sample index space is
-split into fixed-size chunks; chunk i draws from its own counter-based
-substream (Philox seeded with spawn_key=(i,)) and each case's partial
-sums are reduced in chunk order, so neither scheduling, thread count
-nor the other cases can reorder any floating-point operation.  The
+split into fixed-size chunks; chunk i draws from its own substream, an
+SFC64 generator seeded with ``SeedSequence(entropy=seed,
+spawn_key=(i,))`` and so keyed only by (seed, i), and each case's
+partial sums are reduced in chunk order, so neither scheduling, thread
+count nor the other cases can reorder any floating-point operation.  The
 blocks depend only on a chunk's length, and every step of an integrand
 works row by row but one: the strip lattice sums take their term count
 and tail bound, which routes rows between the closed form and the
@@ -146,24 +147,29 @@ class MCResult:
 Case = tuple[object, Octonion]
 
 
-def _directions(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    g = rng.standard_normal((count, dim))
-    # einsum's own order on the row-major draws, not norm_sq_many's: these
-    # norms are part of the seeded sample stream, and every sample and
-    # report would move with them
-    n = np.sqrt(np.einsum("ij,ij->i", g, g))
+def _directions(
+    rng: np.random.Generator, count: int, dim: int, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Uniform unit rows of a coordinate-major (count, dim) array, written
+    to ``out`` if given.  The normals fill the coordinate rows in order,
+    ``count`` draws each, and are divided in place by each sample's norm."""
+    dirs = np.empty((dim, count)).T if out is None else out
+    rng.standard_normal(out=dirs.T)
+    n = np.sqrt(norm_sq_many(dirs))
     n[n == 0.0] = 1.0
-    return np.divide(g, n[:, None], out=np.empty((dim, count)).T)
+    np.divide(dirs.T, n, out=dirs.T)
+    return dirs
 
 
 def _uniform_ball(
     rng: np.random.Generator, count: int, dim: int, radius: float, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Uniform points of the centred dim-ball: directions drawn first, then
-    radii.  Written to ``out`` if given, else over the directions."""
-    dirs = _directions(rng, count, dim)
+    """Uniform points of the centred dim-ball, coordinate-major: directions
+    drawn first, then radii.  Written to ``out`` if given."""
+    pts = _directions(rng, count, dim, out)
     r = radius * rng.uniform(size=count) ** (1.0 / dim)
-    return np.multiply(r[:, None], dirs, out=dirs if out is None else out)
+    np.multiply(pts.T, r, out=pts.T)
+    return pts
 
 
 def sphere_region(radius: float = 1.0, center: Octonion = Octonion()) -> Region:
@@ -202,14 +208,15 @@ def strip_boundary_region(domain: StripDomain, radius: float) -> Region:
             raise DomainError("strip boundary sampling needs at least 2 samples")
         pts = np.zeros((count, 8), order="F")
         _uniform_ball(rng, count, 7, radius, out=pts[:, 1:])
-        idx = start + np.arange(count)
-        on_top = (idx % 2) == 1
-        pts[on_top, 0] = domain.d
+        bottom = start % 2  # the first local row with an even global index
+        top = 1 - bottom
+        pts[top::2, 0] = domain.d
         normals = np.zeros((count, 8), order="F")
-        normals[:, 0] = np.where(on_top, 1.0, -1.0)
-        n_bottom = (total + 1) // 2
-        n_top = total // 2
-        weights = np.where(on_top, plane_measure / n_top, plane_measure / n_bottom)
+        normals[bottom::2, 0] = -1.0
+        normals[top::2, 0] = 1.0
+        weights = np.empty(count)
+        weights[bottom::2] = plane_measure / ((total + 1) // 2)
+        weights[top::2] = plane_measure / (total // 2)
         return SampleBatch(pts, weights, normals)
 
     return Region("strip_boundary", sampler, 2.0 * plane_measure)
@@ -247,7 +254,7 @@ def _chunk_batch(region: Region, cfg: McConfig, i: int) -> SampleBatch:
     start = i * cfg.chunk
     count = min(cfg.chunk, cfg.samples - start)
     rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,)))
+        np.random.SFC64(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,)))
     )
     return region.sampler(rng, count, start, cfg.samples)
 
@@ -415,7 +422,7 @@ def _case_result(parts, cfg: McConfig, const: float, decay: int, width: float) -
             / (decay - 7)
         )
 
-    var = max(total_b - float(total_a @ total_a) / cfg.samples, 0.0)
+    var = max(total_b - float(norm_sq_many(total_a)) / cfg.samples, 0.0)
     value = Octonion(*(const * total_a))
     std_err = const * math.sqrt(var)
     size = f"|{value.norm():.3e}| +/- {std_err:.3e}"

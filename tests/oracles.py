@@ -5,9 +5,10 @@ numpy/scipy: brute-force lattice sums with an inline kernel, and
 deterministic Simpson quadrature for the flat-domain reproduction
 integrals (reduced to 1-D/2-D by rotational symmetry).  Only the Monte
 Carlo section at the end uses the package's own code: it feeds the
-package's products and kernel values through copies of the earlier
-samplers, per-estimator integrands and chunk reduction, as a bit-level
-oracle for the estimator engine.
+package's products and kernel values through plain-code samplers of
+the same sample stream and copies of the earlier per-estimator
+integrands and chunk reduction, as a bit-level oracle for the estimator
+engine.
 """
 
 from __future__ import annotations
@@ -432,16 +433,28 @@ def mul_many_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Monte Carlo estimators as written before the single estimator engine:
 # each integrand returns (values, shell statistic), and every estimator
-# runs its own reduction, tail formula and warning test.
+# runs its own reduction, tail formula and warning test.  The samplers
+# draw the stream from its definition: chunk i's SFC64 substream, each
+# sample's normals a coordinate row of (dim, count) draws, then its
+# radii and, in the strip volume, its real parts.
 
 _SHELL_FRACTION = 0.8
 
 
+def chunk_rng_reference(seed, i):
+    """Chunk i's generator: SFC64 on the substream (seed, i)."""
+    return np.random.Generator(
+        np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+    )
+
+
 def _directions_reference(rng, count, dim):
-    g = rng.standard_normal((count, dim))
-    n = np.sqrt(np.einsum("ij,ij->i", g, g))
+    """(count, dim) unit rows from (dim, count) normals, a coordinate's
+    draws after another's, each row's norm summed in coordinate order."""
+    g = rng.standard_normal((dim, count))
+    n = np.sqrt(norm_sq_reference(g.T))
     n[n == 0.0] = 1.0
-    return g / n[:, None]
+    return (g / n).T
 
 
 def sphere_sampler_reference(radius):
@@ -522,8 +535,7 @@ def _accumulate_reference(sampler, integrand, cfg):
     parts = []
     for i in range(-(-cfg.samples // cfg.chunk)):  # chunk order
         start = i * cfg.chunk
-        seed = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,))
-        rng = np.random.Generator(np.random.Philox(seed))
+        rng = chunk_rng_reference(cfg.seed, i)
         batch = sampler(rng, min(cfg.chunk, cfg.samples - start), start, cfg.samples)
         # the package keeps samples coordinate-major, and numpy sums the
         # chunk reduction in an order set by the layout; the same values in
@@ -546,7 +558,7 @@ def _accumulate_reference(sampler, integrand, cfg):
 
 def _result_reference(total_a, total_b, cfg, const, tail_est=0.0):
     """(value coordinates, std_err, tail_est, warning text or None)."""
-    var = max(total_b - float(total_a @ total_a) / cfg.samples, 0.0)
+    var = max(total_b - float(norm_sq_reference(total_a)) / cfg.samples, 0.0)
     value = Octonion(*(const * total_a))
     std_err = const * math.sqrt(var)
     norm = value.norm()

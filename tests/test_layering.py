@@ -4,8 +4,9 @@ whatever they use live in the library, so the CLI imports nothing else
 from the package.
 
 The package has one squared norm, ``algebra.norm_sq_many``: no other
-function calls ``einsum`` or ``linalg.norm``, except the two that
-normalise seeded draws in einsum's own order."""
+function calls ``einsum`` or ``linalg.norm`` or uses the ``@`` operator,
+except ``suites.trig_points``, which normalises seeded row-major draws
+in einsum's own order."""
 
 import ast
 from pathlib import Path
@@ -83,17 +84,17 @@ def test_guard_ignores_the_standard_library():
     assert disallowed_imports("import json\nfrom dataclasses import dataclass") == []
 
 
-# (module, function) that may call einsum or linalg.norm: the one squared
-# norm, and the two normalisations that are part of a seeded sample stream
+# (module, function) that may use einsum, linalg.norm or @: the one squared
+# norm, and the normalisation that is part of the trig suite's seeded points
 NORM_SITES = {
     ("algebra", "norm_sq_many"),
-    ("quadrature", "_directions"),
     ("suites", "trig_points"),
 }
 
 
 def squared_norm_calls(source: str) -> list[tuple[str, int]]:
-    """(enclosing function, line) of each einsum or linalg.norm call."""
+    """(enclosing function, line) of each einsum or linalg.norm call and
+    each ``@`` or ``@=``, whose dot product adds in BLAS's order."""
     found = []
 
     def visit(node: ast.AST, function: str) -> None:
@@ -101,6 +102,8 @@ def squared_norm_calls(source: str) -> list[tuple[str, int]]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
+            if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.MatMult):
+                found.append((function, child.lineno))
             if isinstance(child, ast.Call):
                 f = child.func
                 name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
@@ -131,6 +134,8 @@ def test_norm_sq_many_is_the_one_squared_norm():
         "def f(x):\n    return numpy.linalg.norm(x, axis=1)\n",
         "class K:\n    def f(self, x):\n        return einsum('i,i', x, x)\n",
         "def f(x):\n    return linalg.norm(x)\n",
+        "var = total - float(a @ a) / n",
+        "def f(a, b):\n    a @= b\n    return a\n",
     ],
 )
 def test_norm_guard_catches_a_squared_norm(source):

@@ -174,6 +174,133 @@ class TestSampling:
             list(sample(sphere_region(1.0), McConfig(samples=0)))
 
 
+LAW_R = 2.0
+LAW_STRIP = StripDomain(0.7)
+# each region, at radius LAW_R where it is unbounded
+LAW_REGIONS = {
+    "sphere": sphere_region(1.0),
+    "ball": ball_region(1.0),
+    "strip_boundary": strip_boundary_region(LAW_STRIP, LAW_R),
+    "strip_volume": strip_volume_region(LAW_STRIP, LAW_R),
+    "half_space_boundary": half_space_boundary_region(LAW_R),
+}
+ULP = np.finfo(np.float64).eps
+
+
+def _round_part(name, pts):
+    """The coordinates that fill a centred sphere (the sphere region's) or
+    ball (the others': the ball, or the flat regions' imaginary parts),
+    and its radius."""
+    return (pts, 1.0) if name in ("sphere", "ball") else (pts[:, 1:], LAW_R)
+
+
+def _assert_moments(x, second, fourth):
+    """Each column's mean and second moment against a law centred at 0
+    with these second and fourth moments, within 5 standard deviations."""
+    n = len(x)
+    assert np.all(np.abs(x.mean(axis=0)) <= 5.0 * math.sqrt(second / n))
+    m2 = (x * x).mean(axis=0)
+    assert np.all(np.abs(m2 - second) <= 5.0 * math.sqrt((fourth - second**2) / n))
+
+
+class TestSamplerLaws:
+    """Each region's samples against the uniform law of the region, at 1e5
+    samples, not against another draw of the same generator.
+
+    For x uniform in the centred D-ball of radius rho, E x_k^2 =
+    rho^2/(D + 2), E x_k^4 = 3 rho^4/((D + 2)(D + 4)), and |x| < rho/2
+    with probability 2^-D; on its sphere E x_k^2 = rho^2/D and E x_k^4 =
+    3 rho^4/(D (D + 2)).  Every bar is 5 standard deviations of a sample
+    mean, so a correct sampler fails one of the 80 such checks with
+    probability below 1e-4.
+    """
+
+    N = 100_000
+
+    def _draw(self, name):
+        return _gather(LAW_REGIONS[name], McConfig(seed=1, samples=self.N, radius=LAW_R))
+
+    @pytest.mark.parametrize("name", sorted(LAW_REGIONS))
+    def test_points_lie_in_the_region(self, name):
+        pts, _, _ = self._draw(name)
+        x, rho = _round_part(name, pts)
+        r = np.sqrt(oracles.norm_sq_reference(x))
+        if name == "sphere":
+            assert np.abs(r - rho).max() <= 4.0 * ULP
+        else:
+            assert r.max() <= rho * (1.0 + 4.0 * ULP)
+        re = pts[:, 0]
+        if name == "strip_boundary":
+            assert np.all((re == 0.0) | (re == LAW_STRIP.d))
+        elif name == "strip_volume":
+            assert re.min() >= 0.0 and re.max() <= LAW_STRIP.d
+        elif name == "half_space_boundary":
+            assert np.all(re == 0.0)
+
+    @pytest.mark.parametrize("dim", [7, 8])
+    def test_direction_rows_are_unit(self, dim):
+        dirs = quadrature._directions(np.random.default_rng(dim), self.N, dim)
+        assert dirs.shape == (self.N, dim) and _coordinate_major(dirs)
+        assert np.abs(np.sqrt(oracles.norm_sq_reference(dirs)) - 1.0).max() <= 4.0 * ULP
+
+    @pytest.mark.parametrize("name", sorted(LAW_REGIONS))
+    def test_moments_match_the_uniform_law(self, name):
+        pts, _, _ = self._draw(name)
+        x, rho = _round_part(name, pts)
+        dim = x.shape[1]
+        if name == "sphere":
+            _assert_moments(x, rho**2 / dim, 3.0 * rho**4 / (dim * (dim + 2)))
+        else:
+            _assert_moments(x, rho**2 / (dim + 2), 3.0 * rho**4 / ((dim + 2) * (dim + 4)))
+        if name == "strip_volume":  # Re w uniform on [0, d]
+            d = LAW_STRIP.d
+            _assert_moments(pts[:, :1] - d / 2.0, d**2 / 12.0, d**4 / 80.0)
+
+    @pytest.mark.parametrize("name", sorted(set(LAW_REGIONS) - {"sphere"}))
+    def test_fraction_inside_half_the_radius(self, name):
+        pts, _, _ = self._draw(name)
+        x, rho = _round_part(name, pts)
+        p = 2.0 ** -x.shape[1]
+        inside = (np.sqrt(oracles.norm_sq_reference(x)) < rho / 2.0).mean()
+        assert abs(inside - p) <= 5.0 * math.sqrt(p * (1.0 - p) / self.N)
+
+    @pytest.mark.parametrize("name", sorted(LAW_REGIONS))
+    def test_a_chunk_depends_only_on_the_seed_and_its_index(self, name):
+        region = LAW_REGIONS[name]
+        cfg = McConfig(seed=5, samples=self.N, chunk=30_000, radius=LAW_R)  # 4 chunks
+        forward = list(sample(region, cfg))
+        # drawn alone, in reverse order, or in a longer run: the same points
+        longer = McConfig(seed=5, samples=2 * self.N, chunk=30_000, radius=LAW_R)
+        for i in reversed(range(len(forward))):
+            alone = quadrature._chunk_batch(region, cfg, i)
+            assert np.array_equal(_bits(alone.points), _bits(forward[i].points))
+            if i < 3:  # a full chunk in both runs
+                in_longer = quadrature._chunk_batch(region, longer, i)
+                assert np.array_equal(_bits(in_longer.points), _bits(forward[i].points))
+        # and other points at another seed or another index
+        reseeded = McConfig(seed=6, samples=self.N, chunk=30_000, radius=LAW_R)
+        other = quadrature._chunk_batch(region, reseeded, 0)
+        assert not np.array_equal(other.points, forward[0].points)
+        assert not np.array_equal(forward[1].points, forward[0].points)
+
+    def test_strip_wall_slices_follow_the_parity_rule(self):
+        # even global sample indices on Re = 0, odd ones on Re = d, with odd
+        # chunk lengths so that chunks start at both parities
+        region = LAW_REGIONS["strip_boundary"]
+        cfg = McConfig(seed=7, samples=5_001, chunk=999, radius=LAW_R)
+        v7 = ball7_volume(LAW_R)
+        n_bottom, n_top = (cfg.samples + 1) // 2, cfg.samples // 2
+        for i, batch in enumerate(sample(region, cfg)):
+            on_top = (i * cfg.chunk + np.arange(len(batch.weights))) % 2 == 1
+            for got, want in (
+                (batch.points[:, 0], np.where(on_top, LAW_STRIP.d, 0.0)),
+                (batch.normals[:, 0], np.where(on_top, 1.0, -1.0)),
+                (batch.weights, np.where(on_top, v7 / n_top, v7 / n_bottom)),
+            ):
+                assert np.array_equal(_bits(got), _bits(want))
+            assert not batch.normals[:, 1:].any()
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -217,17 +344,33 @@ class TestEngine:
         assert a.std_err == b.std_err
 
     def test_error_shrinks_with_sample_size(self):
-        # rms error over seeds must drop clearly when samples grow 4x;
-        # the measured ratio sits near the ideal 0.5
+        # The RMS error over 64 seeds at 200,000 samples must be at most 0.7
+        # of that over 64 other seeds at 50,000 (ideal 0.5), and the reported
+        # std_err must fall as n^-1/2.  False-failure rates, from 4e6 samples
+        # of this integrand (bounded: |w - z| >= 0.7 on the sphere, so each
+        # error is close to normal at these n):
+        # - n times an error's covariance has eigenvalues 0.792 and
+        #   7 x 0.0206, 1.39 degrees of freedom per seed.  The squared
+        #   ratio is X/4Y, X and Y independent sums of lambda_i chi^2_64,
+        #   which exceeds 0.7^2 with probability 7.6e-4 (2e7 simulated
+        #   draws); at 6 seeds it was 0.17.  256 seeds per size measured
+        #   n |error|^2 at 1.00 and 0.93 in the mean against the trace
+        #   0.94, and a bootstrap of them gave 1.1e-4.
+        # - n std_err^2 estimates the trace, with relative variance
+        #   11.1 / n per seed, so the pooled std_err ratio has standard
+        #   deviation 5.2e-4 and 0.005 is ten of them.
         z = Octonion(0.0, 0.3)
-        rms = {}
+        seeds = iter(range(100, 228))
+        sq, se_sq = {}, {}
         for n in (50_000, 200_000):
-            sq = 0.0
-            for s in range(6):
-                (r,) = cauchy_formula_reproduce([(ONE, z)], McConfig(seed=100 + s, samples=n))
-                sq += (r.value - Octonion(1.0)).norm() ** 2
-            rms[n] = math.sqrt(sq / 6.0)
-        assert rms[200_000] / rms[50_000] <= 0.7
+            results = [
+                cauchy_formula_reproduce([(ONE, z)], McConfig(seed=next(seeds), samples=n))[0]
+                for _ in range(64)
+            ]
+            sq[n] = sum((r.value - Octonion(1.0)).norm() ** 2 for r in results)
+            se_sq[n] = sum(r.std_err**2 for r in results)
+        assert abs(math.sqrt(se_sq[200_000] / se_sq[50_000]) - 0.5) <= 0.005
+        assert math.sqrt(sq[200_000] / sq[50_000]) <= 0.7
 
     def test_chunk_samples_are_freed_without_the_cycle_collector(self, monkeypatch, small_blocks):
         # a reference cycle through the engine's closures would hold every
@@ -768,9 +911,7 @@ class TestCoordinateMajorLayout:
         cfg = McConfig(seed=5, samples=2_501, chunk=1_000, radius=2.0)
         for i, batch in enumerate(sample(region, cfg)):
             start = i * cfg.chunk
-            rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(i,)))
-            )
+            rng = oracles.chunk_rng_reference(cfg.seed, i)
             want = reference(rng, min(cfg.chunk, cfg.samples - start), start, cfg.samples)
             assert np.array_equal(batch.weights, want.weights)
             assert (batch.normals is None) == (want.normals is None)
