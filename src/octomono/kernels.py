@@ -66,8 +66,9 @@ class StripDomain:
     d: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.d < math.inf:
-            raise DomainError(f"strip width must be positive and finite, got {self.d}")
+        if not (self.d > 0.0 and math.isfinite(2.0 * self.d)):
+            # the kernels' lattice step is 2d
+            raise DomainError(f"strip width must be positive with a finite step 2d, got {self.d}")
 
     def contains(self, z: PointLike) -> bool:
         return 0.0 < float(as_coords(z)[..., 0]) < self.d

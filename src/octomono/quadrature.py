@@ -54,11 +54,12 @@ Sampling is plain uniform Monte Carlo over each region (no importance
 sampling, no low-discrepancy sequences, no adaptivity).  Unbounded
 regions (strip boundary planes, strip volume, half-space boundary) are
 truncated at ``radius`` in the imaginary directions; their estimators
-name the integrand's decay exponent, the engine extrapolates a tail
-estimate from the outermost samples and warns when it is not small
-against the result, when the estimate is not finite, or when squared
-sample values underflow; it refuses a radius too large for the squares
-to be finite.
+name the integrand's decay exponent and their :class:`Region` the
+transverse width the tail law integrates over.  The engine extrapolates
+a tail estimate from the outermost samples and warns when it is not
+small against the result, when the estimate is not finite, or when
+squared sample values underflow; it refuses a radius at which the
+squares or the tail law leave the float range.
 """
 
 from __future__ import annotations
@@ -131,6 +132,7 @@ class Region:
     name: str
     sampler: Callable[[np.random.Generator, int, int, int], SampleBatch]
     measure: float  # total area or volume; no sample weight exceeds it
+    width: float = 0.0  # transverse width the tail law integrates over
 
 
 @dataclass(frozen=True)
@@ -219,7 +221,7 @@ def strip_boundary_region(domain: StripDomain, radius: float) -> Region:
         weights[top::2] = plane_measure / (total // 2)
         return SampleBatch(pts, weights, normals)
 
-    return Region("strip_boundary", sampler, 2.0 * plane_measure)
+    return Region("strip_boundary", sampler, 2.0 * plane_measure, width=2.0)
 
 
 def strip_volume_region(domain: StripDomain, radius: float) -> Region:
@@ -231,7 +233,7 @@ def strip_volume_region(domain: StripDomain, radius: float) -> Region:
         pts[:, 0] = rng.uniform(0.0, domain.d, size=count)
         return SampleBatch(pts, np.full(count, measure / total), None)
 
-    return Region("strip_volume", sampler, measure)
+    return Region("strip_volume", sampler, measure, width=domain.d)
 
 
 def half_space_boundary_region(radius: float) -> Region:
@@ -246,7 +248,7 @@ def half_space_boundary_region(radius: float) -> Region:
         weights = np.full(count, plane_measure / total)
         return SampleBatch(pts, weights, normals)
 
-    return Region("half_space_boundary", sampler, plane_measure)
+    return Region("half_space_boundary", sampler, plane_measure, width=1.0)
 
 
 def _chunk_batch(region: Region, cfg: McConfig, i: int) -> SampleBatch:
@@ -309,7 +311,6 @@ def _estimate(
     cfg: McConfig,
     const: float = REPRO_CONST,
     decay: int = 0,
-    width: float = 0.0,
 ) -> list[MCResult]:
     """const times the weighted sum of each case's (n, 8) value rows.
 
@@ -321,7 +322,7 @@ def _estimate(
     Returns one result per case, in order.
 
     A nonzero ``decay`` declares that the integrand falls off like
-    |Im w|^-decay beyond the truncation radius, across a region of
+    |Im w|^-decay beyond the truncation radius, across the region's
     transverse ``width``; each case's tail estimate integrates that law
     from its largest shell statistic of any chunk.  Warns, at the
     estimator's caller and once per case that needs it, when an estimate
@@ -330,18 +331,20 @@ def _estimate(
     ``warning``.
 
     Refuses, before sampling, a truncation radius at which
-    ``radius**decay`` or the square of the region's measure, which
-    bounds every squared weight, is not finite.
+    ``radius**decay``, the tail law's ``radius**(7 - decay)`` or the
+    square of the region's measure, which bounds every squared weight,
+    is not finite.
     """
     try:  # float ** raises OverflowError past the float range
-        finite = math.isfinite(cfg.radius**decay) and math.isfinite(region.measure**2)
+        bounds = (cfg.radius**decay, cfg.radius ** (7 - decay), region.measure**2)
+        finite = all(map(math.isfinite, bounds))
     except OverflowError:
         finite = False
     if not finite:
         raise DomainError(
-            f"the {region.name} region at radius {cfg.radius} is too large: "
-            f"radius**{decay} or its squared measure {region.measure:.3e}**2 "
-            f"is not a finite float"
+            f"the {region.name} region at radius {cfg.radius} is too large or too small: "
+            f"radius**{decay}, radius**{7 - decay} or its squared measure "
+            f"{region.measure:.3e}**2 is not a finite float"
         )
 
     def block_parts(block: SampleBatch) -> list[tuple[np.ndarray, float, float, bool]]:
@@ -393,7 +396,7 @@ def _estimate(
 
     results = []
     for parts in zip(*chunks):  # one case's parts, in fixed chunk order
-        result = _case_result(parts, cfg, const, decay, width)
+        result = _case_result(parts, cfg, const, decay, region.width)
         if result.warning is not None:
             warnings.warn(result.warning, stacklevel=3)
         results.append(result)
@@ -414,7 +417,7 @@ def _case_result(parts, cfg: McConfig, const: float, decay: int, width: float) -
         # integral of shell_c * r^-decay over the truncated exterior,
         # area element ~ SPHERE6_AREA r^6 dr, extra transverse width folded in.
         tail_est = (
-            REPRO_CONST
+            const
             * shell_c
             * SPHERE6_AREA
             * width
@@ -466,6 +469,12 @@ def _kernel_pairs(cases: Sequence[Case], kernel) -> list[tuple[Callable, object]
             last_z = z_bytes
         pairs.append((left, f))
     return pairs
+
+
+def _flat_pairs(cases: Sequence[Case], values) -> list[tuple[Callable, object]]:
+    """(L, f) for each case (f, z) of a flat-region reproduction, L the
+    kernel rows ``values(u)`` at u = z + conj(w)."""
+    return _kernel_pairs(cases, lambda z, p: values(z.to_array() + conj_many(p)))
 
 
 def _paired(pairs, twist=None) -> Callable[[SampleBatch], Iterator[np.ndarray]]:
@@ -532,22 +541,14 @@ def cauchy_theorem_check(f, cfg: McConfig, radius: float = 1.0) -> MCResult:
     return _estimate(sphere_region(radius), integrand, cfg, const=1.0)[0]
 
 
-def cauchy_formula_reproduce(
-    cases: Sequence[Case], cfg: McConfig, grouping: str = "normal_first"
-) -> list[MCResult]:
+def cauchy_formula_reproduce(cases: Sequence[Case], cfg: McConfig) -> list[MCResult]:
     """(3/pi^4) integral of q0(w - z) (n(w) f(w)) over the unit sphere,
     one result per case (f, z).
 
-    ``grouping='normal_first'`` multiplies n(w) f(w) before applying the
-    kernel, the order under which reproduction holds;
-    ``grouping='kernel_first'`` associates the other way and is exposed
-    to make the non-associativity error observable.
-
-    No interior check: for z outside the closed ball the estimate
-    targets 0 instead of f(z).
+    n(w) f(w) is multiplied before the kernel is applied, the grouping
+    under which reproduction holds.  No interior check: for z outside the
+    closed ball the estimate targets 0 instead of f(z).
     """
-    if grouping not in ("normal_first", "kernel_first"):
-        raise ValueError(f"unknown grouping {grouping!r}")
     pairs = [
         (left, _as_handle(f))
         for left, f in _kernel_pairs(cases, lambda z, p: q0_many(p - z.to_array()))
@@ -556,10 +557,7 @@ def cauchy_formula_reproduce(
     def integrand(batch: SampleBatch):
         points, normals = batch.points, batch.normals
         for kernel, fn in pairs:
-            if grouping == "normal_first":
-                yield mul_many(kernel(points), mul_many(normals, fn(points)))
-            else:
-                yield mul_many(mul_many(kernel(points), normals), fn(points))
+            yield mul_many(kernel(points), mul_many(normals, fn(points)))
 
     return _estimate(sphere_region(1.0), integrand, cfg)
 
@@ -596,7 +594,7 @@ def inner_product_bergman_ball(f, g, cfg: McConfig) -> MCResult:
 
 # ---------------------------------------------------------------------------
 # Strip and half-space estimators; each names its integrand's decay
-# exponent in |Im w| and its region's transverse width once
+# exponent in |Im w| once, and its region the transverse width
 
 
 def szego_reproduce_strip(
@@ -611,13 +609,8 @@ def szego_reproduce_strip(
     No interior check on z: for z outside the closed strip the estimate
     targets 0 instead of f(z).
     """
-
-    def kernel(z: Octonion, p: np.ndarray) -> np.ndarray:
-        return szego_strip_values(z.to_array() + conj_many(p), domain.d, policy)[0]
-
-    region = strip_boundary_region(domain, cfg.radius)
-    pairs = _kernel_pairs(cases, kernel)
-    return _estimate(region, _paired(pairs), cfg, decay=14, width=2.0)
+    pairs = _flat_pairs(cases, lambda u: szego_strip_values(u, domain.d, policy)[0])
+    return _estimate(strip_boundary_region(domain, cfg.radius), _paired(pairs), cfg, decay=14)
 
 
 def bergman_reproduce_strip(
@@ -628,13 +621,8 @@ def bergman_reproduce_strip(
 ) -> list[MCResult]:
     """(3/pi^4) integral of B(z, w) f(w) over the truncated strip volume,
     one result per case (f, z)."""
-
-    def kernel(z: Octonion, p: np.ndarray) -> np.ndarray:
-        return bergman_strip_values(z.to_array() + conj_many(p), domain.d, policy)[0]
-
-    region = strip_volume_region(domain, cfg.radius)
-    pairs = _kernel_pairs(cases, kernel)
-    return _estimate(region, _paired(pairs), cfg, decay=15, width=domain.d)
+    pairs = _flat_pairs(cases, lambda u: bergman_strip_values(u, domain.d, policy)[0])
+    return _estimate(strip_volume_region(domain, cfg.radius), _paired(pairs), cfg, decay=15)
 
 
 def inner_product_strip_boundary(
@@ -642,7 +630,7 @@ def inner_product_strip_boundary(
 ) -> MCResult:
     """(f, g) = (3/pi^4) integral of conj(g) f over both truncated walls."""
     region = strip_boundary_region(domain, cfg.radius)
-    return _estimate(region, _paired([(_conj_of(g), f)]), cfg, decay=14, width=2.0)[0]
+    return _estimate(region, _paired([(_conj_of(g), f)]), cfg, decay=14)[0]
 
 
 def inner_product_strip_volume(
@@ -650,8 +638,7 @@ def inner_product_strip_volume(
 ) -> MCResult:
     """(f, g) = (3/pi^4) integral of conj(g) f over the truncated strip volume."""
     region = strip_volume_region(domain, cfg.radius)
-    pairs = [(_conj_of(g), f)]
-    return _estimate(region, _paired(pairs), cfg, decay=14, width=domain.d)[0]
+    return _estimate(region, _paired([(_conj_of(g), f)]), cfg, decay=14)[0]
 
 
 def szego_reproduce_half_space(cases: Sequence[Case], cfg: McConfig) -> list[MCResult]:
@@ -659,10 +646,5 @@ def szego_reproduce_half_space(cases: Sequence[Case], cfg: McConfig) -> list[MCR
     one result per case (f, z)."""
     if any(z.real <= 0.0 for _, z in cases):
         raise DomainError("evaluation point must have positive real part")
-
-    def kernel(z: Octonion, p: np.ndarray) -> np.ndarray:
-        return szego_half_space_values(z.to_array() + conj_many(p))
-
-    region = half_space_boundary_region(cfg.radius)
-    pairs = _kernel_pairs(cases, kernel)
-    return _estimate(region, _paired(pairs), cfg, decay=14, width=1.0)
+    pairs = _flat_pairs(cases, szego_half_space_values)
+    return _estimate(half_space_boundary_region(cfg.radius), _paired(pairs), cfg, decay=14)

@@ -158,7 +158,13 @@ def _fd_tolerance(h: float, f_max: float) -> float:
     roundoff stays within 8 * 2 * (2 eps f_max) / (2h) = 16 eps f_max / h.
     """
     roundoff = 16.0 * np.finfo(np.float64).eps * f_max / h
-    return max(1e-6 * max(1.0, (h / 1e-5) ** 2), roundoff)
+    try:  # float ** raises OverflowError past the float range
+        bar = max(1e-6 * max(1.0, (h / 1e-5) ** 2), roundoff)
+    except OverflowError:
+        bar = math.inf
+    if not math.isfinite(bar):
+        raise DomainError(f"finite-difference step {h} gives no finite Cauchy-Riemann bar")
+    return bar
 
 
 def trig(points: int, seed: int, policy: TruncationPolicy, fd: FiniteDiffConfig) -> list[Row]:
@@ -288,10 +294,15 @@ def reproduce(experiment: str, cfg: McConfig, d: float = 1.0) -> list[Row]:
     domain_args = (StripDomain(d),) if strip else ()
     width = d if strip else None
     estimator, cases = REPRODUCE[experiment](d)
+    with np.errstate(over="ignore"):  # an overflowing |z - c|^8 gives a zero target
+        targets = [f(z) if relative else Octonion() for _, f, z, _, relative in cases]
+    for (name, *_, relative), target in zip(cases, targets):
+        if relative and not 0.0 < target.norm() < math.inf:
+            # checked before sampling; a relative residual needs a finite nonzero target
+            raise DomainError(f"{name}: the target f(z) has norm {target.norm()}")
     results = estimator([(f, z) for _, f, z, _, _ in cases], *domain_args, cfg)
     rows = []
-    for (name, f, z, tol, relative), res in zip(cases, results):
-        target = f(z) if relative else Octonion()
+    for (name, f, z, tol, relative), target, res in zip(cases, targets, results):
         resid = (res.value - target).norm()
         if relative:
             resid /= target.norm()

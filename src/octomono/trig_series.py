@@ -240,11 +240,20 @@ def _end_corrected_count(
 ) -> tuple[int, float]:
     """Least one-sided count N whose end-corrected bound is within tail_tol, and that bound."""
     a, b, power = law
-    c10 = 2.0 * a * step**power
-    c9 = 2.0 * b * step ** (power - 1)
     tol = policy.tail_tol
-    # below rho_min one of the two terms alone exceeds tol
-    rho_min = max((c10 / tol) ** 0.1, (c9 / tol) ** (1.0 / 9.0))
+    try:  # float ** raises OverflowError past the float range
+        c10 = 2.0 * a * step**power
+        c9 = 2.0 * b * step ** (power - 1)
+        # below rho_min one of the two terms alone exceeds tol
+        rho_min = max((c10 / tol) ** 0.1, (c9 / tol) ** (1.0 / 9.0))
+        start = (rho_min + max_re) / step - 0.5  # not finite if c10 or c9 is not
+    except OverflowError:
+        start = math.inf
+    if not math.isfinite(start):
+        raise PolicyError(
+            f"periodized sum of step {step:.3e} at |Re u| = {max_re:.3e}: the "
+            f"tail law's constants or its term count are not finite floats"
+        )
 
     def bound(n: int) -> float:
         rho = step * (n + 0.5) - max_re
@@ -252,7 +261,7 @@ def _end_corrected_count(
             return math.inf
         return c10 * rho**-10 + c9 * rho**-9
 
-    n_side = max(0, math.ceil((rho_min + max_re) / step - 0.5))
+    n_side = max(0, math.ceil(start))
     # checked before the search too, which steps one term at a time
     _check_budget(n_side, policy)
     while bound(n_side) > tol:

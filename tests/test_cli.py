@@ -27,7 +27,11 @@ ROW_KEYS = ["name", "value", "target", "residual", "tolerance", "tail_bound", "p
 STRIP_EVAL = [
     "eval-kernel", "--kernel", "szego_strip", "--z", "0.5", "--w", "0.5", "--d", "1"
 ]
+BERGMAN_EVAL = [
+    "eval-kernel", "--kernel", "bergman_strip", "--z", "0.5", "--w", "0.5", "--d", "1"
+]
 STRIP_MC = ["reproduce", "--experiment", "szego_strip", "--samples", "1000"]
+BERGMAN_MC = ["reproduce", "--experiment", "bergman_strip", "--samples", "1000"]
 BALL_MC = ["reproduce", "--experiment", "cauchy_ball", "--samples", "1000"]
 
 
@@ -476,6 +480,30 @@ class TestUsageErrors:
         self.assert_usage_error(capsys, argv)
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            # the tail law's radius**-7 and radius**-8 overflow
+            ["--radius=1e-50", *STRIP_MC],
+            ["--radius=1e-50", *BERGMAN_MC],
+            # the strip lattice's step 2d leaves its tail law or the float range
+            [*STRIP_EVAL[:-1], "1e100"],
+            [*BERGMAN_EVAL[:-1], "1e150"],
+            [*BERGMAN_EVAL[:-1], "1e308"],
+            ["limit-study", "--d-values", "1e100,2e100"],
+            # the relative targets' norms |q0(d/2 + 1)| underflow to 0
+            [*STRIP_MC, "--d", "1e100"],
+            [*BERGMAN_MC, "--d", "1e100"],
+            # the central-difference bar grows as the step squared
+            ["trig", "--points", "2", "--fd-step=1e160"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_out_of_range_scale_is_usage_error(self, capsys, argv):
+        # these printed an OverflowError, ValueError or ZeroDivisionError
+        # traceback and exited 1, the reproduce runs after sampling
+        self.assert_usage_error(capsys, argv)
+
+    @pytest.mark.parametrize(
         "literal",
         [
             "inf",
@@ -598,8 +626,8 @@ GLOBAL_FLAGS = {
     "--seed": ["42", "7"],
     "--threads": ["-1", "0", "1", "2"],
     "--tail-tol": ["1e-12", "1e-6", "0", "-1", "nan"],
-    "--radius": ["2", "50", "0", "-1", "nan", "inf", "1e300"],
-    "--fd-step": ["1e-5", "1e-4", "0", "nan", "inf", "1e-300"],
+    "--radius": ["2", "50", "0", "-1", "nan", "inf", "1e300", "1e-300"],
+    "--fd-step": ["1e-5", "1e-4", "0", "nan", "inf", "1e-300", "1e160"],
     "--samples": ["1000", "2000", "500", "0"],
 }
 COMMAND_FLAGS = {
@@ -616,7 +644,7 @@ COMMAND_FLAGS = {
         ],
         "--z": LITERALS,
         "--w": LITERALS,
-        "--d": ["1", "2", "0", "-1", "inf", "nan"],
+        "--d": ["1", "2", "0", "-1", "inf", "nan", "1e100", "1e308"],
     },
     "reproduce": {
         "--experiment": [
@@ -626,10 +654,10 @@ COMMAND_FLAGS = {
             "szego_strip",
             "bergman_strip",
         ],
-        "--d": ["1", "0.5", "0", "inf"],
+        "--d": ["1", "0.5", "0", "inf", "1e100", "1e308"],
     },
     "limit-study": {
-        "--d-values": ["2,4,8", "2", "", "2,-4", "2,inf", "nan", "2,2"],
+        "--d-values": ["2,4,8", "2", "", "2,-4", "2,inf", "nan", "2,2", "1e100,2e100"],
         "--z": LITERALS,
         "--w": LITERALS,
     },

@@ -298,6 +298,8 @@ class TestDomainChecks:
             StripDomain(0.0)
         with pytest.raises(DomainError):
             StripDomain(-1.0)
+        with pytest.raises(DomainError, match="step 2d"):
+            StripDomain(1e308)  # finite, but the lattice step 2d is not
 
     def test_strip_rejects_exterior_points(self):
         dom = StripDomain(1.0)

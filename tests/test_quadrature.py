@@ -98,6 +98,13 @@ class TestConstants:
             1,
         )
 
+    def test_flat_regions_state_the_width_their_tail_law_integrates_over(self):
+        dom = StripDomain(3.0)
+        assert strip_boundary_region(dom, 2.0).width == 2.0  # both walls
+        assert strip_volume_region(dom, 2.0).width == 3.0  # the strip's width d
+        assert half_space_boundary_region(2.0).width == 1.0  # one wall
+        assert sphere_region(1.0).width == ball_region(1.0).width == 0.0
+
 
 class TestSampling:
     def test_sphere_points_weights_normals(self):
@@ -436,8 +443,24 @@ class TestEngine:
                 lambda cfg: inner_product_strip_volume(ONE, ONE, StripDomain(1e160), cfg),
                 2.0,
             ),
+            # the tail law's radius**-7 and radius**-8 overflow
+            (
+                lambda cfg: szego_reproduce_strip([(ONE, Octonion(0.5))], StripDomain(1.0), cfg),
+                1e-50,
+            ),
+            (
+                lambda cfg: bergman_reproduce_strip([(ONE, Octonion(0.5))], StripDomain(1.0), cfg),
+                1e-50,
+            ),
         ],
-        ids=["half_space", "szego_strip", "bergman_strip", "wide_strip_volume"],
+        ids=[
+            "half_space",
+            "szego_strip",
+            "bergman_strip",
+            "wide_strip_volume",
+            "szego_strip_small",
+            "bergman_strip_small",
+        ],
     )
     def test_overflowing_radius_is_refused_before_sampling(self, monkeypatch, estimator, radius):
         # at radius 1e25, std_err and tail_est used to come out NaN
@@ -511,14 +534,13 @@ class TestBallReproduction:
         f = szego_ball_section(w0)
         target = szego_unit_ball(z, w0)
         cfg = McConfig(seed=7, samples=200_000)
-        (good,) = cauchy_formula_reproduce([(f, z)], cfg, grouping="normal_first")
-        (bad,) = cauchy_formula_reproduce([(f, z)], cfg, grouping="kernel_first")
+        (good,) = cauchy_formula_reproduce([(f, z)], cfg)
+        # the package keeps only the correct grouping; the oracle has both
+        bad_value, bad_err, _, _ = oracles.cauchy_formula_reproduce_reference(
+            f, z, cfg, grouping="kernel_first"
+        )
         assert (good.value - target).norm() <= 4.0 * good.std_err
-        assert (bad.value - target).norm() > 5.0 * bad.std_err
-
-    def test_unknown_grouping_rejected(self):
-        with pytest.raises(ValueError):
-            cauchy_formula_reproduce([(ONE, Octonion(0.0))], McConfig(), grouping="both")
+        assert (Octonion(*bad_value) - target).norm() > 5.0 * bad_err
 
 
 class TestFlatReproduction:
@@ -605,29 +627,19 @@ class TestFlatReproduction:
 STRIP = StripDomain(1.0)
 BALL_F = shifted_cauchy_kernel(Octonion(-2.0))
 STRIP_F = shifted_cauchy_kernel(Octonion(-1.0))
-# estimator name -> the arguments before cfg, and keyword arguments
+# estimator name -> the arguments before cfg
 ESTIMATOR_CASES = {
-    "cauchy_theorem_check": ((BALL_F,), {}),
-    "cauchy_formula_reproduce": ((BALL_F, Octonion(0.0, 0.3)), {}),
-    "cauchy_formula_reproduce[kernel_first]": (
-        (szego_ball_section(Octonion(0.0, 0.0, 0.6)), Octonion(0.0, 0.5)),
-        {"grouping": "kernel_first"},
-    ),
-    "szego_reproduce_ball": ((BALL_F, Octonion(0.3, 0.1)), {}),
-    "inner_product_hardy_ball": ((BALL_F, szego_ball_section(Octonion(0.2, 0.1))), {}),
-    "bergman_reproduce_ball": ((linear_monogenic(), Octonion(0.0, 0.2, 0.1)), {}),
-    "inner_product_bergman_ball": ((BALL_F, linear_monogenic()), {}),
-    "szego_reproduce_strip": ((STRIP_F, Octonion(0.5, 0.2), STRIP), {}),
-    "bergman_reproduce_strip": ((STRIP_F, Octonion(0.5, 0.2), STRIP), {}),
-    "inner_product_strip_boundary": (
-        (STRIP_F, shifted_cauchy_kernel(Octonion(2.0, 0.3)), STRIP),
-        {},
-    ),
-    "inner_product_strip_volume": (
-        (STRIP_F, shifted_cauchy_kernel(Octonion(2.0, 0.3)), STRIP),
-        {},
-    ),
-    "szego_reproduce_half_space": ((STRIP_F, Octonion(1.0, 0.2)), {}),
+    "cauchy_theorem_check": (BALL_F,),
+    "cauchy_formula_reproduce": (BALL_F, Octonion(0.0, 0.3)),
+    "szego_reproduce_ball": (BALL_F, Octonion(0.3, 0.1)),
+    "inner_product_hardy_ball": (BALL_F, szego_ball_section(Octonion(0.2, 0.1))),
+    "bergman_reproduce_ball": (linear_monogenic(), Octonion(0.0, 0.2, 0.1)),
+    "inner_product_bergman_ball": (BALL_F, linear_monogenic()),
+    "szego_reproduce_strip": (STRIP_F, Octonion(0.5, 0.2), STRIP),
+    "bergman_reproduce_strip": (STRIP_F, Octonion(0.5, 0.2), STRIP),
+    "inner_product_strip_boundary": (STRIP_F, shifted_cauchy_kernel(Octonion(2.0, 0.3)), STRIP),
+    "inner_product_strip_volume": (STRIP_F, shifted_cauchy_kernel(Octonion(2.0, 0.3)), STRIP),
+    "szego_reproduce_half_space": (STRIP_F, Octonion(1.0, 0.2)),
 }
 ENGINE_CONFIGS = [
     # 20,001 = 4 chunks of 5,000 and a one-row last chunk
@@ -654,14 +666,14 @@ def _bits(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64).view(np.int64)
 
 
-def _estimate_one(name, args, cfg, kwargs):
+def _estimate_one(name, args, cfg):
     """One estimate through the public estimator; a reproduction as a one-case list."""
     fn = getattr(quadrature, name)
     if name in REPRODUCERS:
         (f, z), rest = args[:2], args[2:]
-        (result,) = fn([(f, z)], *rest, cfg, **kwargs)
+        (result,) = fn([(f, z)], *rest, cfg)
         return result
-    return fn(*args, cfg, **kwargs)
+    return fn(*args, cfg)
 
 
 def _assert_matches(got, want, cfg):
@@ -735,12 +747,11 @@ class TestEngineBitIdentity:
     )
     @pytest.mark.parametrize("case", sorted(ESTIMATOR_CASES))
     def test_matches_reference(self, case, cfg):
-        name = case.split("[")[0]
-        args, kwargs = ESTIMATOR_CASES[case]
-        want = getattr(oracles, f"{name}_reference")(*args, cfg, **kwargs)
+        args = ESTIMATOR_CASES[case]
+        want = getattr(oracles, f"{case}_reference")(*args, cfg)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            got = _estimate_one(name, args, cfg, kwargs)
+            got = _estimate_one(case, args, cfg)
         _assert_matches(got, want, cfg)
         want_msg = want[3]
         assert got.warning == want_msg
@@ -761,7 +772,7 @@ class TestEngineBitIdentity:
         flat = [n for n in ESTIMATOR_CASES if "strip" in n or "half_space" in n]
         assert len(flat) == 5
         for name in flat:
-            args, _ = ESTIMATOR_CASES[name]
+            args = ESTIMATOR_CASES[name]
             assert getattr(oracles, f"{name}_reference")(*args, cfg)[3] is not None
 
 
@@ -772,13 +783,12 @@ MULTI_Z = {
     "strip": (Octonion(0.5, 0.2), Octonion(0.3)),
 }
 MULTI_CASES = {
-    "cauchy_formula_reproduce": ("ball", (), {}),
-    "cauchy_formula_reproduce[kernel_first]": ("ball", (), {"grouping": "kernel_first"}),
-    "szego_reproduce_ball": ("ball", (), {}),
-    "bergman_reproduce_ball": ("ball", (), {}),
-    "szego_reproduce_strip": ("strip", (STRIP,), {}),
-    "bergman_reproduce_strip": ("strip", (STRIP,), {}),
-    "szego_reproduce_half_space": ("strip", (), {}),
+    "cauchy_formula_reproduce": ("ball", ()),
+    "szego_reproduce_ball": ("ball", ()),
+    "bergman_reproduce_ball": ("ball", ()),
+    "szego_reproduce_strip": ("strip", (STRIP,)),
+    "bergman_reproduce_strip": ("strip", (STRIP,)),
+    "szego_reproduce_half_space": ("strip", ()),
 }
 
 
@@ -796,14 +806,13 @@ class TestMultiCaseCalls:
     )
     @pytest.mark.parametrize("case", sorted(MULTI_CASES))
     def test_each_case_matches_its_single_case_oracle(self, case, cfg):
-        name = case.split("[")[0]
-        kind, rest, kwargs = MULTI_CASES[case]
+        kind, rest = MULTI_CASES[case]
         cases = _multi_cases(kind)
-        oracle = getattr(oracles, f"{name}_reference")
-        wants = [oracle(f, z, *rest, cfg, **kwargs) for f, z in cases]
+        oracle = getattr(oracles, f"{case}_reference")
+        wants = [oracle(f, z, *rest, cfg) for f, z in cases]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            got = getattr(quadrature, name)(cases, *rest, cfg, **kwargs)
+            got = getattr(quadrature, case)(cases, *rest, cfg)
         assert len(got) == len(cases)
         for result, want in zip(got, wants):
             _assert_matches(result, want, cfg)

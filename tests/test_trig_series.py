@@ -101,6 +101,16 @@ class TestPeriodizedSum:
                 TruncationPolicy(tail_tol=1e-14, max_terms=10),
             )
 
+    @pytest.mark.parametrize(
+        "values,d",
+        [(szego_strip_values, 1e100), (szego_strip_values, 1e200), (bergman_strip_values, 1e150)],
+    )
+    def test_a_step_too_wide_for_the_tail_law_is_refused(self, values, d):
+        # the law's constants or its term count leave the float range; this
+        # used to raise OverflowError from math.ceil or from the power
+        with pytest.raises(PolicyError, match="not finite"):
+            values(np.array([[0.5, 0.1, 0, 0, 0, 0, 0, 0]]), d)
+
     def test_pole_guard(self):
         with pytest.raises(SingularityError):
             cot(Octonion(math.pi))  # lattice point n = -1
