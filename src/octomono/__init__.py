@@ -12,12 +12,9 @@ from .algebra import (
     Octonion,
     associator,
     commutator,
-    conj,
     format_octonion,
-    inverse,
     mul,
     mul_cayley_dickson,
-    norm,
     parse_octonion,
 )
 
@@ -30,12 +27,9 @@ __all__ = [
     "Octonion",
     "associator",
     "commutator",
-    "conj",
     "format_octonion",
-    "inverse",
     "mul",
     "mul_cayley_dickson",
-    "norm",
     "parse_octonion",
     "__version__",
 ]

@@ -278,18 +278,6 @@ def mul_cayley_dickson(a: Octonion, b: Octonion) -> Octonion:
     return _from_pair(first, second)
 
 
-def conj(a: Octonion) -> Octonion:
-    return a.conjugate()
-
-
-def inverse(a: Octonion) -> Octonion:
-    return a.inverse()
-
-
-def norm(a: Octonion) -> float:
-    return a.norm()
-
-
 def associator(a: Octonion, b: Octonion, c: Octonion) -> Octonion:
     """(a*b)*c - a*(b*c); zero iff the triple associates."""
     return (a * b) * c - a * (b * c)

@@ -183,24 +183,6 @@ def bergman_strip(
     return KernelEval(Octonion(*rows[0]), tail_bound)
 
 
-def bergman_strip_half_step_variant(
-    z: PointLike,
-    w: PointLike,
-    domain: StripDomain,
-    policy: TruncationPolicy = TruncationPolicy(),
-) -> Octonion:
-    """(-2/128) times the step-d derivative lattice sum at u = z + conj(w).
-
-    A naive argument-doubling reading of the closed form gives this
-    denser lattice in place of :func:`bergman_strip`; its distance from
-    the kernel shows the mismatch rather than hiding it.  Raises
-    :class:`SingularityError` where this lattice has a pole, including
-    points where the kernel is regular.
-    """
-    u = _strip_argument(z, w, domain)[2]
-    return periodized_deriv_sum(u, PeriodizedSumSpec(domain.d), policy).value * (-2.0 / 128.0)
-
-
 def strip_relation_residual(
     z: PointLike,
     w: PointLike,

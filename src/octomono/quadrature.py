@@ -140,7 +140,6 @@ class MCResult:
     value: Octonion
     std_err: float
     tail_est: float
-    samples: int
     warning: Optional[str]  # the text of the UserWarning the estimate raised, if any
 
 
@@ -444,7 +443,7 @@ def _case_result(parts, cfg: McConfig, const: float, decay: int, width: float) -
         )
     else:
         problem = None
-    return MCResult(value, std_err, tail_est, cfg.samples, problem)
+    return MCResult(value, std_err, tail_est, problem)
 
 
 def _as_handle(f) -> Callable[[np.ndarray], np.ndarray]:

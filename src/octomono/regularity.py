@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -152,33 +152,19 @@ def apply_D_right(f: ArrayFn, z: PointLike, h: float = 1e-5) -> PointLike:
     return _apply_D(_R_SRC, _R_SGN, f, z, h)
 
 
-def o_regularity_residual(
-    f: ArrayFn,
-    points: Union[PointLike, Iterable[PointLike]],
-    h: float = 1e-5,
-    side: str = "left",
-) -> float:
-    """Max Cauchy-Riemann image norm over points; near 0 for monogenic f.
+def o_regularity_residual(f: ArrayFn, points: PointLike, h: float = 1e-5) -> float:
+    """Max left Cauchy-Riemann image norm over points; near 0 for monogenic f.
 
-    ``points`` is a single point, a batch (n, 8) or an iterable of points.
-    Up to 1,024 points are evaluated in one operator call: ``f`` receives
-    their whole ``(2, n, 8, 8)`` stencil, so a batch-dependent ``f`` (a
-    lattice sum) uses one term count for all of them.  Callers must keep
-    every point at distance >= 10h from the singular set of f.
+    ``points`` is a single point or a batch (n, 8).  Up to 1,024 points
+    are evaluated in one operator call: ``f`` receives their whole
+    ``(2, n, 8, 8)`` stencil, so a batch-dependent ``f`` (a lattice sum)
+    uses one term count for all of them.  Callers must keep every point
+    at distance >= 10h from the singular set of f.
     """
-    if side == "left":
-        apply = apply_D_left
-    elif side == "right":
-        apply = apply_D_right
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if np.iterable(points) and not isinstance(points, np.ndarray):
-        zs = np.array([as_coords(z) for z in points]).reshape(-1, 8)
-    else:
-        zs = as_coords(points).reshape(-1, 8)
+    zs = as_coords(points).reshape(-1, 8)
     worst = 0.0
     for lo in range(0, len(zs), _POINTS_PER_CALL):
-        image = apply(f, zs[lo : lo + _POINTS_PER_CALL], h)
+        image = apply_D_left(f, zs[lo : lo + _POINTS_PER_CALL], h)
         # np.max keeps a NaN norm, where the builtin max(0.0, nan) would drop it
         worst = np.max(norm_many(image), initial=worst)
     return float(worst)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels, quadrature
 from .algebra import Octonion, conj_many, mul, mul_cayley_dickson, mul_many, norm_many
-from .errors import DomainError, SingularityError
+from .errors import DomainError
 from .functions import constant, linear_monogenic, shifted_cauchy_kernel
 from .kernels import StripDomain
 from .quadrature import McConfig
@@ -228,19 +228,8 @@ def eval_kernel(
         return [Row(kernel, KERNELS[kernel](z, w), tail_bound=0.0)]
     if d is None:
         raise DomainError(f"{kernel} requires --d")
-    domain = StripDomain(d)
-    ev = KERNELS[kernel](z, w, domain, policy)
-    rows = [Row(kernel, ev.value, tail_bound=ev.tail_bound, d=d)]
-    if kernel == "bergman_strip":
-        # informational: the step-d variant reading of the closed form has
-        # poles at points where the kernel is regular
-        try:
-            variant = kernels.bergman_strip_half_step_variant(z, w, domain, policy)
-            delta = (variant - ev.value).norm()
-        except SingularityError:
-            delta = None
-        rows.append(Row("half_step_variant_delta", delta, d=d))
-    return rows
+    ev = KERNELS[kernel](z, w, StripDomain(d), policy)
+    return [Row(kernel, ev.value, tail_bound=ev.tail_bound, d=d)]
 
 
 def _shift_cases(d: float, tolerance: float) -> list[tuple]:
@@ -324,7 +313,8 @@ def limit_study(
 ) -> list[Row]:
     """Gaps between the strip and half-space kernels at each width, and
     their fitted decay exponents (-7 Szego, -8 Bergman) over two or more
-    widths.  ``scale_with_d`` evaluates at z d/2 and w d/2."""
+    widths.  ``scale_with_d`` evaluates at z d/2 and w d/2.  A gap that
+    reads 0 or inf, its squared norm out of the float range, is refused."""
     if not d_values:
         raise DomainError("d_values must list at least one width")
     if any(d <= 0 for d in d_values):
@@ -342,8 +332,12 @@ def limit_study(
             raise DomainError(f"evaluation points leave the strip at d={d:g}")
         for name in exponents:
             strip, half = KERNELS[f"{name}_strip"], KERNELS[f"{name}_halfspace"]
-            gaps[name].append((strip(ze, we, domain, policy).value - half(ze, we)).norm())
-            rows.append(Row(f"{name}_diff[d={d:g}]", gaps[name][-1], d=d))
+            gap = (strip(ze, we, domain, policy).value - half(ze, we)).norm()
+            if not 0.0 < gap < math.inf:
+                # the squared norm left the float range; the fit needs log(gap)
+                raise DomainError(f"the {name} gap at d={d:g} reads {gap}, out of the float range")
+            gaps[name].append(gap)
+            rows.append(Row(f"{name}_diff[d={d:g}]", gap, d=d))
 
     if len(d_values) > 1:
         logs = np.log(np.asarray(d_values))

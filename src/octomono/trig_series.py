@@ -52,7 +52,8 @@ order 1, plain  ``k = -N..N`` and                     ``2 (21 s^2 rho^-10
 ``N`` is the least count that brings the bound within the policy
 tolerance for the batch's largest ``|u|`` (first two rows, ``_TAIL_LAW``)
 or ``|Re u|`` (last two, ``_END_LAW``), so the one tail bound returned
-holds for every row.  The first two rows bound each dropped term by its
+holds for every row; a count above :data:`MAX_TERMS` is refused with
+:class:`PolicyError`.  The first two rows bound each dropped term by its
 modulus.  The last two, used by the strip kernels and csc/sec, need
 about half the terms at the default tolerance, and their count does not
 grow with ``|Im u|``.
@@ -180,6 +181,9 @@ _TAIL_LAW = ((1.0, 3.0, 6), (18.0, 7.0, 7))
 # 2 * (a * step^p * rho^-10 + b * step^(p-1) * rho^-9), see the module docstring.
 _END_LAW = {(0, True): (63.0, 3.5, 3), (1, False): (21.0, 7.0 / 3.0, 2)}
 
+# Hard cap on the one-sided term count N of a lattice sum.
+MAX_TERMS = 1_000_000
+
 # Batch rows evaluated together as one (terms, rows) block.
 _BLOCK_ROWS = 512
 
@@ -193,16 +197,13 @@ _TINY = np.finfo(np.float64).tiny
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Tail tolerance and a hard cap on the one-sided term count."""
+    """Tail tolerance of a lattice sum."""
 
     tail_tol: float = 1e-12
-    max_terms: int = 1_000_000
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tail_tol < math.inf:
             raise PolicyError(f"tail_tol must be positive and finite, got {self.tail_tol}")
-        if self.max_terms < 1:
-            raise PolicyError(f"max_terms must be >= 1, got {self.max_terms}")
 
 
 @dataclass(frozen=True)
@@ -227,11 +228,10 @@ class SumResult:
     terms: int
 
 
-def _check_budget(n_side: int, policy: TruncationPolicy) -> None:
-    if n_side > policy.max_terms:
+def _check_budget(n_side: int) -> None:
+    if n_side > MAX_TERMS:
         raise PolicyError(
-            f"periodized sum needs {n_side} one-sided terms, "
-            f"policy allows {policy.max_terms}"
+            f"periodized sum needs {n_side} one-sided terms, the cap is {MAX_TERMS}"
         )
 
 
@@ -263,13 +263,17 @@ def _end_corrected_count(
 
     n_side = max(0, math.ceil(start))
     # checked before the search too, which steps one term at a time
-    _check_budget(n_side, policy)
+    _check_budget(n_side)
     while bound(n_side) > tol:
         n_side += 1
-    _check_budget(n_side, policy)
+    _check_budget(n_side)
     return n_side, bound(n_side)
 
 
+# Far terms overflow r^8 (from r = 3.4e38) or r^10 (from r = 6.7e30), and a
+# quotient by the overflowed power reads 0 (x / inf).  The true quotient is
+# below 8 / r^8 < 2e-246 there, so that overflow is expected, not reported.
+@np.errstate(over="ignore")
 def _direct(
     u0: np.ndarray,
     s2: np.ndarray,
@@ -470,7 +474,7 @@ def _lattice_sum(
         num, den, power = _TAIL_LAW[order]
         margin = (num / (den * step * policy.tail_tol)) ** (1.0 / power)
         n_side = int(math.floor((max_norm + margin) / step)) + 1
-        _check_budget(n_side, policy)
+        _check_budget(n_side)
         tail = num / (den * step) * (step * n_side - max_norm) ** -power
         acc_re, acc_im = _direct(u0, s2, step, alternating, order, n_side, False)
     else:

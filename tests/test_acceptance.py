@@ -20,7 +20,7 @@ import pytest
 from conftest import combined_relation_residuals, duplication_residual
 from oracles import bergman_half_space_values
 from octomono import suites
-from octomono.algebra import Octonion, conj
+from octomono.algebra import Octonion
 from octomono.cli import main
 from octomono.functions import (
     bergman_ball_section,
@@ -173,7 +173,7 @@ def test_04_series_and_kernel_regularity(capsys):
         bergman_ball_section(w0).eval_batch, ball_pts
     )
 
-    cw = conj(Octonion(1.0)).to_array()
+    cw = Octonion(1.0).conjugate().to_array()
     half_pts = [np.r_[rng.uniform(0.3, 2.0), rng.normal(size=7) * 0.5] for _ in range(50)]
     residuals["szego_halfspace"] = o_regularity_residual(
         lambda p: szego_half_space_values(p + cw), half_pts
@@ -182,7 +182,7 @@ def test_04_series_and_kernel_regularity(capsys):
         lambda p: bergman_half_space_values(p + cw), half_pts
     )
 
-    cws = conj(Octonion(0.5, 0.0, 0.2)).to_array()
+    cws = Octonion(0.5, 0.0, 0.2).conjugate().to_array()
     strip_pts = []
     for _ in range(50):
         p = np.zeros(8)
@@ -194,7 +194,7 @@ def test_04_series_and_kernel_regularity(capsys):
     )
     # the degree -8 series needs more clearance from the lattice for the
     # finite-difference floor to sit below 1e-6
-    cwb = conj(Octonion(0.5)).to_array()
+    cwb = Octonion(0.5).conjugate().to_array()
     strip_pts_b = []
     for _ in range(50):
         p = np.zeros(8)
@@ -258,7 +258,7 @@ def test_06_kernel_derivative_relations(capsys):
     for _ in range(50):
         z = Octonion(*np.r_[rng.uniform(0.3, 2.0), rng.normal(size=7)])
         w = Octonion(*np.r_[rng.uniform(0.3, 2.0), rng.normal(size=7)])
-        cw = conj(w).to_array()
+        cw = w.conjugate().to_array()
         fd = central_difference(
             lambda p: szego_half_space_values(p + cw), z.to_array(), np.eye(8)[0], 1e-5
         )

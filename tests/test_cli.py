@@ -154,47 +154,16 @@ class TestEvalKernel:
             main([*STRIP_EVAL, "--method", "both"])
         assert exc.value.code == 2
 
-    def test_strip_bergman_reports_half_step_variant_as_unavailable_at_pole(
-        self, capsys
-    ):
-        # the denser-lattice variant hits a spurious pole at this
-        # argument and its row reports null
-        code, out = run_cli(
-            capsys,
-            "eval-kernel",
-            "--kernel",
-            "bergman_strip",
-            "--z",
-            "0.5",
-            "--w",
-            "0.5",
-            "--d",
-            "1",
-        )
-        assert code == 0
-        rows = {r["name"]: r for r in json.loads(out)["results"]}
-        assert abs(rows["bergman_strip"]["value"][0] - 28.004345012707246) < 1e-10
-        assert rows["half_step_variant_delta"]["value"] is None
-        assert rows["half_step_variant_delta"]["pass"] is None
-
-    def test_strip_bergman_reports_half_step_variant_off_the_pole(self, capsys):
-        code, out = run_cli(
-            capsys,
-            "eval-kernel",
-            "--kernel",
-            "bergman_strip",
-            "--z",
-            "0.5 + 0.3 e1",
-            "--w",
-            "0.5",
-            "--d",
-            "1",
-        )
-        assert code == 0
-        rows = {r["name"]: r for r in json.loads(out)["results"]}
-        assert list(rows) == ["bergman_strip", "half_step_variant_delta"]
-        assert rows["half_step_variant_delta"]["value"] > 1.0
-        assert rows["half_step_variant_delta"]["pass"] is None
+    def test_strip_bergman_reports_the_kernel_alone(self, capsys):
+        # the kernel is the report's only row, at a real and at a complex u
+        values = []
+        for z in ("0.5", "0.5 + 0.3 e1"):
+            code, out = run_cli(capsys, *BERGMAN_EVAL[:4], z, *BERGMAN_EVAL[5:])
+            assert code == 0
+            rows = json.loads(out)["results"]
+            assert [r["name"] for r in rows] == ["bergman_strip"]
+            values.append(rows[0]["value"][0])
+        assert abs(values[0] - 28.004345012707246) < 1e-10
 
     def test_octonion_literal_forms_agree(self, capsys):
         _, bracket = run_cli(
@@ -490,6 +459,8 @@ class TestUsageErrors:
             [*BERGMAN_EVAL[:-1], "1e150"],
             [*BERGMAN_EVAL[:-1], "1e308"],
             ["limit-study", "--d-values", "1e100,2e100"],
+            # the squared norm of the Bergman gap underflows to 0
+            ["limit-study", "--d-values", "1e22,2e22"],
             # the relative targets' norms |q0(d/2 + 1)| underflow to 0
             [*STRIP_MC, "--d", "1e100"],
             [*BERGMAN_MC, "--d", "1e100"],
@@ -500,7 +471,8 @@ class TestUsageErrors:
     )
     def test_out_of_range_scale_is_usage_error(self, capsys, argv):
         # these printed an OverflowError, ValueError or ZeroDivisionError
-        # traceback and exited 1, the reproduce runs after sampling
+        # traceback and exited 1, the reproduce runs after sampling; the
+        # 1e22 limit study printed numpy's log(0) warning and a NaN exponent
         self.assert_usage_error(capsys, argv)
 
     @pytest.mark.parametrize(
@@ -644,7 +616,7 @@ COMMAND_FLAGS = {
         ],
         "--z": LITERALS,
         "--w": LITERALS,
-        "--d": ["1", "2", "0", "-1", "inf", "nan", "1e100", "1e308"],
+        "--d": ["1", "2", "0", "-1", "inf", "nan", "1e40", "1e100", "1e308"],
     },
     "reproduce": {
         "--experiment": [
@@ -657,7 +629,9 @@ COMMAND_FLAGS = {
         "--d": ["1", "0.5", "0", "inf", "1e100", "1e308"],
     },
     "limit-study": {
-        "--d-values": ["2,4,8", "2", "", "2,-4", "2,inf", "nan", "2,2", "1e100,2e100"],
+        "--d-values": [
+            "2,4,8", "2", "", "2,-4", "2,inf", "nan", "2,2", "1e22,2e22", "1e100,2e100"
+        ],
         "--z": LITERALS,
         "--w": LITERALS,
     },
@@ -706,8 +680,10 @@ class TestFuzz:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             with warnings.catch_warnings():
-                # a fitted exponent must never come from a rank-deficient fit
+                # a fitted exponent must never come from a rank-deficient
+                # fit, and no numpy overflow or log(0) may reach stderr
                 warnings.simplefilter("error", np.exceptions.RankWarning)
+                warnings.simplefilter("error", RuntimeWarning)
                 code = main(argv)
         assert code in (0, 1, 2)
         if code == 2:

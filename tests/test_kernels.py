@@ -17,13 +17,12 @@ from oracles import (
     szego_strip_reference,
     szego_strip_values_reference,
 )
-from octomono.algebra import Octonion, conj, mul
+from octomono.algebra import Octonion, mul
 from octomono.errors import DomainError, SingularityError
 from octomono.kernels import (
     StripDomain,
     bergman_half_space,
     bergman_strip,
-    bergman_strip_half_step_variant,
     bergman_strip_values,
     bergman_unit_ball,
     bergman_ball_values,
@@ -84,7 +83,7 @@ class TestFrozenBallValues:
         for _ in range(20):
             z = Octonion(*rng.uniform(-0.5, 0.5, 8))
             w = Octonion(*rng.uniform(-0.5, 0.5, 8))
-            u = Octonion(1.0) - mul(conj(z), w)
+            u = Octonion(1.0) - mul(z.conjugate(), w)
             want = u.to_array() / u.norm() ** 8
             got = szego_unit_ball(z, w).to_array()
             assert np.abs(got - want).max() < 1e-12
@@ -120,7 +119,7 @@ class TestFrozenFlatValues:
     def test_strip_series_matches_brute_lattice(self, rng):
         d = 0.75
         z, w = _strip_pair(rng, d)
-        u = (z + conj(w)).to_array()
+        u = (z + w.conjugate()).to_array()
         got = szego_strip(z, w, StripDomain(d), TIGHT).value
         want = brute_lattice_sum(u, 2.0 * d, 4000, True)
         assert np.abs(_arr(got) - want).max() < 1e-12
@@ -128,7 +127,7 @@ class TestFrozenFlatValues:
     def test_strip_bergman_matches_brute_derivative(self, rng):
         d = 1.5
         z, w = _strip_pair(rng, d)
-        u = (z + conj(w)).to_array()
+        u = (z + w.conjugate()).to_array()
         got = bergman_strip(z, w, StripDomain(d), TIGHT).value
         want = -2.0 * brute_deriv_sum(u, 2.0 * d, 3000)
         assert np.abs(_arr(got) - want).max() < 1e-5  # FD oracle floor
@@ -158,7 +157,7 @@ def _check_closed_form(order, z, w, d):
     a = kernel(z, w, StripDomain(d), TIGHT)
     b, b_tail = reference(z, w, d, TIGHT, "closed_form")
     scale = math.pi / (2.0 * d)
-    u = z + conj(w)
+    u = z + w.conjugate()
     lattice_sum = periodized_deriv_sum if order else periodized_sum
     terms = sum(
         lattice_sum(arg, PeriodizedSumSpec(step, alternating=order == 0), TIGHT).terms
@@ -192,23 +191,6 @@ class TestSeriesVsClosedForm:
     def test_near_the_wall(self, order, x):
         _check_closed_form(order, Octonion(x), Octonion(x), 1.0)
 
-    def test_half_step_variant_disagrees(self):
-        # the denser lattice is NOT the same function: its residual
-        # against the series is large wherever it is finite at all
-        dom = StripDomain(1.0)
-        z, w = Octonion(0.5, 0.3), Octonion(0.5)
-        variant = bergman_strip_half_step_variant(z, w, dom, TIGHT)
-        residual = (variant - bergman_strip(z, w, dom, TIGHT).value).norm()
-        assert residual > 1.0
-
-    def test_half_step_variant_singular_where_kernel_is_regular(self):
-        # at z = w = 0.5, d = 1 the combined argument is 1.0: a pole of
-        # the step-d lattice but a perfectly regular point of the kernel
-        dom = StripDomain(1.0)
-        assert bergman_strip(Octonion(0.5), Octonion(0.5), dom, TIGHT).value.norm() < 30
-        with pytest.raises(SingularityError):
-            bergman_strip_half_step_variant(Octonion(0.5), Octonion(0.5), dom, TIGHT)
-
 
 class TestKernelRelations:
     def test_bergman_is_minus_two_x0_derivative_of_szego_half_space(self, rng):
@@ -217,7 +199,7 @@ class TestKernelRelations:
             w = Octonion(*np.r_[rng.uniform(0.3, 2.0), rng.normal(size=7)])
 
             def szego_u(p, w=w):
-                return szego_half_space_values(p + conj(w).to_array())
+                return szego_half_space_values(p + w.conjugate().to_array())
 
             fd = central_difference(szego_u, z.to_array(), np.eye(8)[0], 1e-5)
             got = bergman_half_space(z, w).to_array()
@@ -256,10 +238,10 @@ class TestSymmetriesAndScaling:
     def test_ball_kernels_hermitian(self, z, w):
         s_zw = szego_unit_ball(z, w)
         s_wz = szego_unit_ball(w, z)
-        assert (s_zw - conj(s_wz)).norm() < 1e-9 * max(s_zw.norm(), 1.0)
+        assert (s_zw - s_wz.conjugate()).norm() < 1e-9 * max(s_zw.norm(), 1.0)
         b_zw = bergman_unit_ball(z, w)
         b_wz = bergman_unit_ball(w, z)
-        assert (b_zw - conj(b_wz)).norm() < 1e-9 * max(b_zw.norm(), 1.0)
+        assert (b_zw - b_wz.conjugate()).norm() < 1e-9 * max(b_zw.norm(), 1.0)
 
     def test_flat_kernels_hermitian(self, rng):
         dom = StripDomain(1.0)
@@ -267,17 +249,17 @@ class TestSymmetriesAndScaling:
             z, w = _strip_pair(rng, 1.0)
             s = szego_strip(z, w, dom, TIGHT).value
             s_t = szego_strip(w, z, dom, TIGHT).value
-            assert (s - conj(s_t)).norm() < 1e-11
+            assert (s - s_t.conjugate()).norm() < 1e-11
             b = bergman_strip(z, w, dom, TIGHT).value
             b_t = bergman_strip(w, z, dom, TIGHT).value
-            assert (b - conj(b_t)).norm() < 1e-11
+            assert (b - b_t.conjugate()).norm() < 1e-11
             zh = Octonion(*np.r_[rng.uniform(0.3, 2.0), rng.normal(size=7)])
             wh = Octonion(*np.r_[rng.uniform(0.3, 2.0), rng.normal(size=7)])
             assert (
-                szego_half_space(zh, wh) - conj(szego_half_space(wh, zh))
+                szego_half_space(zh, wh) - szego_half_space(wh, zh).conjugate()
             ).norm() < 1e-12
             assert (
-                bergman_half_space(zh, wh) - conj(bergman_half_space(wh, zh))
+                bergman_half_space(zh, wh) - bergman_half_space(wh, zh).conjugate()
             ).norm() < 1e-12
 
     def test_strip_kernels_scale_covariantly(self, rng):
@@ -409,7 +391,7 @@ class TestBatchHelpers:
     def test_strip_batches_match_scalar(self, rng):
         dom = StripDomain(1.0)
         pairs = [_strip_pair(rng, 1.0) for _ in range(8)]
-        u = np.array([(z + conj(w)).to_array() for z, w in pairs])
+        u = np.array([(z + w.conjugate()).to_array() for z, w in pairs])
         sb, s_tail = szego_strip_values(u, dom.d, TIGHT)
         bb, b_tail = bergman_strip_values(u, dom.d, TIGHT)
         for i, (z, w) in enumerate(pairs):
@@ -424,7 +406,7 @@ class TestBatchHelpers:
         zs = np.c_[rng.uniform(0.3, 2.0, 8), rng.normal(size=(8, 7))]
         ws = np.c_[rng.uniform(0.3, 2.0, 8), rng.normal(size=(8, 7))]
         u = np.array(
-            [(Octonion(*a) + conj(Octonion(*b))).to_array() for a, b in zip(zs, ws)]
+            [(Octonion(*a) + Octonion(*b).conjugate()).to_array() for a, b in zip(zs, ws)]
         )
         sb = szego_half_space_values(u)
         bb = bergman_half_space_values(u)
@@ -481,7 +463,7 @@ class TestScalarViewsBitIdentity:
         s = math.pi / (2.0 * d)
         for _ in range(4):
             z, w = _strip_pair(rng, d)
-            u = (z + conj(w)) * s
+            u = (z + w.conjugate()) * s
             if method == "series":
                 got = kernel(z, w, StripDomain(d), policy)
                 value, tail = got.value, got.tail_bound

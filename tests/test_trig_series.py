@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -94,11 +95,12 @@ class TestPeriodizedSum:
         assert tight.tail_bound <= 1e-12
 
     def test_max_terms_policy_error(self):
-        with pytest.raises(PolicyError):
+        # a tail of 1e-60 needs about 2e9 terms a side, past the fixed cap
+        with pytest.raises(PolicyError, match="cap is 1000000"):
             periodized_sum(
                 Octonion(0.3, 1.0),
                 PeriodizedSumSpec(step=math.pi),
-                TruncationPolicy(tail_tol=1e-14, max_terms=10),
+                TruncationPolicy(tail_tol=1e-60),
             )
 
     @pytest.mark.parametrize(
@@ -110,6 +112,18 @@ class TestPeriodizedSum:
         # used to raise OverflowError from math.ceil or from the power
         with pytest.raises(PolicyError, match="not finite"):
             values(np.array([[0.5, 0.1, 0, 0, 0, 0, 0, 0]]), d)
+
+    @pytest.mark.parametrize(
+        "values,want", [(szego_strip_values, 1.0), (bergman_strip_values, 14.0)]
+    )
+    def test_far_terms_past_the_float_range_read_zero_without_a_warning(self, values, want):
+        # at d = 1e40 the end-correction terms sit at r = 1e40, whose r^8
+        # overflows: they read 0, with no numpy overflow warning
+        u = np.array([[1.0, 0, 0, 0, 0, 0, 0, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows, _ = values(u, 1e40)
+        assert rows.tolist() == [[want, 0, 0, 0, 0, 0, 0, 0]]
 
     def test_pole_guard(self):
         with pytest.raises(SingularityError):
@@ -361,7 +375,6 @@ class TestPolicyValidation:
             {"tail_tol": -1.0},
             {"tail_tol": math.nan},
             {"tail_tol": math.inf},
-            {"max_terms": 0},
         ],
     )
     def test_rejects_values_it_cannot_honour(self, kwargs):
