@@ -154,16 +154,35 @@ class TestEvalKernel:
             main([*STRIP_EVAL, "--method", "both"])
         assert exc.value.code == 2
 
-    def test_strip_bergman_reports_the_kernel_alone(self, capsys):
+    @pytest.mark.parametrize(
+        "z,want",
+        [("0.5", 28.004345012707246), ("0.5 + 0.3 e1", 17.968234239601337)],
+        ids=["real_u", "complex_u"],
+    )
+    def test_strip_bergman_reports_the_kernel_alone(self, capsys, z, want):
         # the kernel is the report's only row, at a real and at a complex u
-        values = []
-        for z in ("0.5", "0.5 + 0.3 e1"):
-            code, out = run_cli(capsys, *BERGMAN_EVAL[:4], z, *BERGMAN_EVAL[5:])
-            assert code == 0
-            rows = json.loads(out)["results"]
-            assert [r["name"] for r in rows] == ["bergman_strip"]
-            values.append(rows[0]["value"][0])
-        assert abs(values[0] - 28.004345012707246) < 1e-10
+        code, out = run_cli(capsys, *BERGMAN_EVAL[:4], z, *BERGMAN_EVAL[5:])
+        assert code == 0
+        rows = json.loads(out)["results"]
+        assert [r["name"] for r in rows] == ["bergman_strip"]
+        assert abs(rows[0]["value"][0] - want) < 1e-10
+
+    @pytest.mark.parametrize(
+        "kernel,want",
+        [("szego_strip", 1.0), ("bergman_strip", 14.0)],
+        ids=["szego_strip", "bergman_strip"],
+    )
+    def test_wide_strip_prints_its_value_without_a_warning(self, capsys, kernel, want):
+        # at d = 1e40 only the n = 0 lattice term is inside the float range;
+        # the far terms' r^8 overflowed with a numpy warning on stderr
+        argv = [*BERGMAN_EVAL[:2], kernel, *BERGMAN_EVAL[3:-1], "1e40"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert json.loads(captured.out)["results"][0]["value"] == [want] + [0.0] * 7
 
     def test_octonion_literal_forms_agree(self, capsys):
         _, bracket = run_cli(
