@@ -94,10 +94,19 @@ def dq0_dx0_many(points: np.ndarray) -> np.ndarray:
     r2 = norm_sq_many(p)
     if np.any(r2 < _MIN_NORM_SQ):
         raise SingularityError("Cauchy kernel derivative too close to 0")
-    r8 = (r2 * r2) ** 2
-    r10 = r8 * r2
-    out = p * (8.0 * p[..., :1] / r10[..., None])
-    out[..., 0] = 1.0 / r8 - 8.0 * p[..., 0] ** 2 / r10
+    with np.errstate(over="ignore"):  # the rows past the float range are redone below
+        r8 = (r2 * r2) ** 2
+        r10 = r8 * r2
+        out = p * (8.0 * p[..., :1] / r10[..., None])
+        out[..., 0] = 1.0 / r8 - 8.0 * p[..., 0] ** 2 / r10
+    far = np.isinf(r10)
+    if np.any(far):
+        # where |p|^10 overflows, 8 p0 p / |p|^10 reads 0 and the real part's
+        # sign flips: divide by |p|^2 first (|8 p0 p| / |p|^2 <= 8), then by |p|^8
+        pf, r8f = p[far], r8[far][:, None]
+        c = 8.0 * pf[:, :1] / r2[far][:, None]
+        out[far] = pf * c / r8f
+        out[far, 0] = (1.0 - c[:, 0] * pf[:, 0]) / r8f[:, 0]
     return out
 
 

@@ -8,7 +8,8 @@ Carlo section at the end uses the package's own code: it feeds the
 package's products and kernel values through plain-code samplers of
 the same sample stream and copies of the earlier per-estimator
 integrands and chunk reduction, as a bit-level oracle for the estimator
-engine.
+engine.  The last section, likewise, is the algebra suite's first
+formulation on the package's products, a bit-level oracle for its rows.
 """
 
 from __future__ import annotations
@@ -18,7 +19,14 @@ import math
 import numpy as np
 from scipy.integrate import simpson
 
-from octomono.algebra import Octonion, conj_many, mul_many
+from octomono.algebra import (
+    Octonion,
+    conj_many,
+    mul,
+    mul_cayley_dickson,
+    mul_many,
+    norm_many,
+)
 from octomono.kernels import (
     bergman_ball_values,
     bergman_strip_values,
@@ -29,6 +37,7 @@ from octomono.kernels import (
 from octomono.kernels import bergman_unit_ball
 from octomono.quadrature import SampleBatch
 from octomono.regularity import dq0_dx0_many, q0_many
+from octomono.suites import Row
 from octomono.trig_series import (
     PeriodizedSumSpec,
     TruncationPolicy,
@@ -710,3 +719,54 @@ def szego_reproduce_half_space_reference(f, z, cfg):
 
     sampler = half_space_sampler_reference(cfg.radius)
     return _flat_reference(sampler, integrand, cfg, 14, 1.0)
+
+
+def algebra_suite_reference(trials: int, seed: int) -> list:
+    """The algebra suite's rows from its first formulation: all trials in
+    one batch, 26 products (five of them made twice)."""
+    rng = np.random.default_rng(seed)
+    x, y, z = (
+        np.asfortranarray(rng.uniform(-10.0, 10.0, size=(trials, 8)), dtype=np.longdouble)
+        for _ in range(3)
+    )
+
+    def worst(arr):
+        return float(np.max(np.abs(arr)))
+
+    basis = [Octonion.basis(k) for k in range(8)]
+    table_gap = max(
+        worst((mul(a, b) - mul_cayley_dickson(a, b)).to_array()) for a in basis for b in basis
+    )
+    rows = [Row("table_vs_cayley_dickson", table_gap, 0.0, table_gap, 1e-14)]
+
+    nx, ny = norm_many(x), norm_many(y)
+    xy = mul_many(x, y)
+    comp = worst((norm_many(xy) - nx * ny) / (nx * ny))
+    rows.append(Row("norm_composition_rel", comp, 0.0, comp, 1e-12))
+
+    right = mul_many(x, xy) - mul_many(mul_many(x, x), y)
+    left = mul_many(mul_many(y, x), x) - mul_many(y, mul_many(x, x))
+    alt = max(worst(right), worst(left))
+    rows.append(Row("alternativity", alt, 0.0, alt, 1e-11))
+
+    flex = worst(mul_many(x, mul_many(y, x)) - mul_many(xy, x))
+    rows.append(Row("flexibility", flex, 0.0, flex, 1e-11))
+
+    mo = worst(mul_many(xy, mul_many(z, x)) - mul_many(mul_many(x, mul_many(y, z)), x))
+    rows.append(Row("moufang", mo, 0.0, mo, 1e-11))
+
+    cc = worst(mul_many(conj_many(x), xy) - (nx**2)[:, None] * y)
+    rows.append(Row("conjugate_cancel", cc, 0.0, cc, 1e-11))
+
+    anti = worst(conj_many(xy) - mul_many(conj_many(y), conj_many(x)))
+    rows.append(Row("conjugation_antiautomorphism", anti, 0.0, anti, 1e-11))
+
+    sq = mul_many(x, conj_many(x))
+    sr = max(worst(sq[:, 1:]), worst(sq[:, 0] - nx**2))
+    rows.append(Row("scalar_real", sr, 0.0, sr, 1e-11))
+
+    assoc = mul_many(xy, z) - mul_many(x, mul_many(y, z))
+    assoc_yx = mul_many(mul_many(y, x), z) - mul_many(y, mul_many(x, z))
+    anti_sym = worst(assoc + assoc_yx)
+    rows.append(Row("associator_alternation", anti_sym, 0.0, anti_sym, 1e-11))
+    return rows

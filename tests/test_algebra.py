@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from unittest import mock
 
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import octonions, random_octonions
-from oracles import MUL_TABLE, mul_many_reference, norm_sq_reference
-from octomono import algebra, quadrature
+from oracles import MUL_TABLE, algebra_suite_reference, mul_many_reference, norm_sq_reference
+from octomono import algebra, quadrature, suites
 from octomono.algebra import (
     Octonion,
     associator,
@@ -507,6 +508,73 @@ class TestMulManyDropsZeroTerms:
             got = mul_many(a, b)
             assert term_counts == kept
             assert_same_bits(got, mul_many_reference(a, b))
+
+
+BLOCK = suites.ALGEBRA_BLOCK_ROWS
+IDENTITIES = (
+    "norm_composition_rel",
+    "alternativity",
+    "flexibility",
+    "moufang",
+    "conjugate_cancel",
+    "conjugation_antiautomorphism",
+    "scalar_real",
+    "associator_alternation",
+)
+
+
+class TestAlgebraSuite:
+    """The suite makes each distinct product once per block of trials and
+    keeps the rows of its one-batch, 26-product first formulation."""
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    @pytest.mark.parametrize("trials", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3, 10_000])
+    def test_rows_equal_the_one_batch_formulation(self, trials, seed):
+        got = suites.algebra(trials, seed)
+        want = algebra_suite_reference(trials, seed)
+        for g, w in zip(got, want):
+            assert g.residual.hex() == w.residual.hex(), g.name
+        assert got == want
+
+    @pytest.mark.parametrize("trials", [1, BLOCK, BLOCK + 1, 10_000])
+    def test_21_products_per_block(self, trials):
+        calls = []
+
+        def counted(a, b):
+            calls.append(len(a))
+            return mul_many(a, b)
+
+        with mock.patch.object(suites, "mul_many", counted):
+            suites.algebra(trials, seed=42)
+        blocks = math.ceil(trials / BLOCK)
+        assert len(calls) == 21 * blocks
+        assert sum(calls) == 21 * trials
+
+    @pytest.mark.parametrize(
+        "operand,unreached",
+        [
+            ("x", set()),
+            ("y", {"scalar_real"}),
+            ("z", set(IDENTITIES) - {"moufang", "associator_alternation"}),
+        ],
+    )
+    def test_a_nan_in_a_later_block_fails_every_identity_it_reaches(self, operand, unreached):
+        # the builtin max drops a NaN in its second argument, so combining
+        # the blocks with it would lose a NaN from any block after the first
+        rng = np.random.default_rng(3)
+        ops = dict(zip("xyz", (rng.uniform(-10.0, 10.0, (2 * BLOCK + 3, 8)) for _ in range(3))))
+        ops[operand][BLOCK + 5, 3] = np.nan
+        worst = suites.identity_residuals(ops["x"], ops["y"], ops["z"])
+        assert tuple(worst) == IDENTITIES
+        for name, residual in worst.items():
+            row = suites.Row(name, residual, 0.0, residual, 1e-11)
+            assert row.passed is (name in unreached), name
+            assert math.isnan(residual) is (name not in unreached), name
+
+    def test_worst_keeps_a_nan_in_any_argument(self):
+        one, nan = np.array([1.0]), np.array([np.nan])
+        assert math.isnan(suites._worst(one, nan))
+        assert math.isnan(suites._worst(nan, one))
 
 
 class TestParseFormat:

@@ -139,6 +139,22 @@ class TestEvalKernel:
         row = json.loads(out)["results"][0]
         assert abs(row["value"][0] - 7.0 / 128.0) < 1e-15
 
+    def test_half_space_bergman_keeps_its_sign_where_u_to_the_tenth_overflows(self, capsys):
+        # u = z + conj(w) = 1e31: |u|^10 overflows and |u|^8 does not; the
+        # kernel is -2 (1 - 8) / |u|^8 = 14 / |u|^8, where the real part
+        # once read -2.0e-248 with an overflow warning on stderr
+        argv = ["eval-kernel", "--kernel", "bergman_halfspace", "--z", "5e30", "--w", "5e30"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        value = json.loads(captured.out)["results"][0]["value"]
+        want = 14.0 / 1e31**8
+        assert abs(value[0] - want) <= 1e-12 * want
+        assert value[1:] == [0.0] * 7
+
     def test_strip_szego_frozen_value(self, capsys):
         code, out = run_cli(capsys, *STRIP_EVAL)
         assert code == 0

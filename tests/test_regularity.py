@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,32 @@ class TestDq0Dx0:
         batch = dq0_dx0_many(pts)
         for i, p in enumerate(pts):
             assert np.array_equal(batch[i], dq0_dx0(Octonion(*p)).to_array())
+
+    def test_rows_in_range_keep_the_closed_form_bits(self, rng):
+        # |p| up to 1e30: |p|^10 stays finite, and the rows keep the bits
+        # of 1/|p|^8 - 8 p0^2/|p|^10 and 8 p0 p/|p|^10
+        pts = _points_away_from_origin(rng, 64) * 10.0 ** rng.uniform(-5.0, 30.0, (64, 1))
+        r2 = norm_sq_reference(pts)
+        r8 = (r2 * r2) ** 2
+        r10 = r8 * r2
+        want = pts * (8.0 * pts[:, :1] / r10[:, None])
+        want[:, 0] = 1.0 / r8 - 8.0 * pts[:, 0] ** 2 / r10
+        assert np.array_equal(dq0_dx0_many(pts), want)
+
+    def test_rows_past_the_float_range_follow_the_scaling(self, rng):
+        # the partial has degree -8, so dq0_dx0(p) = dq0_dx0(p / s) / s^8;
+        # s = 2^100 scales exactly, and p / s is well inside the range.
+        # At |p| from 1e31 to 1e37 |p|^10 overflows, where 8 p0^2/|p|^10
+        # read 0 and flipped the real part's sign, with a numpy warning.
+        pts = _points_away_from_origin(rng, 64) * 10.0 ** rng.uniform(31.0, 37.0, (64, 1))
+        scale = 2.0**100
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = dq0_dx0_many(pts)
+        want = dq0_dx0_many(pts / scale) / scale**8
+        gap = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
+        assert gap.max() < 1e-12
+        assert np.all(np.sign(got[:, 0]) == np.sign(want[:, 0]))
 
 
 class TestModuleCounterexample:
