@@ -34,6 +34,9 @@ import numpy as np
 
 from .errors import DomainError
 
+# The least normal float64.
+_TINY = float(np.finfo(np.float64).tiny)
+
 # Oriented triples (a, b, c): ea*eb = ec, eb*ec = ea, ec*ea = eb.
 TRIPLES: tuple[tuple[int, int, int], ...] = (
     (1, 2, 4),
@@ -129,7 +132,12 @@ class Octonion:
         return s
 
     def norm(self) -> float:
-        return self.norm_sq() ** 0.5
+        n2 = self.norm_sq()
+        if n2 < _TINY or n2 == math.inf:
+            # the squares left the normal range; hypot scales them (a
+            # NaN makes n2 NaN and takes the square root below)
+            return math.hypot(*self._c)
+        return n2**0.5
 
     def inverse(self) -> "Octonion":
         n2 = self.norm_sq()

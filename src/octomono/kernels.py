@@ -18,12 +18,13 @@ on the closures of their domains, so no interior check is applied.
 Each scalar kernel is row 0 of its batched form: the ball kernels call
 ``*_ball_values`` on a ``(1, 8)`` row, the half-space kernels the
 Cauchy kernel ``q0`` and its x0-derivative at ``u``, and the strip
-kernels, after their domain checks, ``*_strip_values``, returning a
-:class:`KernelEval` with the truncation tail bound.  The strip
+kernels, after their domain checks, ``*_strip_values``.  The strip
 ``*_values`` helpers take a batch of combined arguments ``u`` (n, 8)
 straight to the lattice-sum engine of :mod:`octomono.trig_series` at
 step ``2d``: the Szego kernel is the alternating sum, the Bergman
-kernel ``-2`` times the derivative sum, and one tail bound covers every
+kernel ``-2`` times the derivative sum.  Kernels and helpers return
+the engine's :class:`~octomono.trig_series.SumResult`: the value (an
+octonion or the rows), one tail bound for every row and the terms per
 row.  The engine evaluates both as the complex csc (Szego) and cot
 (Bergman) and their derivatives on the slice through ``u``, with
 ``kappa = pi/2d``, on every row where that closed form's rounding bound
@@ -44,13 +45,8 @@ import numpy as np
 
 from .algebra import Octonion, PointLike, as_coords, mul_many, norm_sq_many
 from .errors import DomainError, SingularityError
-from .regularity import cauchy_kernel, dq0_dx0, q0_many
-from .trig_series import (
-    PeriodizedSumSpec,
-    TruncationPolicy,
-    periodized_deriv_sum,
-    periodized_sum,
-)
+from .regularity import cauchy_kernel, dq0_dx0
+from .trig_series import SumResult, TruncationPolicy, periodized_deriv_sum, periodized_sum
 
 # Combined arguments this close (in Re) to the singular walls are refused.
 WALL_GUARD = 1e-9
@@ -72,12 +68,6 @@ class StripDomain:
 
     def contains(self, z: PointLike) -> bool:
         return 0.0 < float(as_coords(z)[..., 0]) < self.d
-
-
-@dataclass(frozen=True)
-class KernelEval:
-    value: Octonion
-    tail_bound: float
 
 
 def _as_oct(z: PointLike) -> Octonion:
@@ -155,7 +145,7 @@ def szego_strip(
     w: PointLike,
     domain: StripDomain,
     policy: TruncationPolicy = TruncationPolicy(),
-) -> KernelEval:
+) -> SumResult:
     """Boundary kernel: alternating step 2d sum of q0 at u = z + conj(w).
 
     Row 0 of :func:`szego_strip_values`.  Since q0 is homogeneous of
@@ -163,8 +153,8 @@ def szego_strip(
     octonionic cosecant (pi/2d)^7 csc((pi/2d) u).
     """
     u = _strip_argument(z, w, domain)[2].to_array()[None]
-    rows, tail_bound = szego_strip_values(u, domain.d, policy)
-    return KernelEval(Octonion(*rows[0]), tail_bound)
+    res = szego_strip_values(u, domain.d, policy)
+    return SumResult(Octonion(*res.value[0]), res.tail_bound, res.terms)
 
 
 def bergman_strip(
@@ -172,15 +162,15 @@ def bergman_strip(
     w: PointLike,
     domain: StripDomain,
     policy: TruncationPolicy = TruncationPolicy(),
-) -> KernelEval:
+) -> SumResult:
     """Volume kernel: -2 times the step 2d lattice sum of d/dx0 q0 at u.
 
     Row 0 of :func:`bergman_strip_values`; by the same homogeneity it is
     -2 (pi/2d)^8 times the step pi derivative sum at (pi/2d) u.
     """
     u = _strip_argument(z, w, domain)[2].to_array()[None]
-    rows, tail_bound = bergman_strip_values(u, domain.d, policy)
-    return KernelEval(Octonion(*rows[0]), tail_bound)
+    res = bergman_strip_values(u, domain.d, policy)
+    return SumResult(Octonion(*res.value[0]), res.tail_bound, res.terms)
 
 
 def strip_relation_residual(
@@ -201,7 +191,7 @@ def strip_relation_residual(
         bergman_strip(zo * 0.5, wo * 0.5, domain, policy).value
         - bergman_strip((zo + domain.d) * 0.5, (wo + domain.d) * 0.5, domain, policy).value
     )
-    ds = periodized_deriv_sum(u, PeriodizedSumSpec(2.0 * domain.d, alternating=True), policy)
+    ds = periodized_deriv_sum(u, 2.0 * domain.d, True, policy)
     return (lhs - ds.value * -512.0).norm()
 
 
@@ -211,26 +201,21 @@ def strip_relation_residual(
 
 def szego_strip_values(
     u: np.ndarray, d: float, policy: TruncationPolicy = TruncationPolicy()
-) -> tuple[np.ndarray, float]:
+) -> SumResult:
     """Alternating step 2d kernel sum on combined arguments u (n, 8).
 
-    Returns (values, tail_bound).  No interior checks; only the pole
-    guard is enforced, so exterior combined arguments are allowed.
+    No interior checks; only the pole guard is enforced, so exterior
+    combined arguments are allowed.
     """
-    res = periodized_sum(u, PeriodizedSumSpec(2.0 * d, alternating=True), policy)
-    return res.value, res.tail_bound
+    return periodized_sum(u, 2.0 * d, True, policy)
 
 
 def bergman_strip_values(
     u: np.ndarray, d: float, policy: TruncationPolicy = TruncationPolicy()
-) -> tuple[np.ndarray, float]:
+) -> SumResult:
     """Volume kernel -2 sum_n d/dx0 q0(u + 2dn) on combined arguments u."""
-    res = periodized_deriv_sum(u, PeriodizedSumSpec(2.0 * d), policy)
-    return res.value * -2.0, 2.0 * res.tail_bound
-
-
-def szego_half_space_values(u: np.ndarray) -> np.ndarray:
-    return q0_many(u)
+    res = periodized_deriv_sum(u, 2.0 * d, policy=policy)
+    return SumResult(res.value * -2.0, 2.0 * res.tail_bound, res.terms)
 
 
 def _ball_argument(z: Octonion, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

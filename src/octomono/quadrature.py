@@ -80,7 +80,6 @@ from .kernels import (
     bergman_ball_values,
     bergman_strip_values,
     szego_ball_values,
-    szego_half_space_values,
     szego_strip_values,
 )
 from .regularity import q0_many
@@ -608,7 +607,7 @@ def szego_reproduce_strip(
     No interior check on z: for z outside the closed strip the estimate
     targets 0 instead of f(z).
     """
-    pairs = _flat_pairs(cases, lambda u: szego_strip_values(u, domain.d, policy)[0])
+    pairs = _flat_pairs(cases, lambda u: szego_strip_values(u, domain.d, policy).value)
     return _estimate(strip_boundary_region(domain, cfg.radius), _paired(pairs), cfg, decay=14)
 
 
@@ -620,7 +619,7 @@ def bergman_reproduce_strip(
 ) -> list[MCResult]:
     """(3/pi^4) integral of B(z, w) f(w) over the truncated strip volume,
     one result per case (f, z)."""
-    pairs = _flat_pairs(cases, lambda u: bergman_strip_values(u, domain.d, policy)[0])
+    pairs = _flat_pairs(cases, lambda u: bergman_strip_values(u, domain.d, policy).value)
     return _estimate(strip_volume_region(domain, cfg.radius), _paired(pairs), cfg, decay=15)
 
 
@@ -645,5 +644,5 @@ def szego_reproduce_half_space(cases: Sequence[Case], cfg: McConfig) -> list[MCR
     one result per case (f, z)."""
     if any(z.real <= 0.0 for _, z in cases):
         raise DomainError("evaluation point must have positive real part")
-    pairs = _flat_pairs(cases, szego_half_space_values)
+    pairs = _flat_pairs(cases, q0_many)
     return _estimate(half_space_boundary_region(cfg.radius), _paired(pairs), cfg, decay=14)

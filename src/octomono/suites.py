@@ -330,7 +330,7 @@ def limit_study(
     """Gaps between the strip and half-space kernels at each width, and
     their fitted decay exponents (-7 Szego, -8 Bergman) over two or more
     widths.  ``scale_with_d`` evaluates at z d/2 and w d/2.  A gap that
-    reads 0 or inf, its squared norm out of the float range, is refused."""
+    reads 0 or inf is refused."""
     if not d_values:
         raise DomainError("d_values must list at least one width")
     if any(d <= 0 for d in d_values):
@@ -350,7 +350,7 @@ def limit_study(
             strip, half = KERNELS[f"{name}_strip"], KERNELS[f"{name}_halfspace"]
             gap = (strip(ze, we, domain, policy).value - half(ze, we)).norm()
             if not 0.0 < gap < math.inf:
-                # the squared norm left the float range; the fit needs log(gap)
+                # the fit needs log(gap)
                 raise DomainError(f"the {name} gap at d={d:g} reads {gap}, out of the float range")
             gaps[name].append(gap)
             rows.append(Row(f"{name}_diff[d={d:g}]", gap, d=d))

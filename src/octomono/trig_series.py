@@ -207,14 +207,6 @@ class TruncationPolicy:
 
 
 @dataclass(frozen=True)
-class PeriodizedSumSpec:
-    """Lattice step along e0 and whether terms alternate in sign."""
-
-    step: float
-    alternating: bool = False
-
-
-@dataclass(frozen=True)
 class SumResult:
     """Values, one tail bound valid for every row, and terms per row.
 
@@ -228,11 +220,14 @@ class SumResult:
     terms: int
 
 
-def _check_budget(n_side: int) -> None:
-    if n_side > MAX_TERMS:
+def _check_budget(count: float) -> int:
+    """The one-sided term count N as an int; a count above MAX_TERMS, an
+    infinite one or NaN is refused before the conversion."""
+    if not count <= MAX_TERMS:
         raise PolicyError(
-            f"periodized sum needs {n_side} one-sided terms, the cap is {MAX_TERMS}"
+            f"periodized sum needs {count:.7g} one-sided terms, the cap is {MAX_TERMS}"
         )
+    return int(count)
 
 
 def _end_corrected_count(
@@ -244,16 +239,10 @@ def _end_corrected_count(
     try:  # float ** raises OverflowError past the float range
         c10 = 2.0 * a * step**power
         c9 = 2.0 * b * step ** (power - 1)
-        # below rho_min one of the two terms alone exceeds tol
-        rho_min = max((c10 / tol) ** 0.1, (c9 / tol) ** (1.0 / 9.0))
-        start = (rho_min + max_re) / step - 0.5  # not finite if c10 or c9 is not
     except OverflowError:
-        start = math.inf
-    if not math.isfinite(start):
-        raise PolicyError(
-            f"periodized sum of step {step:.3e} at |Re u| = {max_re:.3e}: the "
-            f"tail law's constants or its term count are not finite floats"
-        )
+        c10 = c9 = math.inf
+    # below rho_min one of the two terms alone exceeds tol
+    rho_min = max((c10 / tol) ** 0.1, (c9 / tol) ** (1.0 / 9.0))
 
     def bound(n: int) -> float:
         rho = step * (n + 0.5) - max_re
@@ -261,9 +250,9 @@ def _end_corrected_count(
             return math.inf
         return c10 * rho**-10 + c9 * rho**-9
 
-    n_side = max(0, math.ceil(start))
-    # checked before the search too, which steps one term at a time
-    _check_budget(n_side)
+    # checked before the search too, which steps one term at a time; a
+    # NaN start stays NaN through max and is refused
+    n_side = _check_budget(max(np.ceil((rho_min + max_re) / step - 0.5), 0.0))
     while bound(n_side) > tol:
         n_side += 1
     _check_budget(n_side)
@@ -456,25 +445,27 @@ def _closed_form(
 
 def _lattice_sum(
     u: np.ndarray, step: float, alternating: bool, order: int, policy: TruncationPolicy
-) -> tuple[np.ndarray, float, int]:
+) -> SumResult:
     """Lattice sum of ``q0`` (order 0) or ``d/dx0 q0`` (order 1) on rows of u (n, 8).
 
-    Returns ``(values (n, 8), tail bound for every row, terms per row)``.
+    Returns the values (n, 8), one tail bound for every row and the terms per row.
     Only the pole guard is enforced, so any finite argument off the
     lattice is accepted.
     """
     u0 = u[:, 0]
     uim = u[:, 1:]
-    s2 = norm_sq_many(uim)
-    max_norm = math.sqrt(float(np.max(u0 * u0 + s2, initial=0.0)))
-    if not math.isfinite(max_norm):
+    # squares overflow from |u| = 1.3e154: a modulus-law count is then
+    # refused, and an end-corrected row's terms read their true value 0
+    with np.errstate(over="ignore"):
+        s2 = norm_sq_many(uim)
+        max_norm = math.sqrt(float(np.max(u0 * u0 + s2, initial=0.0)))
+    if not math.isfinite(max_norm) and not np.isfinite(u).all():
         raise DomainError("lattice sum argument is not finite")
     end_law = _END_LAW.get((order, alternating))
     if end_law is None:
         num, den, power = _TAIL_LAW[order]
         margin = (num / (den * step * policy.tail_tol)) ** (1.0 / power)
-        n_side = int(math.floor((max_norm + margin) / step)) + 1
-        _check_budget(n_side)
+        n_side = _check_budget(np.floor((max_norm + margin) / step) + 1.0)
         tail = num / (den * step) * (step * n_side - max_norm) ** -power
         acc_re, acc_im = _direct(u0, s2, step, alternating, order, n_side, False)
     else:
@@ -493,44 +484,44 @@ def _lattice_sum(
     # q0 = conj(u)/|u|^8 puts -Im u on the imaginary part; its
     # x0-derivative puts +Im u there
     np.multiply(uim, (-acc_im if order == 0 else acc_im)[:, None], out=out[:, 1:])
-    terms = 2 * n_side + (3 if end_law is not None else 1)
-    return out, tail, terms
+    return SumResult(out, tail, 2 * n_side + (3 if end_law is not None else 1))
 
 
 def _periodized(
-    zeta: PointLike, spec: PeriodizedSumSpec, order: int, policy: TruncationPolicy
+    zeta: PointLike, step: float, alternating: bool, order: int, policy: TruncationPolicy
 ) -> SumResult:
     zc = as_coords(zeta)
-    values, tail, terms = _lattice_sum(
-        zc.reshape(-1, 8), spec.step, spec.alternating, order, policy
-    )
-    return SumResult(like(zeta, values.reshape(zc.shape)), tail, terms)
+    res = _lattice_sum(zc.reshape(-1, 8), step, alternating, order, policy)
+    return SumResult(like(zeta, res.value.reshape(zc.shape)), res.tail_bound, res.terms)
 
 
 def periodized_sum(
     zeta: PointLike,
-    spec: PeriodizedSumSpec,
+    step: float,
+    alternating: bool = False,
     policy: TruncationPolicy = TruncationPolicy(),
 ) -> SumResult:
-    """Truncated ``sum_n s^n q0(zeta + step*n*e0)`` with its tail bound."""
-    return _periodized(zeta, spec, 0, policy)
+    """Truncated ``sum_n s^n q0(zeta + step*n*e0)`` with its tail bound,
+    ``s = -1`` if ``alternating``, else 1."""
+    return _periodized(zeta, step, alternating, 0, policy)
 
 
 def periodized_deriv_sum(
     zeta: PointLike,
-    spec: PeriodizedSumSpec,
+    step: float,
+    alternating: bool = False,
     policy: TruncationPolicy = TruncationPolicy(),
 ) -> SumResult:
     """Same lattice sum built from the x0-derivative of the kernel."""
-    return _periodized(zeta, spec, 1, policy)
+    return _periodized(zeta, step, alternating, 1, policy)
 
 
 def cot(z: PointLike, policy: TruncationPolicy = TruncationPolicy()) -> SumResult:
-    return periodized_sum(z, PeriodizedSumSpec(step=math.pi), policy)
+    return periodized_sum(z, math.pi, policy=policy)
 
 
 def csc(z: PointLike, policy: TruncationPolicy = TruncationPolicy()) -> SumResult:
-    return periodized_sum(z, PeriodizedSumSpec(step=math.pi, alternating=True), policy)
+    return periodized_sum(z, math.pi, True, policy)
 
 
 def _shift_half_pi(z: PointLike) -> PointLike:

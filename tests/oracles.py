@@ -31,19 +31,13 @@ from octomono.kernels import (
     bergman_ball_values,
     bergman_strip_values,
     szego_ball_values,
-    szego_half_space_values,
     szego_strip_values,
 )
 from octomono.kernels import bergman_unit_ball
 from octomono.quadrature import SampleBatch
 from octomono.regularity import dq0_dx0_many, q0_many
 from octomono.suites import Row
-from octomono.trig_series import (
-    PeriodizedSumSpec,
-    TruncationPolicy,
-    periodized_deriv_sum,
-    periodized_sum,
-)
+from octomono.trig_series import TruncationPolicy, periodized_deriv_sum, periodized_sum
 
 SPHERE6_AREA = 16.0 * np.pi**3 / 15.0
 REPRO_CONST = 3.0 / np.pi**4
@@ -258,10 +252,10 @@ def szego_strip_reference(
     """
     u = z + w.conjugate()
     if method == "series":
-        res = periodized_sum(u, PeriodizedSumSpec(2.0 * d, alternating=True), policy)
+        res = periodized_sum(u, 2.0 * d, True, policy)
         return res.value, res.tail_bound
     s = math.pi / (2.0 * d)
-    res = periodized_sum(u * s, PeriodizedSumSpec(math.pi, alternating=True), policy)
+    res = periodized_sum(u * s, math.pi, True, policy)
     return res.value * s**7, s**7 * res.tail_bound
 
 
@@ -271,10 +265,10 @@ def bergman_strip_reference(
     """The two method branches bergman_strip had before the shared strip body."""
     u = z + w.conjugate()
     if method == "series":
-        res = periodized_deriv_sum(u, PeriodizedSumSpec(2.0 * d), policy)
+        res = periodized_deriv_sum(u, 2.0 * d, policy=policy)
         return res.value * -2.0, 2.0 * res.tail_bound
     s = math.pi / (2.0 * d)
-    res = periodized_deriv_sum(u * s, PeriodizedSumSpec(math.pi), policy)
+    res = periodized_deriv_sum(u * s, math.pi, policy=policy)
     return res.value * (-2.0 * s**8), 2.0 * s**8 * res.tail_bound
 
 
@@ -676,7 +670,7 @@ def szego_reproduce_strip_reference(f, z, domain, cfg, policy=TruncationPolicy()
     zc = z.to_array()
 
     def integrand(batch):
-        kernel, _ = szego_strip_values(zc + conj_many(batch.points), domain.d, policy)
+        kernel = szego_strip_values(zc + conj_many(batch.points), domain.d, policy).value
         return mul_many(kernel, f(batch.points))
 
     sampler = strip_boundary_sampler_reference(domain.d, cfg.radius)
@@ -687,7 +681,7 @@ def bergman_reproduce_strip_reference(f, z, domain, cfg, policy=TruncationPolicy
     zc = z.to_array()
 
     def integrand(batch):
-        kernel, _ = bergman_strip_values(zc + conj_many(batch.points), domain.d, policy)
+        kernel = bergman_strip_values(zc + conj_many(batch.points), domain.d, policy).value
         return mul_many(kernel, f(batch.points))
 
     sampler = strip_volume_sampler_reference(domain.d, cfg.radius)
@@ -714,7 +708,7 @@ def szego_reproduce_half_space_reference(f, z, cfg):
     zc = z.to_array()
 
     def integrand(batch):
-        kernel = szego_half_space_values(zc + conj_many(batch.points))
+        kernel = q0_many(zc + conj_many(batch.points))
         return mul_many(kernel, f(batch.points))
 
     sampler = half_space_sampler_reference(cfg.radius)

@@ -37,7 +37,6 @@ from octomono.kernels import (
     bergman_strip_values,
     strip_relation_residual,
     szego_half_space,
-    szego_half_space_values,
     szego_strip,
     szego_strip_values,
 )
@@ -176,7 +175,7 @@ def test_04_series_and_kernel_regularity(capsys):
     cw = Octonion(1.0).conjugate().to_array()
     half_pts = [np.r_[rng.uniform(0.3, 2.0), rng.normal(size=7) * 0.5] for _ in range(50)]
     residuals["szego_halfspace"] = o_regularity_residual(
-        lambda p: szego_half_space_values(p + cw), half_pts
+        lambda p: q0_many(p + cw), half_pts
     )
     residuals["bergman_halfspace"] = o_regularity_residual(
         lambda p: bergman_half_space_values(p + cw), half_pts
@@ -190,7 +189,7 @@ def test_04_series_and_kernel_regularity(capsys):
         p[1:] = rng.normal(size=7) * 0.2
         strip_pts.append(p)
     residuals["szego_strip"] = o_regularity_residual(
-        lambda p: szego_strip_values(p + cws, 1.0, POLICY)[0], strip_pts
+        lambda p: szego_strip_values(p + cws, 1.0, POLICY).value, strip_pts
     )
     # the degree -8 series needs more clearance from the lattice for the
     # finite-difference floor to sit below 1e-6
@@ -204,7 +203,7 @@ def test_04_series_and_kernel_regularity(capsys):
         p[1:] = d7 * rng.uniform(1.35, 1.8)
         strip_pts_b.append(p)
     residuals["bergman_strip"] = o_regularity_residual(
-        lambda p: bergman_strip_values(p + cwb, 1.0, POLICY)[0], strip_pts_b
+        lambda p: bergman_strip_values(p + cwb, 1.0, POLICY).value, strip_pts_b
     )
 
     worst = max(residuals.values())
@@ -260,7 +259,7 @@ def test_06_kernel_derivative_relations(capsys):
         w = Octonion(*np.r_[rng.uniform(0.3, 2.0), rng.normal(size=7)])
         cw = w.conjugate().to_array()
         fd = central_difference(
-            lambda p: szego_half_space_values(p + cw), z.to_array(), np.eye(8)[0], 1e-5
+            lambda p: q0_many(p + cw), z.to_array(), np.eye(8)[0], 1e-5
         )
         gap = np.abs(bergman_half_space(z, w).to_array() + 2.0 * fd).max()
         fd_worst = max(fd_worst, float(gap))

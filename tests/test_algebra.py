@@ -425,6 +425,36 @@ class TestNormLayout:
                 assert_same_bits(got.reshape(-1), scalar)
 
 
+class TestOctonionNorm:
+    """Octonion.norm scales by hypot only where the squares leave the
+    normal range, and keeps the bits of the square root elsewhere."""
+
+    @pytest.mark.parametrize(
+        "x, want",
+        [
+            (Octonion(3e-200, 0.0, 4e-200), 5e-200),  # the squares underflow to 0
+            (Octonion(3e-160, 0.0, 4e-160), 5e-160),  # the squares are subnormal
+            (Octonion(0.0, 5e-324), 5e-324),
+            (Octonion(3e160, 0.0, 4e160), 5e160),  # the squares overflow
+            (Octonion(3e300, 0.0, 4e300), 5e300),
+        ],
+    )
+    def test_norm_out_of_the_normal_squares(self, x, want):
+        assert x.norm() == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_keeps_the_square_root_bits_in_the_normal_range(self, rng):
+        x = rng.uniform(-1.0, 1.0, (200, 8)) * 10.0 ** rng.uniform(-150.0, 150.0, (200, 1))
+        got = np.array([Octonion(*row).norm() for row in x])
+        want = np.array([Octonion(*row).norm_sq() ** 0.5 for row in x])
+        assert_same_bits(got, want)
+
+    def test_non_finite_coordinates(self):
+        assert math.isnan(Octonion(math.nan).norm())
+        assert math.isnan(Octonion(math.nan, math.inf).norm())
+        assert Octonion(1.0, -math.inf).norm() == math.inf
+        assert Octonion().norm() == 0.0
+
+
 # a small block, so that every example spans several
 SMALL_B = 16
 

@@ -200,6 +200,20 @@ class TestEvalKernel:
         assert captured.err == ""
         assert json.loads(captured.out)["results"][0]["value"] == [want] + [0.0] * 7
 
+    @pytest.mark.parametrize("im", ["1.4e154", "1e160"])
+    @pytest.mark.parametrize("kernel", ["szego_strip", "bergman_strip"])
+    def test_strip_kernel_at_a_huge_imaginary_part_reads_zero(self, capsys, kernel, im):
+        # |Im u|^2 overflows and the kernel underflows to 0; this printed
+        # numpy's overflow warning and refused the finite argument
+        argv = ["eval-kernel", "--kernel", kernel, "--z", f"0.5 + {im} e1", "--w", "0.5"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([*argv, "--d", "1"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert json.loads(captured.out)["results"][0]["value"] == [0.0] * 8
+
     def test_octonion_literal_forms_agree(self, capsys):
         _, bracket = run_cli(
             capsys,
@@ -411,6 +425,16 @@ class TestLimitStudy:
         assert rows["szego_exponent"]["value"] < -8.0
         assert rows["szego_exponent"]["pass"] is False
 
+    @pytest.mark.parametrize("d_values", ["1e20,2e20", "3e20,6e20", "1e22,2e22"])
+    def test_gaps_below_the_normal_squares_keep_their_exponents(self, capsys, d_values):
+        # the Bergman gap is below 1.5e-154, so its squared norm is subnormal
+        # or 0: 1e20 fitted -8.0074, and the wider pairs refused a 0 gap
+        code, out = run_cli(capsys, "limit-study", "--d-values", d_values)
+        assert code == 0
+        rows = {r["name"]: r for r in json.loads(out)["results"]}
+        assert abs(rows["szego_exponent"]["value"] - (-7.0)) < 1e-6
+        assert abs(rows["bergman_exponent"]["value"] - (-8.0)) < 1e-6
+
     def test_empty_d_list_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "limit-study", "--d-values", "")
         assert code == 2
@@ -494,8 +518,9 @@ class TestUsageErrors:
             [*BERGMAN_EVAL[:-1], "1e150"],
             [*BERGMAN_EVAL[:-1], "1e308"],
             ["limit-study", "--d-values", "1e100,2e100"],
-            # the squared norm of the Bergman gap underflows to 0
-            ["limit-study", "--d-values", "1e22,2e22"],
+            # the tail law's term count is infinite
+            ["--tail-tol=1e-320", "trig", "--points", "1"],
+            ["--tail-tol=5e-324", "trig", "--points", "1"],
             # the relative targets' norms |q0(d/2 + 1)| underflow to 0
             [*STRIP_MC, "--d", "1e100"],
             [*BERGMAN_MC, "--d", "1e100"],
@@ -506,8 +531,7 @@ class TestUsageErrors:
     )
     def test_out_of_range_scale_is_usage_error(self, capsys, argv):
         # these printed an OverflowError, ValueError or ZeroDivisionError
-        # traceback and exited 1, the reproduce runs after sampling; the
-        # 1e22 limit study printed numpy's log(0) warning and a NaN exponent
+        # traceback and exited 1, the reproduce runs after sampling
         self.assert_usage_error(capsys, argv)
 
     @pytest.mark.parametrize(
@@ -632,7 +656,7 @@ LITERALS = [
 GLOBAL_FLAGS = {
     "--seed": ["42", "7"],
     "--threads": ["-1", "0", "1", "2"],
-    "--tail-tol": ["1e-12", "1e-6", "0", "-1", "nan"],
+    "--tail-tol": ["1e-12", "1e-6", "0", "-1", "nan", "1e-320"],
     "--radius": ["2", "50", "0", "-1", "nan", "inf", "1e300", "1e-300"],
     "--fd-step": ["1e-5", "1e-4", "0", "nan", "inf", "1e-300", "1e160"],
     "--samples": ["1000", "2000", "500", "0"],

@@ -29,15 +29,13 @@ from octomono.kernels import (
     strip_relation_residual,
     szego_ball_values,
     szego_half_space,
-    szego_half_space_values,
     szego_strip,
     szego_strip_values,
     szego_unit_ball,
 )
-from octomono.regularity import central_difference
+from octomono.regularity import central_difference, q0_many
 from octomono.trig_series import (
     _BLOCK_ROWS,
-    PeriodizedSumSpec,
     TruncationPolicy,
     csc,
     periodized_deriv_sum,
@@ -160,7 +158,7 @@ def _check_closed_form(order, z, w, d):
     u = z + w.conjugate()
     lattice_sum = periodized_deriv_sum if order else periodized_sum
     terms = sum(
-        lattice_sum(arg, PeriodizedSumSpec(step, alternating=order == 0), TIGHT).terms
+        lattice_sum(arg, step, order == 0, TIGHT).terms
         for arg, step in ((u, 2.0 * d), (u * scale, math.pi))
     )
     units = (7 + order) + 2 + 1 + 2 * _TERM_ROUNDING[order] + terms
@@ -199,7 +197,7 @@ class TestKernelRelations:
             w = Octonion(*np.r_[rng.uniform(0.3, 2.0), rng.normal(size=7)])
 
             def szego_u(p, w=w):
-                return szego_half_space_values(p + w.conjugate().to_array())
+                return q0_many(p + w.conjugate().to_array())
 
             fd = central_difference(szego_u, z.to_array(), np.eye(8)[0], 1e-5)
             got = bergman_half_space(z, w).to_array()
@@ -358,10 +356,10 @@ class TestStripValuesBitIdentity:
     def test_matches_per_k_loop(self, rng, n, engine, reference):
         for d in (1.0, 0.7):
             u = _strip_combined_args(rng, n, d)
-            got, got_tail = engine(u, d)
+            got = engine(u, d)
             want, want_tail = reference(u, d)
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
-            tails = np.array([got_tail, want_tail])
+            assert np.array_equal(got.value.view(np.int64), want.view(np.int64))
+            tails = np.array([got.tail_bound, want_tail])
             assert tails.view(np.int64)[0] == tails.view(np.int64)[1]
 
 
@@ -381,7 +379,7 @@ class TestStripKernelsFarFromTheWalls:
             (szego_strip_values, True, 0, 1.0, szego_norm),
             (bergman_strip_values, False, 1, -2.0, bergman_norm),
         ):
-            got = values(u, 1.0)[0][0]
+            got = values(u, 1.0).value[0]
             want = scale * poisson_lattice_sum(u[0], 2.0, alternating, order).astype(np.float64)
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
             assert np.linalg.norm(want) == pytest.approx(norm, rel=1e-2)
@@ -390,17 +388,16 @@ class TestStripKernelsFarFromTheWalls:
 class TestBatchHelpers:
     def test_strip_batches_match_scalar(self, rng):
         dom = StripDomain(1.0)
-        pairs = [_strip_pair(rng, 1.0) for _ in range(8)]
-        u = np.array([(z + w.conjugate()).to_array() for z, w in pairs])
-        sb, s_tail = szego_strip_values(u, dom.d, TIGHT)
-        bb, b_tail = bergman_strip_values(u, dom.d, TIGHT)
-        for i, (z, w) in enumerate(pairs):
-            sk = szego_strip(z, w, dom, TIGHT)
-            bk = bergman_strip(z, w, dom, TIGHT)
-            s_gap = np.abs(sb[i] - _arr(sk.value)).max()
-            b_gap = np.abs(bb[i] - _arr(bk.value)).max()
-            assert s_gap <= s_tail + sk.tail_bound + 1e-13
-            assert b_gap <= b_tail + bk.tail_bound + 1e-13
+        pairs = ((szego_strip, szego_strip_values), (bergman_strip, bergman_strip_values))
+        for kernel, values in pairs:
+            for _ in range(8):
+                z, w = _strip_pair(rng, 1.0)
+                got = kernel(z, w, dom, TIGHT)
+                # the scalar kernel is row 0 of the one-row batch, bit for bit
+                want = values((z + w.conjugate()).to_array()[None], dom.d, TIGHT)
+                assert np.array_equal(_bits(got.value.coords), _bits(want.value[0]))
+                assert _bits(got.tail_bound) == _bits(want.tail_bound)
+                assert got.terms == want.terms
 
     def test_half_space_batches_match_scalar(self, rng):
         zs = np.c_[rng.uniform(0.3, 2.0, 8), rng.normal(size=(8, 7))]
@@ -408,7 +405,7 @@ class TestBatchHelpers:
         u = np.array(
             [(Octonion(*a) + Octonion(*b).conjugate()).to_array() for a, b in zip(zs, ws)]
         )
-        sb = szego_half_space_values(u)
+        sb = q0_many(u)
         bb = bergman_half_space_values(u)
         for i in range(8):
             s = szego_half_space(Octonion(*zs[i]), Octonion(*ws[i])).to_array()
@@ -468,7 +465,7 @@ class TestScalarViewsBitIdentity:
                 got = kernel(z, w, StripDomain(d), policy)
                 value, tail = got.value, got.tail_bound
             elif kernel is bergman_strip:
-                res = periodized_deriv_sum(u, PeriodizedSumSpec(math.pi), policy)
+                res = periodized_deriv_sum(u, math.pi, policy=policy)
                 value, tail = res.value * (-2.0 * s**8), 2.0 * s**8 * res.tail_bound
             else:
                 res = csc(u, policy)

@@ -3,6 +3,9 @@ one suite from ``octomono.suites`` and prints the report.  The suites and
 whatever they use live in the library, so the CLI imports nothing else
 from the package.
 
+``trig_series.SumResult`` is the one record of a value with its tail
+bound; besides it only the report row ``suites.Row`` has a ``tail_bound``.
+
 The package has one squared norm, ``algebra.norm_sq_many``: no other
 function calls ``einsum`` or ``linalg.norm`` or uses the ``@`` operator,
 except ``suites.trig_points``, which normalises seeded row-major draws
@@ -140,3 +143,41 @@ def test_norm_sq_many_is_the_one_squared_norm():
 )
 def test_norm_guard_catches_a_squared_norm(source):
     assert squared_norm_calls(source) != []
+
+
+# (module, class) that may declare a tail_bound field: the one lattice-sum
+# result and the report row
+TAIL_BOUND_SITES = {("trig_series", "SumResult"), ("suites", "Row")}
+
+
+def tail_bound_fields(source: str) -> list[str]:
+    """The classes that declare a ``tail_bound`` field in their body."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                targets = [getattr(stmt, "target", None), *getattr(stmt, "targets", [])]
+                if any(getattr(t, "id", None) == "tail_bound" for t in targets):
+                    found.append(node.name)
+    return found
+
+
+def test_sum_result_is_the_one_record_with_a_tail_bound():
+    found = {
+        (path.stem, cls)
+        for path in sorted(Path(octomono.cli.__file__).parent.glob("*.py"))
+        for cls in tail_bound_fields(path.read_text())
+    }
+    assert found == TAIL_BOUND_SITES
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "@dataclass\nclass StripEval:\n    value: object\n    tail_bound: float\n",
+        "class R(NamedTuple):\n    tail_bound: float = 0.0\n",
+        "class R:\n    tail_bound = None\n",
+    ],
+)
+def test_tail_bound_guard_catches_a_second_record(source):
+    assert tail_bound_fields(source) != []

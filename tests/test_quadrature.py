@@ -941,8 +941,8 @@ class TestCoordinateMajorLayout:
             "conj_many": conj_many,
             "szego_ball_values": lambda p: szego_ball_values(z, p),
             "bergman_ball_values": lambda p: bergman_ball_values(z, p),
-            "szego_strip_values": lambda p: szego_strip_values(strip_u(p), 1.0)[0],
-            "bergman_strip_values": lambda p: bergman_strip_values(strip_u(p), 1.0)[0],
+            "szego_strip_values": lambda p: szego_strip_values(strip_u(p), 1.0).value,
+            "bergman_strip_values": lambda p: bergman_strip_values(strip_u(p), 1.0).value,
             "_unit_rows": quadrature._unit_rows,
             "constant": constant(1.5).eval_batch,
             "linear_monogenic": linear_monogenic().eval_batch,

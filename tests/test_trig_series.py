@@ -19,7 +19,6 @@ from octomono.errors import PolicyError, SingularityError
 from octomono.kernels import bergman_strip_values, szego_strip_values
 from octomono.trig_series import (
     CombinedRelationResiduals,
-    PeriodizedSumSpec,
     TruncationPolicy,
     cot,
     csc,
@@ -70,38 +69,44 @@ class TestPeriodizedSum:
         # loose truncation must land within its own reported tail bound
         # of a much tighter evaluation
         loose = TruncationPolicy(tail_tol=1e-6)
-        spec = PeriodizedSumSpec(step=math.pi)
         for p in _generic_points(rng, 6):
-            a = periodized_sum(p, spec, loose)
-            b = periodized_sum(p, spec, TIGHT)
+            a = periodized_sum(p, math.pi, policy=loose)
+            b = periodized_sum(p, math.pi, policy=TIGHT)
             gap = np.linalg.norm(np.asarray(a.value) - np.asarray(b.value))
             assert gap <= a.tail_bound + b.tail_bound + 1e-15
 
     def test_deriv_tail_bound_is_sound(self, rng):
         loose = TruncationPolicy(tail_tol=1e-6)
-        spec = PeriodizedSumSpec(step=2.0)
         for p in _generic_points(rng, 4):
-            a = periodized_deriv_sum(p, spec, loose)
-            b = periodized_deriv_sum(p, spec, TIGHT)
+            a = periodized_deriv_sum(p, 2.0, policy=loose)
+            b = periodized_deriv_sum(p, 2.0, policy=TIGHT)
             gap = np.linalg.norm(np.asarray(a.value) - np.asarray(b.value))
             assert gap <= a.tail_bound + b.tail_bound + 1e-15
 
     def test_term_count_grows_as_tolerance_shrinks(self):
         z = Octonion(0.4, 1.0)
-        spec = PeriodizedSumSpec(step=math.pi)
-        loose = periodized_sum(z, spec, TruncationPolicy(tail_tol=1e-6))
-        tight = periodized_sum(z, spec, TruncationPolicy(tail_tol=1e-12))
+        loose = periodized_sum(z, math.pi, policy=TruncationPolicy(tail_tol=1e-6))
+        tight = periodized_sum(z, math.pi, policy=TruncationPolicy(tail_tol=1e-12))
         assert tight.terms > loose.terms
         assert tight.tail_bound <= 1e-12
 
     def test_max_terms_policy_error(self):
         # a tail of 1e-60 needs about 2e9 terms a side, past the fixed cap
         with pytest.raises(PolicyError, match="cap is 1000000"):
-            periodized_sum(
-                Octonion(0.3, 1.0),
-                PeriodizedSumSpec(step=math.pi),
-                TruncationPolicy(tail_tol=1e-60),
-            )
+            periodized_sum(Octonion(0.3, 1.0), math.pi, policy=TruncationPolicy(tail_tol=1e-60))
+
+    @pytest.mark.parametrize("policy", [TruncationPolicy(1e-320), TruncationPolicy(5e-324)])
+    def test_an_infinite_modulus_law_count_is_refused(self, policy):
+        # int(math.floor(inf)) raised OverflowError here
+        with pytest.raises(PolicyError, match="needs inf one-sided terms"):
+            cot(Octonion(0.5, 1.0), policy)
+
+    def test_an_overflowing_squared_norm_is_refused_by_the_modulus_law(self):
+        # |u|^2 overflows: the count is infinite, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(PolicyError, match="needs inf one-sided terms"):
+                cot(Octonion(0.5, 1.4e154))
 
     @pytest.mark.parametrize(
         "values,d",
@@ -110,7 +115,7 @@ class TestPeriodizedSum:
     def test_a_step_too_wide_for_the_tail_law_is_refused(self, values, d):
         # the law's constants or its term count leave the float range; this
         # used to raise OverflowError from math.ceil or from the power
-        with pytest.raises(PolicyError, match="not finite"):
+        with pytest.raises(PolicyError, match="needs inf one-sided terms"):
             values(np.array([[0.5, 0.1, 0, 0, 0, 0, 0, 0]]), d)
 
     @pytest.mark.parametrize(
@@ -122,26 +127,25 @@ class TestPeriodizedSum:
         u = np.array([[1.0, 0, 0, 0, 0, 0, 0, 0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            rows, _ = values(u, 1e40)
+            rows = values(u, 1e40).value
         assert rows.tolist() == [[want, 0, 0, 0, 0, 0, 0, 0]]
 
     def test_pole_guard(self):
         with pytest.raises(SingularityError):
             cot(Octonion(math.pi))  # lattice point n = -1
         with pytest.raises(SingularityError):
-            periodized_sum(Octonion(2.0), PeriodizedSumSpec(step=1.0))
+            periodized_sum(Octonion(2.0), 1.0)
 
     def test_deriv_sum_matches_fd_of_sum(self, rng):
-        spec = PeriodizedSumSpec(step=2.0)
         for p in _generic_points(rng, 3):
-            got = np.asarray(periodized_deriv_sum(p, spec, TIGHT).value)
+            got = np.asarray(periodized_deriv_sum(p, 2.0, policy=TIGHT).value)
             h = 1e-6
             zp, zm = p.copy(), p.copy()
             zp[0] += h
             zm[0] -= h
             fd = (
-                np.asarray(periodized_sum(zp, spec, TIGHT).value)
-                - np.asarray(periodized_sum(zm, spec, TIGHT).value)
+                np.asarray(periodized_sum(zp, 2.0, policy=TIGHT).value)
+                - np.asarray(periodized_sum(zm, 2.0, policy=TIGHT).value)
             ) / (2.0 * h)
             assert np.abs(got - fd).max() < 1e-6
 
@@ -175,7 +179,6 @@ class TestEndCorrection:
         self, rng, fn, alternating, a, b, power, tail_tol, step
     ):
         # each row alone, so every row gets the fewest terms its Re u allows
-        spec = PeriodizedSumSpec(step, alternating)
         policy = TruncationPolicy(tail_tol=tail_tol)
         order = 0 if fn is periodized_sum else 1
         eps = np.finfo(np.float64).eps
@@ -187,7 +190,7 @@ class TestEndCorrection:
         ]
         rows = _rows(rng, *zip(*grid))
         for u in rows:
-            res = fn(u, spec, policy)
+            res = fn(u, step, alternating, policy)
             want, abs_sum = brute_lattice_sum_longdouble(u, step, 4000, alternating, order)
             gap = np.asarray(res.value, dtype=np.longdouble) - want
             err = float(np.linalg.norm(gap.astype(np.float64)))
@@ -200,11 +203,10 @@ class TestEndCorrection:
     def test_count_and_bound_are_the_documented_ones(
         self, rng, fn, alternating, a, b, power, step
     ):
-        spec = PeriodizedSumSpec(step, alternating)
         for tail_tol in (1e-6, 1e-9, 1e-12, 1e-14):
             for max_re in (0.0, 0.3 * step, 0.95 * step, 3.0 * step):
                 rows = _rows(rng, [max_re, -0.5 * max_re, 0.1 * max_re], [0.7, 2.0, 9.0])
-                res = fn(rows, spec, TruncationPolicy(tail_tol=tail_tol))
+                res = fn(rows, step, alternating, TruncationPolicy(tail_tol=tail_tol))
                 n_side, bound = end_corrected_count(max_re, step, a, b, power, tail_tol)
                 assert res.terms == 2 * n_side + 3
                 assert res.tail_bound == pytest.approx(bound, rel=1e-12)
@@ -215,10 +217,9 @@ class TestEndCorrection:
     ):
         # a radius-2 and a radius-50 batch of strip combined arguments
         # (d = 1) with the same max|Re u| take the same work per row
-        spec = PeriodizedSumSpec(2.0, alternating)
         re_parts = np.r_[rng.uniform(0.05, 1.9, 999), 1.9]
         counts = {
-            fn(_rows(rng, re_parts, rng.uniform(0.0, radius, 1000)), spec).terms
+            fn(_rows(rng, re_parts, rng.uniform(0.0, radius, 1000)), 2.0, alternating).terms
             for radius in (2.0, 50.0)
         }
         n_side, _ = end_corrected_count(1.9, 2.0, a, b, power, TruncationPolicy().tail_tol)
@@ -232,7 +233,7 @@ class TestEndCorrection:
     def test_other_sums_keep_the_modulus_law(self, fn, alternating, num, den, power):
         # cot/tan and the alternating derivative sum still take N from max|u|
         z = Octonion(0.4, 30.0)
-        res = fn(z, PeriodizedSumSpec(math.pi, alternating))
+        res = fn(z, math.pi, alternating)
         margin = (num / (den * math.pi * 1e-12)) ** (1.0 / power)
         n_side = math.floor((z.norm() + margin) / math.pi) + 1
         assert res.terms == 2 * n_side + 1
@@ -288,9 +289,10 @@ class TestClosedForm:
         u = np.zeros((5, 8))
         u[:, 0] = [0.5, 1e-6, 0.5, 0.3, 1.7]
         u[:, 3] = [0.0, 1e-6, 1e20, 2.0, 1.5]  # real, near the pole at 0, e^-(kappa y) = 0
-        got, tail = kernel(u, 1.0)
+        res = kernel(u, 1.0)
+        got = res.value
         want, want_tail = reference(u, 1.0)
-        assert tail == want_tail
+        assert res.tail_bound == want_tail
         assert np.array_equal(got[:3].view(np.int64), want[:3].view(np.int64))
         # the last two rows take the closed form
         assert not np.array_equal(got[3:].view(np.int64), want[3:].view(np.int64))
@@ -301,7 +303,8 @@ class TestClosedForm:
         # strip combined arguments at d = 1 with |Im u| in [0, 2]: the rows
         # nearest the real axis take the direct route at the batch's N
         u = _rows(rng, rng.uniform(0.05, 1.95, 3000), rng.uniform(0.0, 2.0, 3000))
-        got, tail = kernel(u, 1.0)
+        res = kernel(u, 1.0)
+        got, tail = res.value, res.tail_bound
         want, want_tail = reference(u, 1.0)
         assert tail == want_tail
         order = 0 if kernel is szego_strip_values else 1
@@ -320,7 +323,7 @@ class TestClosedForm:
         u[:, 0] = [0.5, 2.0, 1.0]
         u[:, 1] = [2.0, 1e-13, 1.0]  # the middle row is 1e-13 from the pole at 2
         with pytest.raises(SingularityError):
-            fn(u, PeriodizedSumSpec(2.0, alternating))
+            fn(u, 2.0, alternating)
 
 
 class TestBatches:
@@ -340,11 +343,10 @@ class TestBatches:
 
     @pytest.mark.parametrize("alternating", [False, True])
     def test_deriv_rows_match_single_points(self, rng, alternating):
-        spec = PeriodizedSumSpec(step=2.0, alternating=alternating)
         pts = _generic_points(rng, 12)
-        batch = periodized_deriv_sum(pts, spec, TIGHT)
+        batch = periodized_deriv_sum(pts, 2.0, alternating, TIGHT)
         for p, row in zip(pts, batch.value):
-            single = periodized_deriv_sum(p, spec, TIGHT)
+            single = periodized_deriv_sum(p, 2.0, alternating, TIGHT)
             gap = np.abs(row - single.value).max()
             assert gap <= batch.tail_bound + single.tail_bound + 1e-13
 
