@@ -19,13 +19,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import time
 
 from . import suites
-from .algebra import parse_octonion
+from .algebra import Octonion, parse_octonion
 from .errors import DomainError, PolicyError, SingularityError
 from .quadrature import McConfig
 from .regularity import FiniteDiffConfig
@@ -39,7 +38,7 @@ def _cell(value) -> str:
     if isinstance(value, str):
         return value
     if isinstance(value, list):
-        return repr(float(math.sqrt(sum(c * c for c in value))))
+        return repr(Octonion(*value).norm())
     return repr(float(value))
 
 

@@ -2,21 +2,22 @@
 
 Each estimator is one call of the engine ``_estimate``, which reduces an
 integrand's (n, 8) value rows chunk by chunk, computes the truncation
-tail and raises the warnings.  All integrands but the two Cauchy
-checks are the pairing (L conj(nu)) (nu f) of ``_paired``: L is conj(g)
-or a kernel section, nu is w on the unit sphere, w/|w| in the ball and 1
-on the flat regions, where the pairing is L f.
+tail and raises the warnings.  Every integrand is the pairing
+(L conj(nu)) (nu f) of ``_paired``: L is conj(g) or a kernel section,
+and nu is w on the unit sphere and w/|w| in the unit ball.  Without a
+twist nu the pairing is L f: on the flat regions, and in the Cauchy
+checks, where it is n f or q0(w - z) (n f), n = w the sphere's normal.
 
-Samples are coordinate-major: each sampler returns its (n, 8) points
-and normals as ``f_contiguous`` arrays, whose eight coordinates are each
-one contiguous row, which the generator fills directly, a coordinate
-at a time (:func:`_directions`).  The kernels and the test functions
-keep that layout, so the products of an integrand read contiguous rows.
-Every integrand ends in a :func:`~octomono.algebra.mul_many` product,
-which is coordinate-major for any operand, so the engine reduces one
-layout: each coordinate of a chunk's weighted values is summed on its
-own, and an estimate's bits do not depend on the layout a test function
-returns.
+Samples are points and weights, coordinate-major: each sampler returns
+its (n, 8) points as an ``f_contiguous`` array, whose eight coordinates
+are each one contiguous row, which the generator fills directly, a
+coordinate at a time (:func:`_directions`).  The kernels and the test
+functions keep that layout, so the products of an integrand read
+contiguous rows.  Every integrand ends in a
+:func:`~octomono.algebra.mul_many` product, which is coordinate-major
+for any operand, so the engine reduces one layout: each coordinate of a
+chunk's weighted values is summed on its own, and an estimate's bits do
+not depend on the layout a test function returns.
 
 The reproduction estimators take a sequence of cases (f, z) and return
 one :class:`MCResult` per case, in order; the inner products and
@@ -108,6 +109,8 @@ class McConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
+        if self.seed < 0:  # numpy's SeedSequence takes no negative entropy
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         for name in ("samples", "chunk", "threads"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -123,7 +126,6 @@ class McConfig:
 class SampleBatch:
     points: np.ndarray
     weights: np.ndarray
-    normals: Optional[np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -151,8 +153,8 @@ def _directions(
     rng: np.random.Generator, count: int, dim: int, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Uniform unit rows of a coordinate-major (count, dim) array, written
-    to ``out`` if given.  The normals fill the coordinate rows in order,
-    ``count`` draws each, and are divided in place by each sample's norm."""
+    to ``out`` if given.  Standard normal draws fill the coordinate rows in
+    order, ``count`` each, and are divided in place by each sample's norm."""
     dirs = np.empty((dim, count)).T if out is None else out
     rng.standard_normal(out=dirs.T)
     n = np.sqrt(norm_sq_many(dirs))
@@ -172,30 +174,23 @@ def _uniform_ball(
     return pts
 
 
-def sphere_region(radius: float = 1.0, center: Octonion = Octonion()) -> Region:
-    area = SPHERE7_AREA * radius**7
-    c = center.to_array()
+def sphere_region() -> Region:
+    """The unit sphere at the origin, whose points are their own normals."""
 
     def sampler(rng, count, start, total):
-        dirs = _directions(rng, count, 8)
-        weights = np.full(count, area / total)
-        pts = radius * dirs
-        pts += c
-        return SampleBatch(pts, weights, dirs)
+        return SampleBatch(_directions(rng, count, 8), np.full(count, SPHERE7_AREA / total))
 
-    return Region("sphere", sampler, area)
+    return Region("sphere", sampler, SPHERE7_AREA)
 
 
-def ball_region(radius: float = 1.0, center: Octonion = Octonion()) -> Region:
-    volume = BALL8_VOLUME * radius**8
-    c = center.to_array()
+def ball_region() -> Region:
+    """The unit ball at the origin."""
 
     def sampler(rng, count, start, total):
-        pts = _uniform_ball(rng, count, 8, radius)
-        pts += c
-        return SampleBatch(pts, np.full(count, volume / total), None)
+        pts = _uniform_ball(rng, count, 8, 1.0)
+        return SampleBatch(pts, np.full(count, BALL8_VOLUME / total))
 
-    return Region("ball", sampler, volume)
+    return Region("ball", sampler, BALL8_VOLUME)
 
 
 def strip_boundary_region(domain: StripDomain, radius: float) -> Region:
@@ -211,13 +206,10 @@ def strip_boundary_region(domain: StripDomain, radius: float) -> Region:
         bottom = start % 2  # the first local row with an even global index
         top = 1 - bottom
         pts[top::2, 0] = domain.d
-        normals = np.zeros((count, 8), order="F")
-        normals[bottom::2, 0] = -1.0
-        normals[top::2, 0] = 1.0
         weights = np.empty(count)
         weights[bottom::2] = plane_measure / ((total + 1) // 2)
         weights[top::2] = plane_measure / (total // 2)
-        return SampleBatch(pts, weights, normals)
+        return SampleBatch(pts, weights)
 
     return Region("strip_boundary", sampler, 2.0 * plane_measure, width=2.0)
 
@@ -229,22 +221,19 @@ def strip_volume_region(domain: StripDomain, radius: float) -> Region:
         pts = np.empty((count, 8), order="F")
         _uniform_ball(rng, count, 7, radius, out=pts[:, 1:])
         pts[:, 0] = rng.uniform(0.0, domain.d, size=count)
-        return SampleBatch(pts, np.full(count, measure / total), None)
+        return SampleBatch(pts, np.full(count, measure / total))
 
     return Region("strip_volume", sampler, measure, width=domain.d)
 
 
 def half_space_boundary_region(radius: float) -> Region:
-    """The wall Re = 0 of the right half-space, outward normal -e0."""
+    """The wall Re = 0 of the right half-space."""
     plane_measure = ball7_volume(radius)
 
     def sampler(rng, count, start, total):
         pts = np.zeros((count, 8), order="F")
         _uniform_ball(rng, count, 7, radius, out=pts[:, 1:])
-        normals = np.zeros((count, 8), order="F")
-        normals[:, 0] = -1.0
-        weights = np.full(count, plane_measure / total)
-        return SampleBatch(pts, weights, normals)
+        return SampleBatch(pts, np.full(count, plane_measure / total))
 
     return Region("half_space_boundary", sampler, plane_measure, width=1.0)
 
@@ -299,8 +288,7 @@ def _add_parts(left: list, right: list) -> list:
 
 def _rows(batch: SampleBatch, lo: int, hi: int) -> SampleBatch:
     """The samples lo:hi of a batch, as views."""
-    normals = None if batch.normals is None else batch.normals[lo:hi]
-    return SampleBatch(batch.points[lo:hi], batch.weights[lo:hi], normals)
+    return SampleBatch(batch.points[lo:hi], batch.weights[lo:hi])
 
 
 def _estimate(
@@ -478,11 +466,11 @@ def _flat_pairs(cases: Sequence[Case], values) -> list[tuple[Callable, object]]:
 def _paired(pairs, twist=None) -> Callable[[SampleBatch], Iterator[np.ndarray]]:
     """Integrand (L conj(nu)) (nu f) per (L, f) pair, or L f without a twist.
 
-    ``L`` maps sample points to the rows of L (``conj(g)`` or a kernel
-    section) and ``twist`` maps them to the rows of nu.  Per block, nu is
-    built once, and L conj(nu) once for each run of consecutive pairs
-    with the same ``L`` object; a run's rows go before the next run's
-    are built.
+    ``L`` maps sample points to the rows of L (``conj(g)``, a kernel
+    section or the sphere's normal) and ``twist`` maps them to the rows
+    of nu.  Per block, nu is built once, and L conj(nu) once for each run
+    of consecutive pairs with the same ``L`` object; a run's rows go
+    before the next run's are built.
     """
     pairs = [(left, _as_handle(f)) for left, f in pairs]
 
@@ -515,6 +503,12 @@ def _conj_of(g) -> Callable[[np.ndarray], np.ndarray]:
     return lambda points: conj_many(gn(points))
 
 
+def _normal_times(f) -> Callable[[np.ndarray], np.ndarray]:
+    """w f(w): the unit sphere's outward normal n(w) = w times f."""
+    fn = _as_handle(f)
+    return lambda points: mul_many(points, fn(points))
+
+
 def _unit_rows(points: np.ndarray) -> np.ndarray:
     n = norm_many(points)
     safe = n > 1e-12
@@ -528,15 +522,10 @@ def _unit_rows(points: np.ndarray) -> np.ndarray:
 # Sphere and ball estimators
 
 
-def cauchy_theorem_check(f, cfg: McConfig, radius: float = 1.0) -> MCResult:
-    """Estimate of the surface integral of n(w) f(w); near 0 for
-    left-monogenic f."""
-    fn = _as_handle(f)
-
-    def integrand(batch: SampleBatch):
-        yield mul_many(batch.normals, fn(batch.points))
-
-    return _estimate(sphere_region(radius), integrand, cfg, const=1.0)[0]
+def cauchy_theorem_check(f, cfg: McConfig) -> MCResult:
+    """Estimate of the integral of n(w) f(w) over the unit sphere; near 0
+    for left-monogenic f."""
+    return _estimate(sphere_region(), _paired([(lambda p: p, f)]), cfg, const=1.0)[0]
 
 
 def cauchy_formula_reproduce(cases: Sequence[Case], cfg: McConfig) -> list[MCResult]:
@@ -547,17 +536,8 @@ def cauchy_formula_reproduce(cases: Sequence[Case], cfg: McConfig) -> list[MCRes
     under which reproduction holds.  No interior check: for z outside the
     closed ball the estimate targets 0 instead of f(z).
     """
-    pairs = [
-        (left, _as_handle(f))
-        for left, f in _kernel_pairs(cases, lambda z, p: q0_many(p - z.to_array()))
-    ]
-
-    def integrand(batch: SampleBatch):
-        points, normals = batch.points, batch.normals
-        for kernel, fn in pairs:
-            yield mul_many(kernel(points), mul_many(normals, fn(points)))
-
-    return _estimate(sphere_region(1.0), integrand, cfg)
+    pairs = _kernel_pairs(cases, lambda z, p: q0_many(p - z.to_array()))
+    return _estimate(sphere_region(), _paired([(k, _normal_times(f)) for k, f in pairs]), cfg)
 
 
 def szego_reproduce_ball(cases: Sequence[Case], cfg: McConfig) -> list[MCResult]:
@@ -567,12 +547,12 @@ def szego_reproduce_ball(cases: Sequence[Case], cfg: McConfig) -> list[MCResult]
     No interior check: exterior z targets 0.
     """
     pairs = _kernel_pairs(cases, szego_ball_values)
-    return _estimate(sphere_region(1.0), _paired(pairs, lambda p: p), cfg)
+    return _estimate(sphere_region(), _paired(pairs, lambda p: p), cfg)
 
 
 def inner_product_hardy_ball(f, g, cfg: McConfig) -> MCResult:
     """(f, g) = (3/pi^4) integral of (conj(g) conj(w)) (w f) over the unit sphere."""
-    return _estimate(sphere_region(1.0), _paired([(_conj_of(g), f)], lambda p: p), cfg)[0]
+    return _estimate(sphere_region(), _paired([(_conj_of(g), f)], lambda p: p), cfg)[0]
 
 
 def bergman_reproduce_ball(cases: Sequence[Case], cfg: McConfig) -> list[MCResult]:
@@ -582,12 +562,12 @@ def bergman_reproduce_ball(cases: Sequence[Case], cfg: McConfig) -> list[MCResul
     No interior check: exterior z targets 0.
     """
     pairs = _kernel_pairs(cases, bergman_ball_values)
-    return _estimate(ball_region(1.0), _paired(pairs, _unit_rows), cfg)
+    return _estimate(ball_region(), _paired(pairs, _unit_rows), cfg)
 
 
 def inner_product_bergman_ball(f, g, cfg: McConfig) -> MCResult:
     """(f, g) = (3/pi^4) integral of (conj(g) conj(w/|w|)) ((w/|w|) f) over the ball."""
-    return _estimate(ball_region(1.0), _paired([(_conj_of(g), f)], _unit_rows), cfg)[0]
+    return _estimate(ball_region(), _paired([(_conj_of(g), f)], _unit_rows), cfg)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -122,11 +122,18 @@ def identity_residuals(x, y, z) -> dict[str, float]:
     return {name: _worst(*(b[name] for b in blocks)) for name in blocks[0]}
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """The suites' generator; numpy's seeding takes no negative seed."""
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def algebra(trials: int, seed: int) -> list[Row]:
     """The algebra identities on ``trials`` random triples and the basis products."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     x, y, z = (rng.uniform(-10.0, 10.0, size=(trials, 8)) for _ in range(3))
     # table vs doubling construction on the basis products
     basis = [Octonion.basis(k) for k in range(8)]
@@ -188,7 +195,7 @@ def trig(points: int, seed: int, policy: TruncationPolicy, fd: FiniteDiffConfig)
     ``points`` random points, with bars derived from ``policy`` and ``fd``."""
     if points < 1:
         raise DomainError("points must be >= 1")
-    pts = trig_points(np.random.default_rng(seed), points)
+    pts = trig_points(_rng(seed), points)
 
     # each distinct lattice sum once; the identities below share them
     c = cot(pts, policy)

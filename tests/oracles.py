@@ -15,6 +15,8 @@ formulation on the package's products, a bit-level oracle for its rows.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import simpson
@@ -34,7 +36,6 @@ from octomono.kernels import (
     szego_strip_values,
 )
 from octomono.kernels import bergman_unit_ball
-from octomono.quadrature import SampleBatch
 from octomono.regularity import dq0_dx0_many, q0_many
 from octomono.suites import Row
 from octomono.trig_series import TruncationPolicy, periodized_deriv_sum, periodized_sum
@@ -444,6 +445,17 @@ def mul_many_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _SHELL_FRACTION = 0.8
 
 
+@dataclass(frozen=True)
+class ReferenceBatch:
+    """One chunk of reference samples.  The package's batches hold points
+    and weights only; here the sphere keeps its sampled directions as its
+    normals, which the Cauchy oracles read."""
+
+    points: np.ndarray
+    weights: np.ndarray
+    normals: Optional[np.ndarray]
+
+
 def chunk_rng_reference(seed, i):
     """Chunk i's generator: SFC64 on the substream (seed, i)."""
     return np.random.Generator(
@@ -465,7 +477,7 @@ def sphere_sampler_reference(radius):
 
     def sampler(rng, count, start, total):
         dirs = _directions_reference(rng, count, 8)
-        return SampleBatch(np.zeros(8) + radius * dirs, np.full(count, area / total), dirs)
+        return ReferenceBatch(np.zeros(8) + radius * dirs, np.full(count, area / total), dirs)
 
     return sampler
 
@@ -476,7 +488,7 @@ def ball_sampler_reference(radius):
     def sampler(rng, count, start, total):
         dirs = _directions_reference(rng, count, 8)
         r = radius * rng.uniform(size=count) ** 0.125
-        return SampleBatch(np.zeros(8) + r[:, None] * dirs, np.full(count, volume / total), None)
+        return ReferenceBatch(np.zeros(8) + r[:, None] * dirs, np.full(count, volume / total), None)
 
     return sampler
 
@@ -495,11 +507,9 @@ def strip_boundary_sampler_reference(d, radius):
         pts[:, 1:] = r[:, None] * dirs
         on_top = ((start + np.arange(count)) % 2) == 1
         pts[on_top, 0] = d
-        normals = np.zeros((count, 8))
-        normals[:, 0] = np.where(on_top, 1.0, -1.0)
         n_bottom, n_top = (total + 1) // 2, total // 2
         weights = np.where(on_top, plane_measure / n_top, plane_measure / n_bottom)
-        return SampleBatch(pts, weights, normals)
+        return ReferenceBatch(pts, weights, None)
 
     return sampler
 
@@ -514,7 +524,7 @@ def strip_volume_sampler_reference(d, radius):
         pts = np.empty((count, 8))
         pts[:, 0] = x0
         pts[:, 1:] = r[:, None] * dirs
-        return SampleBatch(pts, np.full(count, measure / total), None)
+        return ReferenceBatch(pts, np.full(count, measure / total), None)
 
     return sampler
 
@@ -527,9 +537,7 @@ def half_space_sampler_reference(radius):
         r = radius * rng.uniform(size=count) ** (1.0 / 7.0)
         pts = np.zeros((count, 8))
         pts[:, 1:] = r[:, None] * dirs
-        normals = np.zeros((count, 8))
-        normals[:, 0] = -1.0
-        return SampleBatch(pts, np.full(count, plane_measure / total), normals)
+        return ReferenceBatch(pts, np.full(count, plane_measure / total), None)
 
     return sampler
 
@@ -544,7 +552,7 @@ def _accumulate_reference(sampler, integrand, cfg):
         # chunk reduction in an order set by the layout; the same values in
         # the same layout give the same bits
         normals = None if batch.normals is None else np.asfortranarray(batch.normals)
-        batch = SampleBatch(np.asfortranarray(batch.points), batch.weights, normals)
+        batch = ReferenceBatch(np.asfortranarray(batch.points), batch.weights, normals)
         values, aux = integrand(batch)
         weighted = batch.weights[:, None] * values
         part_a = weighted.sum(axis=0)
@@ -604,11 +612,11 @@ def _unit_rows_reference(points):
     return unit
 
 
-def cauchy_theorem_check_reference(f, cfg, radius=1.0):
+def cauchy_theorem_check_reference(f, cfg):
     def integrand(batch):
         return mul_many(batch.normals, f(batch.points)), 0.0
 
-    a, b, _ = _accumulate_reference(sphere_sampler_reference(radius), integrand, cfg)
+    a, b, _ = _accumulate_reference(sphere_sampler_reference(1.0), integrand, cfg)
     return _result_reference(a, b, cfg, 1.0)
 
 

@@ -497,6 +497,10 @@ class TestUsageErrors:
             pytest.param(
                 ["limit-study", "--d-values", "2,2"], id="limit-study --d-values=2,2"
             ),
+            # numpy's seeding refuses a negative seed with a ValueError
+            ["--seed=-1", "algebra", "--trials", "10"],
+            ["--seed=-1", "trig", "--points", "1"],
+            ["--seed=-1", *BALL_MC],
         ],
         ids=lambda argv: " ".join(argv[:2]),
     )
@@ -594,6 +598,23 @@ class TestCsvOutput:
         # JSON on stdout is unaffected by CSV emission
         assert json.loads(out)["command"] == "eval-kernel"
 
+    @pytest.mark.parametrize(
+        "kernel,point",
+        [("szego_halfspace", "1e30"), ("bergman_halfspace", "1e-20")],
+    )
+    def test_csv_norms_outside_the_normal_squares(self, capsys, tmp_path, kernel, point):
+        # the squares of these values underflow or overflow; the norm is
+        # still the JSON value's
+        path = tmp_path / "rows.csv"
+        argv = ["eval-kernel", "--kernel", kernel, "--z", point, "--w", point]
+        code, out = run_cli(capsys, *argv, "--csv", str(path))
+        assert code == 0
+        (row,) = json.loads(out)["results"]
+        with open(path, newline="") as fh:
+            cells = {line[0]: line for line in csv.reader(fh)}
+        assert float(cells[kernel][2]) == math.hypot(*row["value"])
+        assert 0.0 < math.hypot(*row["value"]) < math.inf
+
     def test_reproduce_csv_has_d_for_strip_rows(self, capsys, tmp_path):
         path = tmp_path / "strip.csv"
         code, _ = run_cli(
@@ -654,7 +675,7 @@ LITERALS = [
     "0.1", "0.01",
 ]
 GLOBAL_FLAGS = {
-    "--seed": ["42", "7"],
+    "--seed": ["42", "7", "-1"],
     "--threads": ["-1", "0", "1", "2"],
     "--tail-tol": ["1e-12", "1e-6", "0", "-1", "nan", "1e-320"],
     "--radius": ["2", "50", "0", "-1", "nan", "inf", "1e300", "1e-300"],

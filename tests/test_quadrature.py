@@ -68,16 +68,11 @@ def sample(region, cfg):
 
 
 def _gather(region, cfg):
-    pts, wts, nrm = [], [], []
-    for batch in sample(region, cfg):
-        pts.append(batch.points)
-        wts.append(batch.weights)
-        if batch.normals is not None:
-            nrm.append(batch.normals)
+    """A run's points and weights, the chunks concatenated."""
+    batches = list(sample(region, cfg))
     return (
-        np.concatenate(pts),
-        np.concatenate(wts),
-        np.concatenate(nrm) if nrm else None,
+        np.concatenate([b.points for b in batches]),
+        np.concatenate([b.weights for b in batches]),
     )
 
 
@@ -103,31 +98,21 @@ class TestConstants:
         assert strip_boundary_region(dom, 2.0).width == 2.0  # both walls
         assert strip_volume_region(dom, 2.0).width == 3.0  # the strip's width d
         assert half_space_boundary_region(2.0).width == 1.0  # one wall
-        assert sphere_region(1.0).width == ball_region(1.0).width == 0.0
+        assert sphere_region().width == ball_region().width == 0.0
 
 
 class TestSampling:
-    def test_sphere_points_weights_normals(self):
+    def test_sphere_points_and_weights(self):
         cfg = McConfig(seed=3, samples=200_000)
-        pts, wts, nrm = _gather(sphere_region(1.0), cfg)
+        pts, wts = _gather(sphere_region(), cfg)
         assert pts.shape == (200_000, 8)
         radii = np.linalg.norm(pts, axis=1)
         assert np.abs(radii - 1.0).max() < 1e-12
         assert abs(wts.sum() - SPHERE7_AREA) < 1e-9 * SPHERE7_AREA
-        assert np.abs(nrm - pts).max() < 1e-12
-
-    def test_sphere_center_and_radius(self):
-        c = Octonion(2.0, -1.0)
-        cfg = McConfig(seed=3, samples=10_000)
-        pts, wts, _ = _gather(sphere_region(0.5, center=c), cfg)
-        radii = np.linalg.norm(pts - c.to_array(), axis=1)
-        assert np.abs(radii - 0.5).max() < 1e-12
-        assert abs(wts.sum() - SPHERE7_AREA * 0.5**7) < 1e-12
 
     def test_ball_weights_and_support(self):
         cfg = McConfig(seed=5, samples=150_000)
-        pts, wts, nrm = _gather(ball_region(1.0), cfg)
-        assert nrm is None
+        pts, wts = _gather(ball_region(), cfg)
         assert np.linalg.norm(pts, axis=1).max() <= 1.0 + 1e-12
         assert abs(wts.sum() - BALL8_VOLUME) < 1e-9
         # radial law r^8 uniform: mean of |w|^8 should be 1/2
@@ -137,7 +122,7 @@ class TestSampling:
     def test_strip_boundary_parity_and_weights(self):
         dom = StripDomain(1.0)
         cfg = McConfig(seed=9, samples=200_001, radius=2.0)  # odd sample count
-        pts, wts, nrm = _gather(strip_boundary_region(dom, cfg.radius), cfg)
+        pts, wts = _gather(strip_boundary_region(dom, cfg.radius), cfg)
         on_bottom = pts[:, 0] == 0.0
         on_top = pts[:, 0] == dom.d
         assert np.all(on_bottom | on_top)
@@ -147,46 +132,43 @@ class TestSampling:
         v7 = ball7_volume(cfg.radius)
         assert abs(wts[on_bottom].sum() - v7) < 1e-9
         assert abs(wts[on_top].sum() - v7) < 1e-9
-        assert np.all(nrm[on_bottom, 0] == -1.0)
-        assert np.all(nrm[on_top, 0] == 1.0)
         assert np.linalg.norm(pts[:, 1:], axis=1).max() <= cfg.radius + 1e-12
 
     def test_strip_volume_support(self):
         dom = StripDomain(0.7)
         cfg = McConfig(seed=9, samples=100_000, radius=3.0)
-        pts, wts, _ = _gather(strip_volume_region(dom, cfg.radius), cfg)
+        pts, wts = _gather(strip_volume_region(dom, cfg.radius), cfg)
         assert pts[:, 0].min() >= 0.0 and pts[:, 0].max() <= dom.d
         assert np.linalg.norm(pts[:, 1:], axis=1).max() <= cfg.radius + 1e-12
         assert abs(wts.sum() - dom.d * ball7_volume(cfg.radius)) < 1e-9
 
     def test_half_space_boundary(self):
         cfg = McConfig(seed=2, samples=50_000, radius=2.0)
-        pts, wts, nrm = _gather(half_space_boundary_region(cfg.radius), cfg)
+        pts, wts = _gather(half_space_boundary_region(cfg.radius), cfg)
         assert np.all(pts[:, 0] == 0.0)
-        assert np.all(nrm[:, 0] == -1.0)
         assert abs(wts.sum() - ball7_volume(cfg.radius)) < 1e-10
 
     def test_chunks_are_keyed_by_index_not_history(self):
         # chunk i's content must depend only on (seed, i): consuming the
         # generator twice or slicing it differently gives identical draws
         cfg = McConfig(seed=13, samples=300_000)  # 3 chunks
-        first = [b.points for b in sample(sphere_region(1.0), cfg)]
-        second = [b.points for b in sample(sphere_region(1.0), cfg)]
+        first = [b.points for b in sample(sphere_region(), cfg)]
+        second = [b.points for b in sample(sphere_region(), cfg)]
         assert len(first) == 3
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
 
     def test_sample_rejects_nonpositive_counts(self):
         with pytest.raises(DomainError):
-            list(sample(sphere_region(1.0), McConfig(samples=0)))
+            list(sample(sphere_region(), McConfig(samples=0)))
 
 
 LAW_R = 2.0
 LAW_STRIP = StripDomain(0.7)
 # each region, at radius LAW_R where it is unbounded
 LAW_REGIONS = {
-    "sphere": sphere_region(1.0),
-    "ball": ball_region(1.0),
+    "sphere": sphere_region(),
+    "ball": ball_region(),
     "strip_boundary": strip_boundary_region(LAW_STRIP, LAW_R),
     "strip_volume": strip_volume_region(LAW_STRIP, LAW_R),
     "half_space_boundary": half_space_boundary_region(LAW_R),
@@ -229,7 +211,7 @@ class TestSamplerLaws:
 
     @pytest.mark.parametrize("name", sorted(LAW_REGIONS))
     def test_points_lie_in_the_region(self, name):
-        pts, _, _ = self._draw(name)
+        pts, _ = self._draw(name)
         x, rho = _round_part(name, pts)
         r = np.sqrt(oracles.norm_sq_reference(x))
         if name == "sphere":
@@ -252,7 +234,7 @@ class TestSamplerLaws:
 
     @pytest.mark.parametrize("name", sorted(LAW_REGIONS))
     def test_moments_match_the_uniform_law(self, name):
-        pts, _, _ = self._draw(name)
+        pts, _ = self._draw(name)
         x, rho = _round_part(name, pts)
         dim = x.shape[1]
         if name == "sphere":
@@ -265,7 +247,7 @@ class TestSamplerLaws:
 
     @pytest.mark.parametrize("name", sorted(set(LAW_REGIONS) - {"sphere"}))
     def test_fraction_inside_half_the_radius(self, name):
-        pts, _, _ = self._draw(name)
+        pts, _ = self._draw(name)
         x, rho = _round_part(name, pts)
         p = 2.0 ** -x.shape[1]
         inside = (np.sqrt(oracles.norm_sq_reference(x)) < rho / 2.0).mean()
@@ -301,11 +283,9 @@ class TestSamplerLaws:
             on_top = (i * cfg.chunk + np.arange(len(batch.weights))) % 2 == 1
             for got, want in (
                 (batch.points[:, 0], np.where(on_top, LAW_STRIP.d, 0.0)),
-                (batch.normals[:, 0], np.where(on_top, 1.0, -1.0)),
                 (batch.weights, np.where(on_top, v7 / n_top, v7 / n_bottom)),
             ):
                 assert np.array_equal(_bits(got), _bits(want))
-            assert not batch.normals[:, 1:].any()
 
 
 class TestConfigValidation:
@@ -320,6 +300,7 @@ class TestConfigValidation:
             {"radius": -1.0},
             {"radius": math.nan},
             {"radius": math.inf},
+            {"seed": -1},
         ],
     )
     def test_rejects_values_it_cannot_honour(self, kwargs):
@@ -829,19 +810,27 @@ class TestMultiCaseCalls:
     ):
         self.test_each_case_matches_its_single_case_oracle(case, cfg)
 
-    def test_strip_kernel_rows_are_built_once_per_run_of_equal_z(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "case,kernel",
+        [
+            ("szego_reproduce_strip", "szego_strip_values"),
+            ("cauchy_formula_reproduce", "q0_many"),
+        ],
+    )
+    def test_kernel_rows_are_built_once_per_run_of_equal_z(self, monkeypatch, case, kernel):
         built = []
-        original = quadrature.szego_strip_values
+        original = getattr(quadrature, kernel)
 
-        def counting(u, d, policy):
+        def counting(u, *args):
             built.append(len(u))
-            return original(u, d, policy)
+            return original(u, *args)
 
-        monkeypatch.setattr(quadrature, "szego_strip_values", counting)
+        monkeypatch.setattr(quadrature, kernel, counting)
+        kind, rest = MULTI_CASES[case]
         cfg = McConfig(seed=3, samples=10_000, chunk=5_000, radius=2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the constant cases' tails are not small
-            szego_reproduce_strip(_multi_cases("strip"), STRIP, cfg)
+            getattr(quadrature, case)(_multi_cases(kind), *rest, cfg)
         # runs z1 z1 | z2 z2 z2 | z1 in each of two chunks
         assert built == [5_000] * 6
 
@@ -888,8 +877,8 @@ class TestMultiCaseCalls:
 
 # each region, and its sampler in oracles, at radius 2 where the region is unbounded
 LAYOUT_REGIONS = {
-    "sphere": (sphere_region(1.0), oracles.sphere_sampler_reference(1.0)),
-    "ball": (ball_region(1.0), oracles.ball_sampler_reference(1.0)),
+    "sphere": (sphere_region(), oracles.sphere_sampler_reference(1.0)),
+    "ball": (ball_region(), oracles.ball_sampler_reference(1.0)),
     "strip_boundary": (
         strip_boundary_region(STRIP, 2.0),
         oracles.strip_boundary_sampler_reference(STRIP.d, 2.0),
@@ -922,11 +911,8 @@ class TestCoordinateMajorLayout:
             rng = oracles.chunk_rng_reference(cfg.seed, i)
             want = reference(rng, min(cfg.chunk, cfg.samples - start), start, cfg.samples)
             assert np.array_equal(batch.weights, want.weights)
-            assert (batch.normals is None) == (want.normals is None)
-            for got, ref in ((batch.points, want.points), (batch.normals, want.normals)):
-                if ref is not None:
-                    assert _coordinate_major(got)
-                    assert np.array_equal(got, ref)
+            assert _coordinate_major(batch.points)
+            assert np.array_equal(batch.points, want.points)
 
     def test_hot_path_steps_keep_coordinate_major_input(self):
         rng = np.random.default_rng(11)
