@@ -621,3 +621,14 @@ def norm_sq_many(a: np.ndarray) -> np.ndarray:
 def norm_many(a: np.ndarray) -> np.ndarray:
     return np.sqrt(norm_sq_many(a))
 
+
+def divide_by_power(num, n2: np.ndarray, k: int) -> np.ndarray:
+    """``num / n2**k`` as ``k`` divisions by ``n2``: finite and nonzero
+    where ``n2**k`` overflows but the quotient is in the float range.
+
+    The kernels divide by the power itself, one rounding fewer, and take
+    this form only on the rows where that power reads inf.
+    """
+    for _ in range(k):
+        num = num / n2
+    return num

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Octonion, PointLike, as_coords, mul_many, norm_sq_many
+from .algebra import Octonion, PointLike, as_coords, divide_by_power, mul_many, norm_sq_many
 from .errors import DomainError, SingularityError
 from .regularity import cauchy_kernel, dq0_dx0
 from .trig_series import SumResult, TruncationPolicy, periodized_deriv_sum, periodized_sum
@@ -230,11 +230,22 @@ def _ball_argument(z: Octonion, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, n2
 
 
+def _divide_rows(rows: np.ndarray, n2: np.ndarray, k: int) -> np.ndarray:
+    """rows / |u|^(2k) in place; the rows whose |u|^(2k) overflows, which
+    would read 0, are divided by |u|^2 k times instead."""
+    with np.errstate(over="ignore"):
+        power = n2**k
+    far = np.flatnonzero(np.isinf(power))
+    kept = rows[far]  # a copy of the far rows only, none on a batch in range
+    rows /= power[:, None]
+    rows[far] = divide_by_power(kept, n2[far][:, None], k)
+    return rows
+
+
 def szego_ball_values(z: Octonion, w: np.ndarray) -> np.ndarray:
     """Boundary kernel rows S(z, w_k) for fixed z and sample points w (n, 8)."""
     u, n2 = _ball_argument(z, w)
-    u /= (n2**4)[:, None]
-    return u
+    return _divide_rows(u, n2, 4)
 
 
 def bergman_ball_values(z: Octonion, w: np.ndarray) -> np.ndarray:
@@ -244,6 +255,4 @@ def bergman_ball_values(z: Octonion, w: np.ndarray) -> np.ndarray:
     w2 = norm_sq_many(w)
     bracket = 2.0 * u
     bracket[:, 0] += 6.0 * (1.0 - z.norm_sq() * w2)
-    rows = mul_many(bracket, u)
-    rows /= (n2**5)[:, None]
-    return rows
+    return _divide_rows(mul_many(bracket, u), n2, 5)

@@ -16,7 +16,16 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import MUL_IDX, MUL_SGN, PointLike, as_coords, like, norm_many, norm_sq_many
+from .algebra import (
+    MUL_IDX,
+    MUL_SGN,
+    PointLike,
+    as_coords,
+    divide_by_power,
+    like,
+    norm_many,
+    norm_sq_many,
+)
 from .errors import DomainError, SingularityError
 
 ArrayFn = Callable[[np.ndarray], np.ndarray]
@@ -75,8 +84,13 @@ def q0_many(points: np.ndarray) -> np.ndarray:
     r2 = norm_sq_many(p)
     if np.any(r2 < _MIN_NORM_SQ):
         raise SingularityError("Cauchy kernel evaluated too close to 0")
-    r8 = (r2 * r2) ** 2
+    with np.errstate(over="ignore"):  # the rows past the float range are redone below
+        r8 = (r2 * r2) ** 2
+    far = np.isinf(r8)
     out = p / r8[..., None]
+    if np.any(far):
+        # where |p|^8 overflows, p / |p|^8 reads 0: divide by |p|^2 four times
+        out[far] = divide_by_power(p[far], r2[far][:, None], 4)
     # IEEE division is symmetric in sign, so negating the quotient gives
     # the bits of -p / r8 without a negated copy of p
     np.negative(out[..., 1:], out=out[..., 1:])

@@ -13,19 +13,19 @@ routes per row:
   ``k = -N..N`` and then, if the sum has one, its two end-correction
   terms, at ``u + h*e0`` and then ``u - h*e0``;
 - the closed form (:func:`_closed_form`): on the complex slice through
-  ``u`` the two end-corrected sums are finite combinations of the
-  complex csc or cot and their first four derivatives, with no
-  truncation at all.
+  ``u`` three of the four sums are finite combinations of the complex
+  csc or cot and their first four derivatives, with no truncation at
+  all.
 
 =========================  ==================================================
 sum                        route
 =========================  ==================================================
-order 0, plain (cot, tan)  direct, every row
 order 1, alternating       direct, every row
-order 0, alternating       closed form on each row with ``|Im u| > 0``, a
-(strip Szego, csc, sec)    normal ``e^(-kappa |Im u|)`` and a rounding bound
-order 1, plain             within the batch's tail bound; direct, with the
-(strip Bergman)            end correction, on every other row
+order 0, plain (cot, tan)  closed form on each row with ``|Im u| > 0``, a
+order 0, alternating       normal ``e^(-kappa |Im u|)`` and a rounding bound
+(strip Szego, csc, sec)    within the batch's tail bound; direct, with the
+order 1, plain             sum's end correction if it has one, on every
+(strip Bergman)            other row
 =========================  ==================================================
 
 The batch's ``N`` and its one tail bound come from the tables below
@@ -90,7 +90,7 @@ neither ``rho^-9`` constant can be lowered.
 
 The closed form.  On the slice, with ``v = t + iy``, ``c = 2iy`` and
 ``vbar = v - c``, the kernel and its ``t``-derivative split into partial
-fractions:
+fractions (the alternating derivative sum is the one sum left without):
 
 ``q0 = -10/(c^6 v) - 6/(c^5 v^2) - 3/(c^4 v^3) - 1/(c^3 v^4)
 + 10/(c^6 vbar) - 4/(c^5 vbar^2) + 1/(c^4 vbar^3)``
@@ -101,12 +101,16 @@ fractions:
 Each power sums over the lattice in closed form,
 ``sum_k s^k (w + k*step)^-j = ((-1)^(j-1)/(j-1)!) kappa^j f^(j-1)(kappa w)``
 with ``kappa = pi/step`` and ``f = csc`` (alternating) or ``cot``
-(plain, ``j >= 2``; the plain derivative sum has no ``j = 1`` term):
+(plain).  The plain ``j = 1`` sum converges only taken symmetrically,
+``k = -N..N``, to ``kappa cot``, but the kernel's ``j = 1`` pair
+``-10/(c^6 v) + 10/(c^6 vbar) = 10/(c^5 v vbar)`` is absolutely
+convergent, so the symmetric truncation of the direct route converges
+to it; the plain derivative sum has no ``j = 1`` term:
 
 ===  ==============================  ==============================
 j    alternating sum / kappa^j       plain sum / kappa^j
 ===  ==============================  ==============================
-1    ``csc``                         --
+1    ``csc``                         ``cot``
 2    ``csc cot``                     ``csc^2``
 3    ``csc (2 cot^2 + 1) / 2``       ``cot csc^2``
 4    ``csc cot (6 cot^2 + 5) / 6``   ``csc^2 (3 csc^2 - 2) / 3``
@@ -118,7 +122,14 @@ grows (``cot' = -csc^2``, not ``1 - cot^2``).  The sums at ``vbar`` are
 the conjugates of those at ``v``, so one ``h = e^(i kappa v)``, with
 ``|h| = e^(-kappa y) < 1``, gives everything:
 ``csc(kappa v) = -2ih/(1 - h^2)`` and ``cot(kappa v) = -i(1 + h^2)/(1 - h^2)``.
-The complex result ``a + ib`` maps back to ``a + b Im u / y``.
+The complex result ``a + ib`` maps back to ``a + b Im u / y``.  The two
+plain sums share ``x = h/(1 - h^2)``, ``g = (1 + h^2)/(1 - h^2)``,
+``w = x^2``, ``v = g w`` and ``z = w (6w + 1)``: ``csc^2 = -4w``,
+``cot csc^2 = 4iv`` and ``csc^2 (3 csc^2 - 2)/3 = 8z/3``, so with
+``p = 1/(2y)`` the plain q0 sum is
+``p^3 (8 kappa^2 p^2 Im w + 8 kappa^3 p Im v + (8/3) kappa^4 Im z)``
+``- i p^3 (20 kappa p^3 Re g + 40 kappa^2 p^2 Re w + 16 kappa^3 p Re v
++ (8/3) kappa^4 Re z)``.
 
 Rounding bound of the closed form.  With ``u`` the unit roundoff
 ``2^-53``, ``A = 1/|1 - h^2|``, ``a = 2|h|A = |csc|`` and
@@ -126,7 +137,10 @@ Rounding bound of the closed form.  With ``u`` the unit roundoff
 partial-fraction terms of the modulus of each coefficient times its
 lattice sum from the table, with ``csc`` and ``cot`` replaced by ``a``
 and ``b`` and each bracket by the sum of its terms' moduli; ``M``
-bounds the sum of the terms' moduli.  To first order in ``u``:
+bounds the sum of the terms' moduli.  For the plain q0 sum that is
+``M = kappa p^3 (20 p^3 b + a^2 (10 kappa p^2 + 4 kappa^2 p b +
+kappa^3 (3a^2 + 2)/3))``, ``p = 1/(2y)``: the ``j = 1`` pair counts
+``2 * 10 p^6 kappa b``.  To first order in ``u``:
 
 - the computed ``h`` is ``h (1 + eta)``, ``|eta| <= u (21 + 3 kappa|t| +
   7 kappa y)``: ``kappa`` is within ``1.5u`` of ``pi/step`` and ``y``,
@@ -139,16 +153,18 @@ bounds the sum of the terms' moduli.  To first order in ``u``:
   ``|csc|^2 = a^2``, so a monomial ``csc^i cot^k`` moves by at most
   ``(i b + k a^2/b) |eta|`` of its majorant ``a^i b^k``: ``sigma = b +
   3a^2/b`` for the alternating terms (``i = 1``, ``k <= 3``) and ``4b +
-  a^2/b`` for the plain ones (``i <= 4``, ``k <= 1``).  This is the
+  a^2/b`` for the plain ones of both orders (``i <= 4``, ``k <= 1``;
+  the plain q0 sum's ``cot`` moves by ``a^2/b``).  This is the
   ``1/|1 - h^2|`` amplification near the real axis;
 - from the computed ``h``: ``1/(1 - h^2)`` is within ``(5 + 3A)u``, so
   ``h/(1 - h^2)`` within ``(8 + 3A)u`` of ``a/2`` and
   ``(1 + h^2)/(1 - h^2)`` within ``(12 + 3A)u`` of ``b`` (complex
   products within ``3u``); a term multiplies at most five such factors
-  with five more roundings, ``55u + 15uA``; its power of ``kappa`` adds
-  at most ``11u``, its ``(2y)^-6`` at most ``33u``, the evaluation in
-  powers of ``1/(2y)`` ``11u`` and the division by ``y`` and product
-  with ``Im u`` ``6.5u``: ``117u + 15uA`` in all.
+  (four in the plain q0 sum) with five more roundings, ``55u + 15uA``;
+  its power of ``kappa`` adds at most ``11u``, its ``(2y)^-6`` at most
+  ``33u``, the evaluation in powers of ``1/(2y)`` ``11u`` and the
+  division by ``y`` and product with ``Im u`` ``6.5u``: ``117u + 15uA``
+  in all.
 
 So a row's error is at most ``u M (sigma (21 + 3 kappa|t| + 7 kappa y)
 + 120 + 15A)``.  ``eta`` stays far below 1 at any ``|Re u|`` the term
@@ -167,7 +183,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .algebra import PointLike, as_coords, like, norm_many, norm_sq_many
+from .algebra import PointLike, as_coords, divide_by_power, like, norm_many, norm_sq_many
 from .errors import DomainError, PolicyError, SingularityError
 
 # Distance from a lattice pole below which evaluation is refused.
@@ -187,7 +203,7 @@ MAX_TERMS = 1_000_000
 # Batch rows evaluated together as one (terms, rows) block.
 _BLOCK_ROWS = 512
 
-# Batch rows evaluated together in the closed form of an end-corrected sum.
+# Batch rows evaluated together in the closed form.
 _CLOSED_ROWS = 8192
 
 # Unit roundoff 2^-53 and the least normal float64.
@@ -259,9 +275,18 @@ def _end_corrected_count(
     return n_side, bound(n_side)
 
 
-# Far terms overflow r^8 (from r = 3.4e38) or r^10 (from r = 6.7e30), and a
-# quotient by the overflowed power reads 0 (x / inf).  The true quotient is
-# below 8 / r^8 < 2e-246 there, so that overflow is expected, not reported.
+def _scaled_terms(t: np.ndarray, r2: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """A term's real and imaginary parts from ``t`` and ``r^2`` by divisions
+    by ``r^2`` alone: the form of the entries whose ``r^8`` (order 0) or
+    ``r^10`` (order 1) overflows, where a quotient by that power reads 0."""
+    if order == 0:
+        return divide_by_power(t, r2, 4), divide_by_power(1.0, r2, 4)
+    c = 8.0 * t / r2  # |c| <= 8 / r
+    return divide_by_power(1.0 - c * t, r2, 4), divide_by_power(c, r2, 4)
+
+
+# Far terms overflow r^8 (from r = 3.4e38) or r^10 (from r = 6.7e30); those
+# entries are redone by _scaled_terms, so that overflow is expected, not reported.
 @np.errstate(over="ignore")
 def _direct(
     u0: np.ndarray,
@@ -307,22 +332,34 @@ def _direct(
         r8 = r2 * r2
         r8 *= r8
         if order == 0:
+            far = np.isinf(r8)
+            redo = _scaled_terms(t[far], r2[far], 0) if far.any() else None
             re = np.divide(t, r8, out=t)
             im = np.divide(1.0, r8, out=r8)
+            if redo is not None:
+                re[far], im[far] = redo
             if end_corrected:
                 re[-2:] *= w
                 im[-2:] *= w
         else:
             if end_corrected:
+                q_re, q_im = t[-2:] / r8[-2:], 1.0 / r8[-2:]
+                far = np.isinf(r8[-2:])
+                if far.any():
+                    q_re[far], q_im[far] = _scaled_terms(t[-2:][far], r2[-2:][far], 0)
                 # q0's -Im u part enters the +Im u accumulator negated
-                ends = (t[-2:] / r8[-2:] * w, -1.0 / r8[-2:] * w)
-            r10 = np.multiply(r8, r2, out=r2)
+                ends = (q_re * w, -q_im * w)
+            r10 = r8 * r2
+            far = np.isinf(r10)
+            redo = _scaled_terms(t[far], r2[far], 1) if far.any() else None
             im = 8.0 * t
             t *= im
             t /= r10
             re = np.divide(1.0, r8, out=r8)
             re -= t
             im /= r10
+            if redo is not None:
+                re[far], im[far] = redo
             if end_corrected:
                 re[-2:], im[-2:] = ends
         if alternating:
@@ -334,14 +371,15 @@ def _direct(
 
 
 def _closed_form(
-    u0: np.ndarray, s2: np.ndarray, step: float, order: int
+    u0: np.ndarray, s2: np.ndarray, step: float, alternating: bool, order: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """An end-corrected sum in closed form, and each row's rounding bound.
+    """A lattice sum in closed form, and each row's rounding bound.
 
     Returns the real and imaginary accumulators in :func:`_direct`'s
     convention and the bound of the module docstring, which is infinite
     where ``|Im u| = 0`` or ``e^(-kappa |Im u|)`` is not a normal float
-    and not a number where the closed form overflows.
+    and not a number where the closed form overflows.  Every sum but the
+    alternating derivative sum has one.
     """
     kap = math.pi / step
     acc_re = np.empty_like(u0)
@@ -376,7 +414,7 @@ def _closed_form(
             b = mag * mag
             b += 1.0
             b *= amp  # >= |cot|
-            if order == 0:
+            if alternating:
                 xg = x * g
                 g2 = g * g
                 q = x * (1.0 - 2.0 * g2)
@@ -401,28 +439,49 @@ def _closed_form(
                 size *= kap * a
                 sens = b + 3.0 * a * a / b
             else:
+                # csc^2 = -4w, cot csc^2 = 4i v, csc^2 (3 csc^2 - 2) / 3 = 8z/3
                 w = x * x
                 v = g * w
                 z = w * (6.0 * w + 1.0)
-                yy = v * (12.0 * w + 1.0)
-                re = p * (16.0 * kap**3) * v.real
-                re += (16.0 * kap**4) * z.real
-                re *= p
-                re += (16.0 * kap**5 / 3.0) * yy.real
-                im = p * (80.0 * kap**2) * w.imag
-                im += (80.0 * kap**3) * v.imag
-                im *= p
-                im += (32.0 * kap**4) * z.imag
-                im *= p
-                im += (16.0 * kap**5 / 3.0) * yy.imag
-                im /= y
                 a2 = a * a
-                size = p * 20.0 + (20.0 * kap) * b
-                size *= p
-                size += (4.0 * kap**2) * (3.0 * a2 + 2.0)
-                size *= p
-                size += (4.0 * kap**3 / 3.0) * b * (3.0 * a2 + 1.0)
-                size *= kap * kap * a2
+                if order == 0:
+                    re = p * (8.0 * kap**2) * w.imag
+                    re += (8.0 * kap**3) * v.imag
+                    re *= p
+                    re += (8.0 * kap**4 / 3.0) * z.imag
+                    # -Im S, as in the alternating sum
+                    im = p * (20.0 * kap) * g.real
+                    im += (40.0 * kap**2) * w.real
+                    im *= p
+                    im += (16.0 * kap**3) * v.real
+                    im *= p
+                    im += (8.0 * kap**4 / 3.0) * z.real
+                    im /= y
+                    size = p * 20.0 * b + (10.0 * kap) * a2
+                    size *= p
+                    size += (4.0 * kap**2) * b * a2
+                    size *= p
+                    size += (kap**3 / 3.0) * a2 * (3.0 * a2 + 2.0)
+                    size *= kap
+                else:
+                    yy = v * (12.0 * w + 1.0)
+                    re = p * (16.0 * kap**3) * v.real
+                    re += (16.0 * kap**4) * z.real
+                    re *= p
+                    re += (16.0 * kap**5 / 3.0) * yy.real
+                    im = p * (80.0 * kap**2) * w.imag
+                    im += (80.0 * kap**3) * v.imag
+                    im *= p
+                    im += (32.0 * kap**4) * z.imag
+                    im *= p
+                    im += (16.0 * kap**5 / 3.0) * yy.imag
+                    im /= y
+                    size = p * 20.0 + (20.0 * kap) * b
+                    size *= p
+                    size += (4.0 * kap**2) * (3.0 * a2 + 2.0)
+                    size *= p
+                    size += (4.0 * kap**3 / 3.0) * b * (3.0 * a2 + 1.0)
+                    size *= kap * kap * a2
                 sens = 4.0 * b + a2 / b
             p3 = p * p * p
             re *= p3
@@ -467,16 +526,19 @@ def _lattice_sum(
         margin = (num / (den * step * policy.tail_tol)) ** (1.0 / power)
         n_side = _check_budget(np.floor((max_norm + margin) / step) + 1.0)
         tail = num / (den * step) * (step * n_side - max_norm) ** -power
-        acc_re, acc_im = _direct(u0, s2, step, alternating, order, n_side, False)
     else:
         max_re = float(np.max(np.abs(u0), initial=0.0))
         n_side, tail = _end_corrected_count(step, max_re, end_law, policy)
-        acc_re, acc_im, bounds = _closed_form(u0, s2, step, order)
+    if order == 1 and alternating:
+        # the one sum without a closed form
+        acc_re, acc_im = _direct(u0, s2, step, alternating, order, n_side, False)
+    else:
+        acc_re, acc_im, bounds = _closed_form(u0, s2, step, alternating, order)
         # rows whose closed form is not certified within the tail (NaN included)
         rest = np.flatnonzero(~(bounds <= tail))
         if rest.size:
             acc_re[rest], acc_im[rest] = _direct(
-                u0[rest], s2[rest], step, alternating, order, n_side, True
+                u0[rest], s2[rest], step, alternating, order, n_side, end_law is not None
             )
 
     out = np.empty_like(u)

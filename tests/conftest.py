@@ -45,9 +45,14 @@ def rng():
 
 @pytest.fixture
 def direct_route(monkeypatch):
-    """Every row of the end-corrected lattice sums takes the direct route."""
+    """Every row of every lattice sum takes the direct route.
 
-    def uncertified(u0, s2, step, order):
+    The closed form certifies no row, so the end-corrected sums (strip
+    Szego, csc, sec, strip Bergman) and the plain q0 sum (cot, tan) give
+    the per-k loop's bits at the batch's N, with its truncation error.
+    """
+
+    def uncertified(u0, s2, step, alternating, order):
         return np.empty_like(u0), np.empty_like(u0), np.full_like(u0, np.inf)
 
     monkeypatch.setattr(trig_series, "_closed_form", uncertified)

@@ -178,6 +178,40 @@ def _add_ends(acc_re, acc_im, u0, s2, ends, im_sign):
         acc_im += im_sign / r8 * w
 
 
+def plain_lattice_sum_reference(
+    u: np.ndarray, step: float, tail_tol: float = 1e-12
+) -> tuple[np.ndarray, float]:
+    """The per-k loop for the plain q0 sum (cot at step pi), kept as a
+    bit-level oracle of its direct route.
+
+    N is the modulus law's: the least N past (max|u| + margin) / step,
+    margin = (1/(3 step tail_tol))^(1/6), so that the tail bound
+    (1/(3 step)) (step N - max|u|)^-6 is within tail_tol.  Each row's
+    terms are added in the order k = -N..N into accumulators that start
+    at +0.0.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    u0 = u[:, 0]
+    uim = u[:, 1:]
+    s2 = norm_sq_reference(uim)
+    max_norm = math.sqrt(float(np.max(u0 * u0 + s2)))
+    margin = (1.0 / (3.0 * step * tail_tol)) ** (1.0 / 6.0)
+    n_side = math.floor((max_norm + margin) / step) + 1
+    tail = 1.0 / (3.0 * step) * (step * n_side - max_norm) ** -6
+    acc_re = np.zeros_like(u0)
+    acc_im = np.zeros_like(u0)
+    for k in range(-n_side, n_side + 1):
+        t = u0 + step * k
+        r2 = t * t + s2
+        r8 = (r2 * r2) ** 2
+        acc_re += t / r8
+        acc_im += 1.0 / r8
+    out = np.empty_like(u)
+    out[:, 0] = acc_re
+    out[:, 1:] = -uim * acc_im[:, None]
+    return out, tail
+
+
 def szego_strip_values_reference(
     u: np.ndarray, d: float, tail_tol: float = 1e-12
 ) -> tuple[np.ndarray, float]:

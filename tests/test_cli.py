@@ -139,6 +139,30 @@ class TestEvalKernel:
         row = json.loads(out)["results"][0]
         assert abs(row["value"][0] - 7.0 / 128.0) < 1e-15
 
+    @pytest.mark.parametrize(
+        "kernel, z, w, want",
+        [
+            # 1 / |u|^7 at u = 4e38, whose |u|^8 overflows
+            ("szego_halfspace", "3e38", "1e38", 1.0 / 4e38**7),
+            # (1 - 1e40) / |1 - 1e40|^8 and 6 (1 - 1e80) (1 - 1e40) / |1 - 1e40|^10
+            ("szego_ball", "1e20", "1e20", -1e-280),
+            ("bergman_ball", "1e20", "1e20", 6e-280),
+        ],
+        ids=["szego_halfspace", "szego_ball", "bergman_ball"],
+    )
+    def test_kernel_past_the_eighth_power_of_u_reads_its_value(self, capsys, kernel, z, w, want):
+        # the power overflowed, so the kernel read 0 with numpy's overflow
+        # warning on stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["eval-kernel", "--kernel", kernel, "--z", z, "--w", w])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        value = json.loads(captured.out)["results"][0]["value"]
+        assert abs(value[0] - want) <= 1e-12 * abs(want)
+        assert all(v == 0.0 for v in value[1:])
+
     def test_half_space_bergman_keeps_its_sign_where_u_to_the_tenth_overflows(self, capsys):
         # u = z + conj(w) = 1e31: |u|^10 overflows and |u|^8 does not; the
         # kernel is -2 (1 - 8) / |u|^8 = 14 / |u|^8, where the real part
@@ -299,7 +323,10 @@ class TestVerificationSuites:
         assert max(rows[n]["residual"] for n in self.OREG_ROWS) > 1e-6
         assert all(rows[n]["pass"] for n in self.OREG_ROWS)
 
+    @pytest.mark.usefixtures("direct_route")
     def test_trig_identity_bars_follow_tail_tol(self, capsys):
+        # under the direct route the residuals carry the truncation error
+        # the bars are derived from; the closed form has none
         code, out = run_cli(capsys, "--tail-tol", "1e-6", "trig", "--points", "50")
         assert code == 0
         rows = {r["name"]: r for r in json.loads(out)["results"]}
@@ -432,6 +459,20 @@ class TestLimitStudy:
         code, out = run_cli(capsys, "limit-study", "--d-values", d_values)
         assert code == 0
         rows = {r["name"]: r for r in json.loads(out)["results"]}
+        assert abs(rows["szego_exponent"]["value"] - (-7.0)) < 1e-6
+        assert abs(rows["bergman_exponent"]["value"] - (-8.0)) < 1e-6
+
+    def test_neighbour_terms_past_the_eighth_power_keep_their_exponents(self, capsys):
+        # from d = 1e38 the gap is the lattice's nearest neighbour terms, at
+        # r of 1e38 to 6e38, whose r^8 or r^10 overflows; they read 0, and
+        # 1e38,2e38 fitted szego_exponent -6.9937 and bergman_exponent -7.9994
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["limit-study", "--d-values", "1e38,2e38"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        rows = {r["name"]: r for r in json.loads(captured.out)["results"]}
         assert abs(rows["szego_exponent"]["value"] - (-7.0)) < 1e-6
         assert abs(rows["bergman_exponent"]["value"] - (-8.0)) < 1e-6
 

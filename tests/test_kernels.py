@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,12 +16,14 @@ from oracles import (
     lambda_sum,
     poisson_lattice_sum,
     szego_strip_reference,
+    norm_sq_reference,
     szego_strip_values_reference,
 )
 from octomono.algebra import Octonion, mul
 from octomono.errors import DomainError, SingularityError
 from octomono.kernels import (
     StripDomain,
+    _ball_argument,
     bergman_half_space,
     bergman_strip,
     bergman_strip_values,
@@ -430,6 +433,31 @@ class TestBatchHelpers:
             # squares in coordinate order whatever the batch's size and layout
             assert np.array_equal(_bits(sb[i]), _bits(s))
             assert np.array_equal(_bits(bb[i]), _bits(b))
+
+
+    def test_ball_rows_past_the_float_range_read_their_value(self, rng):
+        # |u|^8 overflows from |u| = 3.4e38 and |u|^10 from 6.7e30, where the
+        # rows read 0 with a numpy warning; longdouble holds both powers.
+        # The rows in range keep the bits they have in a batch of their own
+        z = Octonion(*rng.uniform(-0.3, 0.3, 8))
+        ws = rng.uniform(-0.3, 0.3, (16, 8))
+        ws[::2] *= 10.0 ** rng.uniform(32.0, 43.0, (8, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sb = szego_ball_values(z, ws)
+            bb = bergman_ball_values(z, ws)
+        assert np.array_equal(_bits(sb[1::2]), _bits(szego_ball_values(z, ws[1::2])))
+        assert np.array_equal(_bits(bb[1::2]), _bits(bergman_ball_values(z, ws[1::2])))
+        u, n2 = (a.astype(np.longdouble) for a in _ball_argument(z, ws[::2]))
+        # (6 (1 - |z|^2 |w|^2) + 2u) u: the bracket's imaginary part is 2 Im u
+        b0 = 2.0 * u[:, 0] + 6.0 * (1.0 - z.norm_sq() * norm_sq_reference(ws[::2]))
+        rows = np.empty_like(u)
+        rows[:, 0] = b0 * u[:, 0] - 2.0 * (n2 - u[:, 0] ** 2)
+        rows[:, 1:] = (b0 + 2.0 * u[:, 0])[:, None] * u[:, 1:]
+        for got, want in ((sb[::2], u / (n2**4)[:, None]), (bb[::2], rows / (n2**5)[:, None])):
+            want = want.astype(np.float64)
+            gap = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
+            assert gap.max() < 1e-12
 
 
 def _bits(values) -> np.ndarray:

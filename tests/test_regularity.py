@@ -55,6 +55,25 @@ class TestCauchyKernel:
         got = q0_many(p)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
+    def test_rows_past_the_float_range_follow_the_scaling(self, rng):
+        # q0 has degree -7, so q0(p) = q0(p / s) / s^7; s = 2^100 scales
+        # exactly.  From |p| = 3.4e38 |p|^8 overflows, where p / |p|^8 read
+        # 0 with a numpy warning; the rows in range keep their bits
+        far = _points_away_from_origin(rng, 32) * 10.0 ** rng.uniform(38.6, 43.0, (32, 1))
+        near = _points_away_from_origin(rng, 32) * 10.0 ** rng.uniform(-5.0, 38.0, (32, 1))
+        pts = np.empty((64, 8))
+        pts[::2], pts[1::2] = far, near
+        scale = 2.0**100
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = q0_many(pts)
+            single = cauchy_kernel(Octonion(*far[0])).to_array()
+        want = q0_many(far / scale) / scale**7
+        gap = np.abs(got[::2] - want).max(axis=1) / np.abs(want).max(axis=1)
+        assert gap.max() < 1e-12
+        assert np.array_equal(single.view(np.int64), got[0].view(np.int64))
+        assert np.array_equal(got[1::2].view(np.int64), q0_many(near).view(np.int64))
+
     def test_homogeneity_degree_minus_7(self, rng):
         pts = _points_away_from_origin(rng, 20)
         for lam in (0.5, 2.0, 7.0):

@@ -11,12 +11,14 @@ from oracles import (
     brute_lattice_sum_longdouble,
     end_corrected_count,
     norm_sq_reference,
+    plain_lattice_sum_reference,
     szego_strip_values_reference,
 )
-from octomono import trig_series
+from octomono import suites, trig_series
 from octomono.algebra import Octonion
 from octomono.errors import PolicyError, SingularityError
 from octomono.kernels import bergman_strip_values, szego_strip_values
+from octomono.regularity import FiniteDiffConfig
 from octomono.trig_series import (
     CombinedRelationResiduals,
     TruncationPolicy,
@@ -122,13 +124,34 @@ class TestPeriodizedSum:
         "values,want", [(szego_strip_values, 1.0), (bergman_strip_values, 14.0)]
     )
     def test_far_terms_past_the_float_range_read_zero_without_a_warning(self, values, want):
-        # at d = 1e40 the end-correction terms sit at r = 1e40, whose r^8
-        # overflows: they read 0, with no numpy overflow warning
+        # at d = 1e40 every term but n = 0 sits at r >= 2e40, whose r^8
+        # overflows: each is below an ulp of the n = 0 term, and no numpy
+        # overflow warning is printed
         u = np.array([[1.0, 0, 0, 0, 0, 0, 0, 0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             rows = values(u, 1e40).value
         assert rows.tolist() == [[want, 0, 0, 0, 0, 0, 0, 0]]
+
+    @pytest.mark.parametrize(
+        "fn, alternating, order",
+        [(periodized_sum, False, 0), (periodized_deriv_sum, True, 1)],
+        ids=["plain_q0", "alternating_dq0"],
+    )
+    def test_terms_past_the_eighth_power_keep_their_value(self, fn, alternating, order):
+        # the real row u = 1e38 at step 4e38 takes the direct route, whose
+        # terms from |t| = 5e38 overflow r^8 (and r^10): they read 0, so the
+        # sum kept only its two or three nearest terms
+        u = np.zeros(8)
+        u[0] = 1e38
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = fn(u, 4e38, alternating, TruncationPolicy(tail_tol=1e-300))
+        n_side = (res.terms - 1) // 2
+        want, abs_sum = brute_lattice_sum_longdouble(u, 4e38, n_side, alternating, order)
+        err = abs(res.value[0] - float(want[0]))
+        assert err <= (res.terms + 8) * np.finfo(np.float64).eps * abs_sum
+        assert res.value[1:].tolist() == [0.0] * 7
 
     def test_pole_guard(self):
         with pytest.raises(SingularityError):
@@ -241,10 +264,10 @@ class TestEndCorrection:
         assert res.tail_bound == pytest.approx(bound, rel=1e-12)
 
 
-def _closed_rows(u, step, order):
+def _closed_rows(u, step, alternating, order):
     """The closed form's values (n, 8) and rounding bounds on rows of u."""
     s2 = norm_sq_reference(u[:, 1:])
-    acc_re, acc_im, bounds = trig_series._closed_form(u[:, 0], s2, step, order)
+    acc_re, acc_im, bounds = trig_series._closed_form(u[:, 0], s2, step, alternating, order)
     values = np.empty_like(u)
     values[:, 0] = acc_re
     values[:, 1:] = u[:, 1:] * (-acc_im if order == 0 else acc_im)[:, None]
@@ -256,25 +279,33 @@ STRIP_KERNELS = [
     (bergman_strip_values, bergman_strip_values_reference),
 ]
 
+# (order, alternating) of every sum with a closed form
+CLOSED = [(0, True), (1, False), (0, False)]
+CLOSED_IDS = [*END_IDS, "plain_q0"]
+
 
 class TestClosedForm:
-    """The end-corrected sums take the complex csc/cot closed form on the
-    rows whose derived rounding bound is within the tail bound, and the
-    direct route on every other row."""
+    """Every sum but the alternating derivative sum takes the complex
+    csc/cot closed form on the rows whose derived rounding bound is within
+    the tail bound, and the direct route on every other row."""
 
     @pytest.mark.parametrize("step", [2.0, 1.4, math.pi])
-    @pytest.mark.parametrize("order, alternating", [(0, True), (1, False)], ids=END_IDS)
+    @pytest.mark.parametrize("order, alternating", CLOSED, ids=CLOSED_IDS)
     def test_within_its_bound_of_the_longdouble_sum(self, rng, order, alternating, step):
         re_parts = np.linspace(-3.1, 2.5 * step, 17)
         n_terms = 4000
         ld_eps = float(np.finfo(np.longdouble).eps)
         # the oracle's truncation: its alternating q0 sum stops within
         # 2 rho^-7 of the limit and its plain dq0 sum within (2/step) rho^-7,
-        # rho = n_terms * step - max|t|
-        oracle_tail = 2.0 * (1.0 + 1.0 / step) * (n_terms * step - 3.1 - 2.5 * step) ** -7
+        # rho = n_terms * step - max|t|; the plain q0 sum, whose terms keep
+        # one sign, within 2 rho^-7 + rho^-6 / (3 step)
+        rho = n_terms * step - 3.1 - 2.5 * step
+        oracle_tail = 2.0 * (1.0 + 1.0 / step) * rho**-7
+        if (order, alternating) == (0, False):
+            oracle_tail += rho**-6 / (3.0 * step)
         for y in (0.5, 1.0, 3.0, 8.0):
             u = _rows(rng, re_parts, np.full(re_parts.size, y))
-            values, bounds = _closed_rows(u, step, order)
+            values, bounds = _closed_rows(u, step, alternating, order)
             assert np.isfinite(bounds).all()
             for row, value, bound in zip(u, values, bounds):
                 want, abs_sum = brute_lattice_sum_longdouble(row, step, n_terms, alternating, order)
@@ -298,6 +329,19 @@ class TestClosedForm:
         assert not np.array_equal(got[3:].view(np.int64), want[3:].view(np.int64))
         assert np.abs(got[3:] - want[3:]).max() <= 1e-12
 
+    def test_real_and_near_pole_cot_rows_keep_the_direct_bits(self):
+        # the modulus law's N grows with |Im u|, so a row whose e^-(kappa y)
+        # underflows is refused for its term count and has no case here
+        u = np.zeros((4, 8))
+        u[:, 0] = [0.5, 1e-6, 0.3, 1.7]
+        u[:, 3] = [0.0, 1e-6, 2.0, 1.5]  # real, near the pole at 0, then two generic rows
+        res = cot(u)
+        want, want_tail = plain_lattice_sum_reference(u, math.pi)
+        assert res.tail_bound == want_tail
+        assert np.array_equal(res.value[:2].view(np.int64), want[:2].view(np.int64))
+        assert not np.array_equal(res.value[2:].view(np.int64), want[2:].view(np.int64))
+        assert np.abs(res.value[2:] - want[2:]).max() <= 1e-12
+
     @pytest.mark.parametrize("kernel, reference", STRIP_KERNELS, ids=END_IDS)
     def test_mixed_batch_direct_rows_keep_the_per_k_bits(self, rng, kernel, reference):
         # strip combined arguments at d = 1 with |Im u| in [0, 2]: the rows
@@ -309,14 +353,28 @@ class TestClosedForm:
         assert tail == want_tail
         order = 0 if kernel is szego_strip_values else 1
         # the kernels' tail bound is twice the sum's for the Bergman kernel
-        _, bounds = _closed_rows(u, 2.0, order)
+        _, bounds = _closed_rows(u, 2.0, order == 0, order)
         direct = ~(bounds <= (tail if order == 0 else tail / 2.0))
         assert 0 < direct.sum() < len(u)
         assert np.array_equal(got[direct].view(np.int64), want[direct].view(np.int64))
         assert np.linalg.norm(got - want, axis=1).max() <= 2.0 * tail
 
+    def test_mixed_cot_batch_direct_rows_keep_the_per_k_bits(self, rng):
+        # cot's arguments with Re u in (-pi/2, pi/2) and |Im u| in [0, 2]
+        u = _rows(rng, rng.uniform(-1.5, 1.5, 3000), rng.uniform(0.0, 2.0, 3000))
+        res = cot(u)
+        want, want_tail = plain_lattice_sum_reference(u, math.pi)
+        assert res.tail_bound == want_tail
+        _, bounds = _closed_rows(u, math.pi, False, 0)
+        direct = ~(bounds <= res.tail_bound)
+        assert 0 < direct.sum() < len(u)
+        assert np.array_equal(res.value[direct].view(np.int64), want[direct].view(np.int64))
+        assert np.linalg.norm(res.value - want, axis=1).max() <= 2.0 * res.tail_bound
+
     @pytest.mark.parametrize(
-        "fn, alternating", [(periodized_sum, True), (periodized_deriv_sum, False)], ids=END_IDS
+        "fn, alternating",
+        [(periodized_sum, True), (periodized_deriv_sum, False), (periodized_sum, False)],
+        ids=CLOSED_IDS,
     )
     def test_pole_guard_still_raises(self, fn, alternating):
         u = np.zeros((3, 8))
@@ -324,6 +382,33 @@ class TestClosedForm:
         u[:, 1] = [2.0, 1e-13, 1.0]  # the middle row is 1e-13 from the pole at 2
         with pytest.raises(SingularityError):
             fn(u, 2.0, alternating)
+
+    def test_cot_at_pi_still_raises(self):
+        u = np.zeros((3, 8))
+        u[:, 0] = [0.5, math.pi, 1.0]
+        u[:, 1] = [2.0, 0.0, 1.0]  # the middle row is the lattice point pi
+        with pytest.raises(SingularityError):
+            cot(u)
+
+    def test_trig_suite_sends_only_the_lowest_half_argument_rows_to_the_direct_route(
+        self, monkeypatch
+    ):
+        # the seed-42 `trig --points 1000` sums: cot and tan at z and 2z, at
+        # z/2, and on the Cauchy-Riemann stencils, csc and sec at z and on
+        # theirs.  Only cot(z/2) and tan(z/2) rows at |Im u| below 0.65,
+        # where the rounding bound exceeds the tail bound, take the direct
+        # route; a looser bound would send more rows, or the stencils'
+        calls = []
+        direct = trig_series._direct
+
+        def spy(u0, s2, step, alternating, order, n_side, end_corrected):
+            calls.append((alternating, order, u0.size, float(np.sqrt(np.max(s2)))))
+            return direct(u0, s2, step, alternating, order, n_side, end_corrected)
+
+        monkeypatch.setattr(trig_series, "_direct", spy)
+        suites.trig(1000, 42, TruncationPolicy(), FiniteDiffConfig())
+        assert [c[:3] for c in calls] == [(False, 0, 482), (False, 0, 315)]
+        assert max(c[3] for c in calls) < 0.65
 
 
 class TestBatches:
