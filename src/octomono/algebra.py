@@ -300,19 +300,27 @@ def commutator(a: Octonion, b: Octonion) -> Octonion:
 
 
 _NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_NUM_RE = re.compile(_NUMBER)
-_UNIT_RE = re.compile(r"e([0-7])")
-_SIGN_RE = re.compile(r"[+-]")
+# One term: an optional sign, then a number with a unit across whitespace
+# or '*' (``num``, ``k``), a number alone, or a unit alone (``unit``).
+_TERM_RE = re.compile(
+    rf"\s*(?P<sign>[+-]?)\s*"
+    rf"(?:(?P<num>{_NUMBER})(?:(?:\s*\*\s*|\s+)e(?P<k>[0-7]))?|e(?P<unit>[0-7]))"
+)
 
 
 def parse_octonion(text: str) -> Octonion:
-    """Parse an octonion literal.
+    r"""Parse an octonion literal.
 
     Accepted forms:
       * a JSON array of exactly 8 numbers: ``[1, 0, 0, 0, 0, 0, 0, 0]``
       * a bare real number: ``1.5`` (so ``3e1`` is the real 30.0)
-      * a sum of terms: ``1.5 + 2 e1 - 0.5*e7``; a coefficient and a
-        unit must be separated by whitespace or ``*``.
+      * a sum of terms: ``1.5 + 2 e1 - 0.5*e7``.  Each term is a sign
+        (optional on the first term only), then a number and a unit
+        ``e0``-``e7`` separated by whitespace or ``*``, a number alone
+        (a real term) or a unit alone (coefficient 1).  A number is
+        ``\d+\.?\d*`` or ``\.\d+`` with an optional ``[eE][+-]?\d+``
+        exponent, so ``2 e1`` is a unit term and ``2e1`` the real 20.
+        Whitespace may stand around each sign and ``*``.
 
     A coordinate that is not finite (``nan``, ``inf``, an overflow) is
     rejected in every form.
@@ -348,55 +356,13 @@ def _parse_literal(s: str) -> Octonion:
 def _parse_terms(s: str) -> Octonion:
     coords = [0.0] * 8
     pos = 0
-    n = len(s)
-    first = True
-    while True:
-        while pos < n and s[pos].isspace():
-            pos += 1
-        if pos >= n:
-            if first:
-                raise DomainError(f"bad octonion literal: {s!r}")
-            break
-        sign = 1.0
-        m = _SIGN_RE.match(s, pos)
-        if m:
-            sign = -1.0 if m.group(0) == "-" else 1.0
-            pos = m.end()
-            while pos < n and s[pos].isspace():
-                pos += 1
-        elif not first:
-            raise DomainError(f"expected '+' or '-' at position {pos} in {s!r}")
-        first = False
-
-        m = _NUM_RE.match(s, pos)
-        if m:
-            value = float(m.group(0))
-            pos = m.end()
-            # A unit may follow, but only across whitespace or '*'.
-            probe = pos
-            saw_sep = False
-            while probe < n and s[probe].isspace():
-                probe += 1
-                saw_sep = True
-            if probe < n and s[probe] == "*":
-                probe += 1
-                saw_sep = True
-                while probe < n and s[probe].isspace():
-                    probe += 1
-            um = _UNIT_RE.match(s, probe) if saw_sep else None
-            if um:
-                coords[int(um.group(1))] += sign * value
-                pos = um.end()
-            else:
-                coords[0] += sign * value
-            continue
-
-        um = _UNIT_RE.match(s, pos)
-        if um:
-            coords[int(um.group(1))] += sign
-            pos = um.end()
-            continue
-        raise DomainError(f"unrecognized term at position {pos} in {s!r}")
+    while pos < len(s):
+        m = _TERM_RE.match(s, pos)
+        if m is None or (pos and not m["sign"]):  # every term after the first is signed
+            raise DomainError(f"bad octonion literal at position {pos}: {s!r}")
+        value = float(m["num"]) if m["num"] else 1.0
+        coords[int(m["k"] or m["unit"] or 0)] += -value if m["sign"] == "-" else value
+        pos = m.end()
     return Octonion(*coords)
 
 

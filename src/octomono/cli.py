@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -127,53 +128,35 @@ def _cmd_limit_study(args):
 # entry point
 
 
-def _global_flags(parser: argparse.ArgumentParser, top: bool) -> None:
-    """Install the shared flags; real defaults only at the top level.
-
-    SUPPRESS on the per-subcommand copies keeps e.g. ``--seed 7 algebra``
-    from being overwritten by a subparser default.
-    """
-
-    def default(v):
-        return v if top else argparse.SUPPRESS
-
-    parser.add_argument("--seed", type=int, default=default(42), help="RNG seed (default 42)")
-    parser.add_argument(
-        "--samples", type=int, default=default(10**6), help="MC sample count (default 1e6)"
-    )
-    parser.add_argument(
-        "--tail-tol", type=float, default=default(1e-12), help="series tail tolerance"
-    )
-    parser.add_argument(
-        "--fd-step", type=float, default=default(1e-5), help="finite-difference step"
-    )
-    parser.add_argument(
-        "--radius",
-        type=float,
-        default=default(50.0),
-        help="truncation radius for flat regions",
-    )
-    parser.add_argument(
-        "--threads", type=int, default=default(1), help="worker threads (never changes results)"
-    )
-    parser.add_argument(
-        "--csv", metavar="PATH", default=default(None), help="also write rows as CSV"
-    )
+# The shared flags, accepted before or after the subcommand.
+GLOBAL_FLAGS = {
+    "--seed": dict(type=int, default=42, help="RNG seed (default 42)"),
+    "--samples": dict(type=int, default=10**6, help="MC sample count (default 1e6)"),
+    "--tail-tol": dict(type=float, default=1e-12, help="series tail tolerance"),
+    "--fd-step": dict(type=float, default=1e-5, help="finite-difference step"),
+    "--radius": dict(type=float, default=50.0, help="truncation radius for flat regions"),
+    "--threads": dict(type=int, default=1, help="worker threads (never changes results)"),
+    "--csv": dict(type=str, default=None, metavar="PATH", help="also write rows as CSV"),
+}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # SUPPRESS throughout, so a subparser never overwrites e.g. ``--seed 7
+    # algebra``; the defaults come from the namespace ``main`` starts with
+    shared = argparse.ArgumentParser(add_help=False)
+    for flag, spec in GLOBAL_FLAGS.items():
+        shared.add_argument(flag, **{**spec, "default": argparse.SUPPRESS})
     parser = argparse.ArgumentParser(
         prog="octomono",
         description="Octonionic special functions and reproducing kernels: "
         "verification suites, kernel evaluation, Monte Carlo reproduction checks.",
+        parents=[shared],
     )
-    _global_flags(parser, top=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
-        _global_flags(p, top=False)
-        return p
+        return sub.add_parser(name, help=help_text, parents=[shared])
 
     p = add("algebra", "run the algebra identity suite")
     p.add_argument("--trials", type=int, default=10**4)
@@ -212,7 +195,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     t0 = time.monotonic()
-    args = _build_parser().parse_args(argv)
+    defaults = {flag[2:].replace("-", "_"): spec["default"] for flag, spec in GLOBAL_FLAGS.items()}
+    args = _parser().parse_args(argv, argparse.Namespace(**defaults))
     try:
         params, rows = args.func(args)
         report = _report(args, params, rows, t0)

@@ -116,11 +116,13 @@ def dq0_dx0_many(points: np.ndarray) -> np.ndarray:
     far = np.isinf(r10)
     if np.any(far):
         # where |p|^10 overflows, 8 p0 p / |p|^10 reads 0 and the real part's
-        # sign flips: divide by |p|^2 first (|8 p0 p| / |p|^2 <= 8), then by |p|^8
-        pf, r8f = p[far], r8[far][:, None]
-        c = 8.0 * pf[:, :1] / r2[far][:, None]
-        out[far] = pf * c / r8f
-        out[far, 0] = (1.0 - c[:, 0] * pf[:, 0]) / r8f[:, 0]
+        # sign flips: divide by |p|^2 first (|8 p0 p| / |p|^2 <= 8), then by
+        # |p|^8, or by |p|^2 four times on the rows where |p|^8 is inf too
+        pf, r2f, r8f = p[far], r2[far][:, None], r8[far][:, None]
+        c = 8.0 * pf[:, :1] / r2f
+        num = pf * c
+        num[:, 0] = 1.0 - c[:, 0] * pf[:, 0]
+        out[far] = np.where(np.isinf(r8f), divide_by_power(num, r2f, 4), num / r8f)
     return out
 
 

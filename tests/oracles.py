@@ -8,13 +8,16 @@ Carlo section at the end uses the package's own code: it feeds the
 package's products and kernel values through plain-code samplers of
 the same sample stream and copies of the earlier per-estimator
 integrands and chunk reduction, as a bit-level oracle for the estimator
-engine.  The last section, likewise, is the algebra suite's first
+engine.  The algebra suite section, likewise, is the suite's first
 formulation on the package's products, a bit-level oracle for its rows.
+The last section is the hand scanner that parsed octonion literals
+before the term regex, the reference of ``parse_octonion``.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,6 +31,7 @@ from octomono.algebra import (
     mul_cayley_dickson,
     mul_many,
     norm_many,
+    parse_octonion,
 )
 from octomono.kernels import (
     bergman_ball_values,
@@ -36,6 +40,7 @@ from octomono.kernels import (
     szego_strip_values,
 )
 from octomono.kernels import bergman_unit_ball
+from octomono.errors import DomainError
 from octomono.regularity import dq0_dx0_many, q0_many
 from octomono.suites import Row
 from octomono.trig_series import TruncationPolicy, periodized_deriv_sum, periodized_sum
@@ -806,3 +811,84 @@ def algebra_suite_reference(trials: int, seed: int) -> list:
     anti_sym = worst(assoc + assoc_yx)
     rows.append(Row("associator_alternation", anti_sym, 0.0, anti_sym, 1e-11))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# Octonion literals: the hand scanner
+
+
+_NUM_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_UNIT_RE = re.compile(r"e([0-7])")
+_SIGN_RE = re.compile(r"[+-]")
+
+
+def parse_octonion_reference(text: str) -> Octonion:
+    """``parse_octonion`` with the hand scanner for sums of terms.
+
+    Empty text and JSON arrays go to ``parse_octonion`` itself: the
+    scanner never saw them, and their path is unchanged."""
+    s = text.strip()
+    if not s or s.startswith("["):
+        return parse_octonion(text)
+    try:
+        value = Octonion(float(s))
+    except ValueError:
+        value = _parse_terms_reference(s)
+    if not all(math.isfinite(c) for c in value.coords):
+        raise DomainError(f"octonion literal has a non-finite coordinate: {text!r}")
+    return value
+
+
+def _parse_terms_reference(s: str) -> Octonion:
+    coords = [0.0] * 8
+    pos = 0
+    n = len(s)
+    first = True
+    while True:
+        while pos < n and s[pos].isspace():
+            pos += 1
+        if pos >= n:
+            if first:
+                raise DomainError(f"bad octonion literal: {s!r}")
+            break
+        sign = 1.0
+        m = _SIGN_RE.match(s, pos)
+        if m:
+            sign = -1.0 if m.group(0) == "-" else 1.0
+            pos = m.end()
+            while pos < n and s[pos].isspace():
+                pos += 1
+        elif not first:
+            raise DomainError(f"expected '+' or '-' at position {pos} in {s!r}")
+        first = False
+
+        m = _NUM_RE.match(s, pos)
+        if m:
+            value = float(m.group(0))
+            pos = m.end()
+            # A unit may follow, but only across whitespace or '*'.
+            probe = pos
+            saw_sep = False
+            while probe < n and s[probe].isspace():
+                probe += 1
+                saw_sep = True
+            if probe < n and s[probe] == "*":
+                probe += 1
+                saw_sep = True
+                while probe < n and s[probe].isspace():
+                    probe += 1
+            um = _UNIT_RE.match(s, probe) if saw_sep else None
+            if um:
+                coords[int(um.group(1))] += sign * value
+                pos = um.end()
+            else:
+                coords[0] += sign * value
+            continue
+
+        um = _UNIT_RE.match(s, pos)
+        if um:
+            coords[int(um.group(1))] += sign
+            pos = um.end()
+            continue
+        raise DomainError(f"unrecognized term at position {pos} in {s!r}")
+    return Octonion(*coords)

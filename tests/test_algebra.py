@@ -4,10 +4,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import octonions, random_octonions
-from oracles import MUL_TABLE, algebra_suite_reference, mul_many_reference, norm_sq_reference
+from oracles import (
+    MUL_TABLE,
+    algebra_suite_reference,
+    mul_many_reference,
+    norm_sq_reference,
+    parse_octonion_reference,
+)
 from octomono import algebra, quadrature, suites
 from octomono.algebra import (
     Octonion,
@@ -630,6 +636,20 @@ class TestParseFormat:
     def test_bad_literals_raise(self, text):
         with pytest.raises(DomainError):
             parse_octonion(text)
+
+    # the literal alphabet, with e8 and the non-finite words
+    TOKENS = [*"0123456789.eE+-*", " ", "\t", *(f"e{k}" for k in range(9)), "nan", "inf", "[", "]"]
+
+    @settings(max_examples=1000, derandomize=True)
+    @given(st.lists(st.sampled_from(TOKENS), max_size=12).map("".join))
+    def test_term_grammar_agrees_with_the_hand_scanner(self, text):
+        def outcome(parse):
+            try:
+                return repr(parse(text).coords)
+            except DomainError:
+                return "DomainError"
+
+        assert outcome(parse_octonion) == outcome(parse_octonion_reference)
 
     @given(octonions())
     def test_format_parse_roundtrip(self, x):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import octomono
-from octomono import suites
+from octomono import cli, suites
 from octomono.cli import _write_csv, main
 from octomono.suites import Row, trig_points
 from octomono.trig_series import TruncationPolicy, cot, csc, sec, tan
@@ -71,11 +72,53 @@ class TestReportShape:
         report = json.loads(out)
         assert "threads" not in report["params"]
 
-    def test_seed_flag_respected_in_any_position(self, capsys):
-        _, before = run_cli(capsys, "--seed", "7", "algebra", "--trials", "100")
-        _, after = run_cli(capsys, "algebra", "--trials", "100", "--seed", "7")
+    # a valid value other than the default for each shared flag, and a
+    # command whose report or run reads it
+    FLAG_CASES = {
+        "--seed": ("7", ["algebra", "--trials", "100"]),
+        "--samples": ("2000", ["reproduce", "--experiment", "cauchy_ball"]),
+        "--tail-tol": ("1e-6", ["trig", "--points", "1"]),
+        "--fd-step": ("1e-4", ["trig", "--points", "1"]),
+        "--radius": ("2", STRIP_MC),
+        "--threads": ("2", BALL_MC),
+        "--csv": (None, ["algebra", "--trials", "10"]),
+    }
+
+    @pytest.mark.parametrize("flag", list(cli.GLOBAL_FLAGS))
+    def test_seed_flag_respected_in_any_position(self, capsys, monkeypatch, tmp_path, flag):
+        text, command = self.FLAG_CASES[flag]
+        text = text or str(tmp_path / "rows.csv")
+        spec = cli.GLOBAL_FLAGS[flag]
+        want = spec["type"](text)
+        assert want != spec["default"]
+        seen = []
+        report = cli._report
+
+        def spy(args, params, rows, t0):
+            seen.append(getattr(args, flag[2:].replace("-", "_")))
+            return report(args, params, rows, t0)
+
+        monkeypatch.setattr(cli, "_report", spy)
+        _, before = run_cli(capsys, flag, text, *command)
+        _, after = run_cli(capsys, *command, flag, text)
         assert strip_elapsed(before) == strip_elapsed(after)
-        assert json.loads(before)["seed"] == 7
+        # the parser serves every call: a call without the flag reads its default
+        run_cli(capsys, *command)
+        assert seen == [want, want, spec["default"]]
+
+    def test_a_second_call_builds_no_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        run_cli(capsys, "algebra", "--trials", "1")
+        first = len(built)
+        run_cli(capsys, "algebra", "--trials", "1")
+        assert len(built) == first
 
 
 class TestClosedPipe:
@@ -147,8 +190,10 @@ class TestEvalKernel:
             # (1 - 1e40) / |1 - 1e40|^8 and 6 (1 - 1e80) (1 - 1e40) / |1 - 1e40|^10
             ("szego_ball", "1e20", "1e20", -1e-280),
             ("bergman_ball", "1e20", "1e20", 6e-280),
+            # -2 (1 - 8) / |u|^8 at u = 4e38, below the normal floats
+            ("bergman_halfspace", "3e38", "1e38", 14.0 / 4e38**4 / 4e38**4),
         ],
-        ids=["szego_halfspace", "szego_ball", "bergman_ball"],
+        ids=["szego_halfspace", "szego_ball", "bergman_ball", "bergman_halfspace"],
     )
     def test_kernel_past_the_eighth_power_of_u_reads_its_value(self, capsys, kernel, z, w, want):
         # the power overflowed, so the kernel read 0 with numpy's overflow
@@ -476,6 +521,17 @@ class TestLimitStudy:
         assert abs(rows["szego_exponent"]["value"] - (-7.0)) < 1e-6
         assert abs(rows["bergman_exponent"]["value"] - (-8.0)) < 1e-6
 
+    def test_bergman_gap_past_the_eighth_power_of_u_scales_as_d_to_the_minus_8(self, capsys):
+        # at d = 1e40 the half-space point u = 1e40 has |u|^8 past the float
+        # range; that kernel read 0, so the gap was the whole strip kernel,
+        # twice the d^-8 scaling of the d = 1e38 gap
+        gaps = {}
+        for d in ("1e38", "1e40"):
+            _, out = run_cli(capsys, "limit-study", "--d-values", d)
+            gaps[d] = json.loads(out)["results"][1]["value"]
+        # the d = 1e40 gap is subnormal, good to a few 1e-5
+        assert gaps["1e40"] == pytest.approx(gaps["1e38"] * 1e-16, rel=1e-3, abs=0)
+
     def test_empty_d_list_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "limit-study", "--d-values", "")
         assert code == 2
@@ -711,11 +767,13 @@ class TestWarningRows:
 # Every flag value is drawn from a fixed list that mixes valid values with
 # the invalid ones that used to slip through; sizes stay small so that one
 # example runs in milliseconds.
+# malformed sums of terms, each a usage error
+MALFORMED = ["2 2 e1", "1 +", "e8", "2*", "2 ** e1"]
 LITERALS = [
     "0.5", "0.25 + 0.1 e1", "[0.5,0,0,0,0,0,0,0]", "1.5", "nan", "-inf", "1e400", "1e-80",
-    "0.1", "0.01",
+    "0.1", "0.01", *MALFORMED,
 ]
-GLOBAL_FLAGS = {
+GLOBAL_VALUES = {
     "--seed": ["42", "7", "-1"],
     "--threads": ["-1", "0", "1", "2"],
     "--tail-tol": ["1e-12", "1e-6", "0", "-1", "nan", "1e-320"],
@@ -778,11 +836,13 @@ def _draw_flag(draw, argv, flag, values):
 @st.composite
 def invocations(draw, csv_ok: str):
     command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
-    argv = []
-    flags = {**GLOBAL_FLAGS, "--csv": [csv_ok, "/nonexistent/x.csv"]}
+    before, after = [], []
+    flags = {**GLOBAL_VALUES, "--csv": [csv_ok, "/nonexistent/x.csv"]}
+    assert flags.keys() == cli.GLOBAL_FLAGS.keys()
     for flag, values in flags.items():
-        _draw_flag(draw, argv, flag, values)
-    argv.append(command)
+        # each shared flag before or after the subcommand
+        _draw_flag(draw, draw(st.sampled_from([before, after])), flag, values)
+    argv = [*before, command, *after]
     for flag, values in COMMAND_FLAGS[command].items():
         _draw_flag(draw, argv, flag, values)
     if command == "limit-study" and draw(st.booleans()):
@@ -807,6 +867,9 @@ class TestFuzz:
                 warnings.simplefilter("error", RuntimeWarning)
                 code = main(argv)
         assert code in (0, 1, 2)
+        literals = [a.split("=", 1)[1] for a in argv if a.startswith(("--z=", "--w="))]
+        if any(text in MALFORMED for text in literals):
+            assert code == 2
         if code == 2:
             assert out.getvalue() == ""
             lines = err.getvalue().splitlines()
